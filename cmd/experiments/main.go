@@ -58,7 +58,6 @@ func main() {
 		size      = flag.String("size", "small", "problem size preset: tiny, small, paper")
 		cmps      = flag.String("cmps", "2,4,8,16", "comma-separated CMP counts to sweep")
 		workers   = flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
-		cores     = flag.Int("cores", 0, "intra-run parallel workers per simulation; results are bit-identical at any count (0 = classic sequential event loop)")
 		cacheAt   = flag.String("cache", runcache.DefaultDir(), "persistent run cache directory")
 		noCache   = flag.Bool("no-cache", false, "disable the persistent run cache")
 		csvDir    = flag.String("csv", "", "also write per-figure CSV data files into this directory")
@@ -94,7 +93,7 @@ func main() {
 
 	cfg := harness.Config{
 		Size: ksize, CMPCounts: counts, Out: os.Stdout, Workers: *workers,
-		Cores: *cores, Audit: *audit, Context: ctx,
+		Audit: *audit, Context: ctx,
 		Observe: *chromeOut != "" || *metricOut != "",
 	}
 	if !*quiet {

@@ -6,21 +6,15 @@
 // It prints one "file:line:col: [analyzer] message" line per finding
 // (or a JSON array with -json) and exits non-zero when anything is
 // flagged. Each analyzer has an enable flag (-nondeterminism=false and
-// friends) defaulting to on. -pdes-report switches to the sharedstate
-// inventory view: every package-level mutable variable and cross-LP
-// write in internal/sim and internal/memsys, including the entries
-// suppressed by //simlint:lp-owned, with their ownership justifications
-// — the worklist for converting the engine to parallel discrete-event
-// simulation.
+// friends) defaulting to on.
 //
 // Findings are suppressed in source with
 // "//simlint:ignore <analyzers> <reason>" on (or directly above) the
-// offending line, order-dependent map ranges proven commutative or
-// pre-sorted with "//simlint:ordered <reason>", and sharedstate findings
-// with "//simlint:lp-owned <reason>". Hot-path roots are marked with
-// "//simlint:hotpath" in a function's doc comment. See DESIGN.md
-// sections "Determinism invariants" and "Static contract enforcement"
-// for the rules.
+// offending line, and order-dependent map ranges proven commutative or
+// pre-sorted with "//simlint:ordered <reason>". Hot-path roots are
+// marked with "//simlint:hotpath" in a function's doc comment. See
+// DESIGN.md sections "Determinism invariants" and "Static contract
+// enforcement" for the rules.
 package main
 
 import (
@@ -38,15 +32,13 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	version := flag.Bool("version", false, "print version and exit")
-	pdesReport := flag.Bool("pdes-report", false,
-		"emit the PDES-readiness inventory (all sharedstate findings, suppressed included) and exit 0")
 	enabled := make(map[string]*bool)
 	for _, a := range analysis.Analyzers() {
 		enabled[a.Name] = flag.Bool(a.Name, true, "run the "+a.Name+" analyzer ("+a.Doc+")")
 	}
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: simlint [-json] [-pdes-report] [-<analyzer>=false] [packages]\n\npackages are directory patterns (default ./...)\n\n")
+			"usage: simlint [-json] [-<analyzer>=false] [packages]\n\npackages are directory patterns (default ./...)\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,14 +55,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)
-	}
-
-	if *pdesReport {
-		if err := emitPDESReport(prog, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-		return
 	}
 
 	var analyzers []*analysis.Analyzer
@@ -99,33 +83,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// emitPDESReport prints the sharedstate inventory. Suppressed entries are
-// included — the report is a conversion worklist, not a lint gate — so it
-// always exits 0.
-func emitPDESReport(prog *analysis.Program, jsonOut bool) error {
-	entries := prog.PDESReport()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if entries == nil {
-			entries = []analysis.PDESEntry{}
-		}
-		return enc.Encode(entries)
-	}
-	open := 0
-	for _, e := range entries {
-		status := "OPEN"
-		if e.Suppressed {
-			status = "owned: " + e.Reason
-		} else {
-			open++
-		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", e.File, e.Line, e.Col, status, e.Message)
-	}
-	fmt.Printf("pdes-report: %d site(s), %d open, %d owned\n", len(entries), open, len(entries)-open)
-	return nil
 }
 
 func load(patterns []string) (*analysis.Program, error) {

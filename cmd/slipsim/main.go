@@ -40,7 +40,6 @@ func main() {
 		si        = flag.Bool("si", false, "enable self-invalidation (implies -tl)")
 		adapt     = flag.Bool("adaptive", false, "vary the A-R policy dynamically (slipstream only)")
 		auditRun  = flag.Bool("audit", false, "cross-check the run against conservation and coherence invariants")
-		cores     = flag.Int("cores", 0, "intra-run parallel workers for the conservative PDES engine; results are bit-identical at any count (0 = classic sequential event loop)")
 		traceOut  = flag.String("trace", "", "write a TSV event trace to this file")
 		chromeOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file (open in Perfetto)")
 		metricOut = flag.String("metrics-out", "", "write aggregated counters and latency histograms to this file (.csv for CSV)")
@@ -71,7 +70,7 @@ func main() {
 		}
 	}
 
-	opts := slipstream.Options{CMPs: *cmps, Audit: *auditRun, Workers: *cores}
+	opts := slipstream.Options{CMPs: *cmps, Audit: *auditRun}
 	parsedMode, err := slipstream.ParseMode(*mode)
 	if err != nil {
 		fatalf("%v", err)
@@ -98,8 +97,8 @@ func main() {
 	if *server != "" {
 		// Observation and auditing happen daemon-side: the exporters hook
 		// the simulating process, which is no longer this one.
-		if *auditRun || *cores != 0 || *traceOut != "" || *chromeOut != "" || *metricOut != "" {
-			fatalf("-audit, -cores, -trace, -trace-out, and -metrics-out are daemon-side options; start slipsimd with them instead of combining them with -server")
+		if *auditRun || *traceOut != "" || *chromeOut != "" || *metricOut != "" {
+			fatalf("-audit, -trace, -trace-out, and -metrics-out are daemon-side options; start slipsimd with them instead of combining them with -server")
 		}
 		spec := slipstream.RunSpec{
 			Kernel: kname, Params: kparams, Size: ksize, Mode: opts.Mode, ARSync: opts.ARSync,

@@ -62,7 +62,6 @@ func main() {
 		cachePeer  = flag.String("cache-peer", "", "read/write the run cache of the slipsimd at this base URL instead of a local directory (content-addressed /v1/cache/ protocol)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache (in-memory memo still applies)")
 		auditRuns  = flag.Bool("audit", false, "cross-check every simulation against conservation and coherence invariants")
-		cores      = flag.Int("cores", 0, "intra-run parallel workers per simulation; results are bit-identical at any count (0 = classic sequential event loop)")
 		timeout    = flag.Duration("timeout", 0, "default per-job deadline when a request names none (0: none)")
 		maxTimeout = flag.Duration("max-timeout", 0, "cap on request-supplied per-job deadlines (0: uncapped)")
 		gateway    = flag.String("gateway", "", "serve as a sharding gateway over this comma-separated replica URL list instead of simulating locally")
@@ -84,7 +83,6 @@ func main() {
 		QueueDepth:      *queue,
 		BatchQueueDepth: *batchQueue,
 		Audit:           *auditRuns,
-		Cores:           *cores,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 	}

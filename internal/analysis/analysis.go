@@ -10,16 +10,13 @@
 // The v2 analyzers reason over a program call graph (see callgraph.go)
 // and enforce the simulator's structural contracts: hotpathalloc forbids
 // heap allocation reachable from //simlint:hotpath roots, obspurity
-// proves Bus subscribers never write simulation state, sharedstate
-// inventories the shared mutable state and cross-LP writes that stand
-// between the sequential engine and PDES, and suppressaudit flags
-// suppression directives that no longer suppress anything.
+// proves Bus subscribers never write simulation state, and suppressaudit
+// flags suppression directives that no longer suppress anything.
 //
 // Findings are suppressed with justification comments:
 //
 //	//simlint:ignore <analyzer[,analyzer]|all> <reason>   same line or line above
 //	//simlint:ordered <reason>                            map range proven commutative/pre-sorted
-//	//simlint:lp-owned <reason>                           sharedstate: ownership/conversion story
 //	//simlint:hotpath [reason]                            root marker (doc comment), not a suppression
 //
 // A directive without a reason is malformed: it suppresses nothing and is
@@ -87,7 +84,6 @@ type Program struct {
 	graph      *CallGraph      // initialized by callGraph
 	hot        *hotFacts       // initialized by hotReachability
 	simWrites  map[*CGNode][]simWrite
-	paramW     map[paramKey]bool
 }
 
 // allPkgs returns the fact-computation package set.
@@ -102,7 +98,7 @@ func (prog *Program) allPkgs() []*Package {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism, MapOrder, FloatSum, OptValidate,
-		HotPathAlloc, ObsPurity, SharedState, SuppressAudit,
+		HotPathAlloc, ObsPurity, SuppressAudit,
 	}
 }
 

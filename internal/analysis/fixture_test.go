@@ -61,12 +61,6 @@ func TestObsPurityFixture(t *testing.T) {
 	checkExpectations(t, pkg, diags)
 }
 
-func TestSharedStateFixture(t *testing.T) {
-	// Loaded under a synthetic internal/sim path so the analyzer applies.
-	pkg, diags := loadFixture(t, "sharedstate", "slipstream/internal/sim/fixture", nil)
-	checkExpectations(t, pkg, diags)
-}
-
 func TestSuppressAuditFixture(t *testing.T) {
 	pkg, diags := loadFixture(t, "suppressaudit", "fixtures/suppressaudit", nil)
 	checkExpectations(t, pkg, diags)
@@ -86,6 +80,10 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestExpandPatterns pins the recursive walk: testdata/src/nestedmod
+// holds its own go.mod, so like `go list ./...` the walk must leave it
+// and its subdirectories out, while naming it as the pattern root still
+// analyzes it.
 func TestExpandPatterns(t *testing.T) {
 	dirs, err := ExpandPatterns([]string{filepath.Join("testdata", "src") + "/..."})
 	if err != nil {
@@ -102,7 +100,6 @@ func TestExpandPatterns(t *testing.T) {
 		filepath.Join("testdata", "src", "obspurity", "obs"),
 		filepath.Join("testdata", "src", "optvalidate"),
 		filepath.Join("testdata", "src", "optvalidate", "core"),
-		filepath.Join("testdata", "src", "sharedstate"),
 		filepath.Join("testdata", "src", "suppressaudit"),
 	}
 	got := make(map[string]bool, len(dirs))
@@ -116,6 +113,15 @@ func TestExpandPatterns(t *testing.T) {
 	}
 	if len(dirs) != len(want) {
 		t.Errorf("ExpandPatterns returned %d dirs, want %d: %v", len(dirs), len(want), dirs)
+	}
+
+	nested := filepath.Join("testdata", "src", "nestedmod")
+	dirs, err = ExpandPatterns([]string{nested + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{nested, filepath.Join(nested, "inner")}; !reflect.DeepEqual(dirs, want) {
+		t.Errorf("ExpandPatterns(%s/...) = %v, want %v", nested, dirs, want)
 	}
 }
 

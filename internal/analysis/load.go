@@ -185,7 +185,10 @@ func (l *Loader) Loaded() []*Package {
 // ExpandPatterns resolves command-line package patterns ("./...",
 // "./internal/...", plain directories) into directories containing
 // buildable non-test Go files, skipping testdata, vendor, hidden, and
-// underscore-prefixed directories.
+// underscore-prefixed directories. Like `go list`, a recursive pattern
+// stops at nested modules: a directory below the pattern root that holds
+// its own go.mod belongs to another module and is skipped with its
+// subtree.
 func ExpandPatterns(patterns []string) ([]string, error) {
 	var dirs []string
 	seen := make(map[string]bool)
@@ -221,6 +224,11 @@ func ExpandPatterns(patterns []string) ([]string, error) {
 			if p != root && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if p != root {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			add(p)
 			return nil

@@ -7,8 +7,8 @@ import (
 )
 
 // SuppressAudit keeps the suppression inventory honest: a well-formed
-// //simlint:ignore, //simlint:ordered, or //simlint:lp-owned directive
-// that no longer suppresses any finding is stale — the code it excused
+// //simlint:ignore or //simlint:ordered directive that no longer
+// suppresses any finding is stale — the code it excused
 // was fixed or moved — and stale directives are worse than none, because
 // they claim a violation that is not there and will silently swallow the
 // next real one introduced on that line. Staleness is only judged when
@@ -25,12 +25,11 @@ var SuppressAudit = &Analyzer{
 
 // directive is one parsed //simlint: comment.
 type directive struct {
-	kind      string          // "ignore", "ordered", "hotpath", or "lp-owned"
+	kind      string          // "ignore", "ordered", or "hotpath"
 	analyzers map[string]bool // ignore only; nil means all
 	reason    string          // the justification text
 	file      string
-	line      int // first line the directive suppresses findings on
-	endLine   int // last line (== line except doc-comment lp-owned)
+	line      int // the line the directive suppresses findings on
 	pos       token.Position
 	bad       string // non-empty if malformed (the reason it is)
 }
@@ -39,38 +38,17 @@ const (
 	ignorePrefix  = "//simlint:ignore"
 	orderedPrefix = "//simlint:ordered"
 	hotpathPrefix = "//simlint:hotpath"
-	lpOwnedPrefix = "//simlint:lp-owned"
 	prefixAny     = "//simlint:"
 
-	malformedWant = "unknown directive (want //simlint:ignore, //simlint:ordered, //simlint:hotpath, or //simlint:lp-owned)"
+	malformedWant = "unknown directive (want //simlint:ignore, //simlint:ordered, or //simlint:hotpath)"
 )
 
 // parseDirectives extracts every simlint directive from a package's
 // comments. A directive that stands alone on its line applies to the next
 // line that is not itself a standalone directive — so directives stack,
 // each suppressing its own analyzers on the line they jointly annotate —
-// while a trailing directive applies to its own line. An lp-owned
-// directive in a function declaration's doc comment covers the whole
-// function — LP ownership is a property of the transaction, not of one
-// statement.
+// while a trailing directive applies to its own line.
 func parseDirectives(pkg *Package, known map[string]bool) []directive {
-	type span struct{ first, last int }
-	docSpan := make(map[token.Pos]span)
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			s := span{
-				first: pkg.Fset.Position(fd.Pos()).Line,
-				last:  pkg.Fset.Position(fd.End()).Line,
-			}
-			for _, c := range fd.Doc.List {
-				docSpan[c.Pos()] = s
-			}
-		}
-	}
 	// aloneLines records which lines hold a standalone directive, per file,
 	// so a stacked directive can skip over the ones below it.
 	aloneLines := make(map[string]map[int]bool)
@@ -111,12 +89,6 @@ func parseDirectives(pkg *Package, known map[string]bool) []directive {
 				d.line++
 			}
 		}
-		d.endLine = d.line
-		if d.kind == "lp-owned" && d.bad == "" {
-			if s, ok := docSpan[r.c.Pos()]; ok {
-				d.line, d.endLine = s.first, s.last
-			}
-		}
 		out = append(out, d)
 	}
 	return out
@@ -133,9 +105,6 @@ func parseDirective(text string, pos token.Position, known map[string]bool) dire
 	case strings.HasPrefix(text, orderedPrefix):
 		d.kind = "ordered"
 		rest = strings.TrimPrefix(text, orderedPrefix)
-	case strings.HasPrefix(text, lpOwnedPrefix):
-		d.kind = "lp-owned"
-		rest = strings.TrimPrefix(text, lpOwnedPrefix)
 	case strings.HasPrefix(text, hotpathPrefix):
 		d.kind = "hotpath"
 		rest = strings.TrimPrefix(text, hotpathPrefix)
@@ -156,13 +125,6 @@ func parseDirective(text string, pos token.Position, known map[string]bool) dire
 	case "ordered":
 		if len(fields) == 0 {
 			d.bad = "//simlint:ordered needs a justification: //simlint:ordered <reason>"
-			return d
-		}
-		d.reason = strings.Join(fields, " ")
-		return d
-	case "lp-owned":
-		if len(fields) == 0 {
-			d.bad = "//simlint:lp-owned needs an ownership justification: //simlint:lp-owned <reason>"
 			return d
 		}
 		d.reason = strings.Join(fields, " ")
@@ -269,7 +231,7 @@ func (prog *Program) filterSuppressed(pkg *Package, diags []Diagnostic, analyzer
 func markSuppressed(diag Diagnostic, dirs []directive, used []bool) bool {
 	hit := false
 	for i, d := range dirs {
-		if d.bad != "" || d.file != diag.File || diag.Line < d.line || diag.Line > d.endLine {
+		if d.bad != "" || d.file != diag.File || diag.Line != d.line {
 			continue
 		}
 		switch d.kind {
@@ -280,11 +242,6 @@ func markSuppressed(diag Diagnostic, dirs []directive, used []bool) bool {
 			}
 		case "ordered":
 			if diag.Analyzer == MapOrder.Name || diag.Analyzer == FloatSum.Name {
-				used[i] = true
-				hit = true
-			}
-		case "lp-owned":
-			if diag.Analyzer == SharedState.Name {
 				used[i] = true
 				hit = true
 			}
@@ -317,8 +274,6 @@ func staleEligible(d directive, enabled map[string]bool) bool {
 		return true
 	case "ordered":
 		return enabled[MapOrder.Name] && enabled[FloatSum.Name]
-	case "lp-owned":
-		return enabled[SharedState.Name]
 	}
 	return false
 }

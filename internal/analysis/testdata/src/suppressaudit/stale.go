@@ -23,11 +23,6 @@ func staleIgnore() int { return 1 }
 //simlint:ordered nothing here iterates or sums
 func staleOrdered() int { return 2 }
 
-// want-below `stale //simlint:lp-owned directive`
-//
-//simlint:lp-owned no shared state in this package
-var owned int
-
 // want-below `malformed directive`
 //
 //simlint:bogus not a directive kind

@@ -258,17 +258,6 @@ type Options struct {
 	// simulated results — but slows the run down. The SLIPSIM_AUDIT=1
 	// environment variable force-enables it for every run in the process.
 	Audit bool
-
-	// Workers, when positive, runs the simulation on the engine's
-	// conservative parallel mode: each CMP node becomes a logical process
-	// and LP-local events (self-invalidation hint deliveries) execute
-	// concurrently in lookahead-bounded rounds derived from the machine's
-	// network delay. Results are bit-identical to the sequential engine at
-	// any worker count — Workers is an execution knob like the harness's
-	// -j, not part of the simulated configuration, so it never enters run
-	// specs or cache keys. Zero or negative keeps the classic sequential
-	// event loop.
-	Workers int
 }
 
 // withDefaults fills unset options.

@@ -54,17 +54,6 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	if opts.Workers > 0 {
-		// Partition the engine into one logical process per CMP node. The
-		// lookahead is the network delay: every cross-node interaction in
-		// the model pays at least one network hop, so LP-local events less
-		// than one hop ahead of the global clock can run concurrently.
-		la := opts.Machine.NetTime
-		if la < 1 {
-			la = 1
-		}
-		eng.ConfigureLPs(opts.CMPs, la)
-	}
 	sys, err := memsys.NewSystem(eng, opts.Machine)
 	if err != nil {
 		return nil, err
@@ -112,7 +101,7 @@ func Run(opts Options, k Kernel) (*Result, error) {
 	k.Setup(r.prog)
 	r.spawnTasks()
 
-	if !eng.RunParallelUntil(opts.MaxCycles, opts.Workers) {
+	if !eng.RunUntil(opts.MaxCycles) {
 		return nil, fmt.Errorf("core: %s/%s on %d CMPs exceeded %d cycles",
 			k.Name(), opts.Mode, opts.CMPs, opts.MaxCycles)
 	}

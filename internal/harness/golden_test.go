@@ -13,17 +13,10 @@ import (
 // and returns the rendered output and the progress stream.
 func renderAll(t *testing.T, workers int, cache runcache.Store) (out, progress string) {
 	t.Helper()
-	return renderAllCores(t, workers, 0, cache)
-}
-
-// renderAllCores is renderAll with the engine's intra-run parallel mode
-// enabled on the given core count.
-func renderAllCores(t *testing.T, workers, cores int, cache runcache.Store) (out, progress string) {
-	t.Helper()
 	var sb, pb strings.Builder
 	s := NewSession(Config{
 		Size: kernels.Tiny, CMPCounts: []int{2, 4},
-		Out: &sb, Progress: &pb, Workers: workers, Cores: cores, Cache: cache,
+		Out: &sb, Progress: &pb, Workers: workers, Cache: cache,
 	})
 	if err := s.All(); err != nil {
 		t.Fatal(err)
@@ -46,24 +39,6 @@ func TestOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	if prog1 != prog8 {
 		t.Errorf("progress stream differs between -j 1 and -j 8:\n-j1:\n%s\n-j8:\n%s", prog1, prog8)
-	}
-}
-
-// TestOutputIdenticalAcrossCoreCounts extends the same contract to the
-// engine's conservative parallel mode: every figure rendered with
-// intra-run parallelism (-cores 8) must be byte-identical to the
-// sequential engine (-cores 0), on top of the -j invariance above.
-func TestOutputIdenticalAcrossCoreCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders every figure twice")
-	}
-	outSeq, progSeq := renderAllCores(t, 4, 0, nil)
-	outPar, progPar := renderAllCores(t, 4, 8, nil)
-	if outSeq != outPar {
-		t.Errorf("figure output differs between -cores 0 and -cores 8:\nlen %d vs %d", len(outSeq), len(outPar))
-	}
-	if progSeq != progPar {
-		t.Errorf("progress stream differs between -cores 0 and -cores 8:\nseq:\n%s\npar:\n%s", progSeq, progPar)
 	}
 }
 

@@ -42,11 +42,6 @@ type Config struct {
 	// Workers bounds concurrent simulations. Zero selects
 	// runtime.NumCPU().
 	Workers int
-	// Cores, when positive, runs each simulation on the engine's
-	// conservative parallel mode with that many intra-run workers.
-	// Results stay bit-identical to sequential execution at any count, so
-	// Cores — like Workers and Audit — never affects the cache.
-	Cores int
 	// Cache, when set, persists completed runs across sessions. Any
 	// runcache.Store backend works: a local directory cache or a remote
 	// peer daemon.
@@ -227,7 +222,6 @@ func (s *Session) Execute(specs []runspec.RunSpec) error {
 	ex := &runspec.Executor{
 		Workers: s.cfg.Workers,
 		Audit:   s.cfg.Audit,
-		Cores:   s.cfg.Cores,
 		Lookup:  s.lookup,
 		Observe: s.observersFor,
 		Store:   s.store,
@@ -275,7 +269,7 @@ func (s *Session) result(sp runspec.RunSpec) (*core.Result, error) {
 	if res, ok, _ := s.lookup(sp); ok {
 		return res, nil
 	}
-	res, err := sp.RunObservedCores(s.cfg.Audit, s.cfg.Cores, s.observersFor(sp)...)
+	res, err := sp.RunObserved(s.cfg.Audit, s.observersFor(sp)...)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}

@@ -9,9 +9,9 @@
 // Determinism: a seeded xorshift64* PRNG (kutil.Rand; no global rand) is
 // expanded into a fixed per-task access program before any simulated
 // time elapses. The program is a pure function of (Config, task id, task
-// count), so identical parameters produce identical runs at any -j and
-// any -cores. All shared values are int64 and every concurrent update is
-// a lock-guarded commutative add, so the final memory image is exact and
+// count), so identical parameters produce identical runs at any -j. All
+// shared values are int64 and every concurrent update is a lock-guarded
+// commutative add, so the final memory image is exact and
 // order-independent — Verify replays the same programs in plain Go and
 // compares every word.
 //

@@ -218,7 +218,6 @@ func (s *System) accessInner(r Req, now int64) int64 {
 	if l2 != nil && l2.Transparent && !(r.Role == RoleA && r.Kind == Read) {
 		s.recordTouch(l2, r.Role, t)
 		s.closeRecs(node, l2)
-		//simlint:lp-owned discarding a transparent copy ends its future-sharer claim at the home; becomes a hint-retract event to the home LP under PDES
 		s.Home(line).Dir.Entry(line).ClearFuture(node.ID)
 		s.invalidateL1s(node, line)
 		clearLine(l2)
@@ -278,8 +277,6 @@ func (s *System) accessInner(r Req, now int64) int64 {
 // dirTransaction carries a request that missed (or needs an upgrade) to the
 // line's home directory and back, filling frame. It returns the completion
 // time at the requesting L2.
-//
-//simlint:lp-owned directory transaction executes at the home node; under PDES it becomes a request event scheduled on the home LP with NI-hop lookahead and a reply event back
 func (s *System) dirTransaction(node *Node, line Addr, r Req, t int64, frame *Line, upgrade bool) int64 {
 	home := s.Home(line)
 	local := home == node
@@ -392,8 +389,6 @@ func (s *System) dirTransaction(node *Node, line Addr, r Req, t int64, frame *Li
 }
 
 // dirRead performs the home-directory action for a normal read request.
-//
-//simlint:lp-owned runs as the home node's half of dirTransaction; ships with it as one home-LP event under PDES
 func (s *System) dirRead(node, home *Node, line Addr, e *DirEntry, t int64, replyFromHome *bool) int64 {
 	p := &s.P
 	switch e.State {
@@ -422,8 +417,6 @@ func (s *System) dirRead(node, home *Node, line Addr, e *DirEntry, t int64, repl
 
 // dirReadX performs the home-directory action for an ownership request
 // (write miss, upgrade, or exclusive prefetch).
-//
-//simlint:lp-owned runs as the home node's half of dirTransaction; owner/sharer forwarding becomes per-hop events between the home and remote LPs under PDES
 func (s *System) dirReadX(node, home *Node, line Addr, e *DirEntry, t int64, upgrade bool, replyFromHome *bool) int64 {
 	p := &s.P
 	switch e.State {
@@ -571,8 +564,6 @@ func (s *System) invalidateNode(node *Node, line Addr) {
 
 // evictL2 displaces a valid L2 line: dirty exclusives write back, shared
 // copies leave the sharer list, and the node's future-sharer bit resets.
-//
-//simlint:lp-owned eviction notifies the home directory synchronously; under PDES it becomes an eviction event to the home LP (the writeback latency is the lookahead)
 func (s *System) evictL2(node *Node, frame *Line, t int64) {
 	line := frame.Addr
 	home := s.Home(line)
@@ -617,14 +608,7 @@ func (s *System) markSI(node *Node, l *Line) {
 }
 
 // sendSIHint delivers a self-invalidation hint from the home directory to
-// the current exclusive owner, after the network transit. The delivery is
-// scheduled as an LP-local event on the owner node: it reads and marks
-// only the owner's L2 line and SI list and schedules nothing, so under
-// the engine's conservative parallel mode hint deliveries execute
-// concurrently across nodes. The delay is at least the bus time, which is
-// within the lookahead window only because AfterLP events are pushed from
-// coordinator context — the hint's (time, seq) key is identical to the
-// classic engine's, keeping results bit-identical.
+// the current exclusive owner, after the network transit.
 func (s *System) sendSIHint(home, owner *Node, line Addr) {
 	s.SIst.HintsSent++
 	delay := s.P.NetTime
@@ -632,7 +616,7 @@ func (s *System) sendSIHint(home, owner *Node, line Addr) {
 		delay = s.P.BusTime
 	}
 	//simlint:ignore hotpathalloc one scheduled hint event per SI hint; event scheduling is the miss path
-	s.Eng.AfterLP(owner.ID, delay, func() {
+	s.Eng.After(delay, func() {
 		l := owner.L2.Lookup(line)
 		if l != nil && l.State == Exclusive {
 			s.markSI(owner, l)
@@ -666,8 +650,6 @@ func (s *System) ProcessSI(node *Node, now int64) {
 // selfInvalidate performs one deferred self-invalidation action: lines
 // written inside a critical section are assumed migratory and invalidated;
 // others are written back and downgraded to shared (producer-consumer).
-//
-//simlint:lp-owned already event-scheduled via Eng.At; the remaining synchronous directory update becomes a hint-ack event to the home LP under PDES
 func (s *System) selfInvalidate(node *Node, addr Addr) {
 	l := node.L2.Lookup(addr)
 	if l == nil || !l.SIMark || l.State != Exclusive {
@@ -706,8 +688,6 @@ func (s *System) selfInvalidate(node *Node, addr Addr) {
 // DebugSlowThreshold cycles. It is a development aid; production code leaves
 // it nil.
 var (
-	//simlint:lp-owned development hook, nil in production; set before Run and read-only while the clock advances
-	DebugSlow func(r Req, now, done int64, note string)
-	//simlint:lp-owned development knob paired with DebugSlow; set before Run and read-only while the clock advances
+	DebugSlow          func(r Req, now, done int64, note string)
 	DebugSlowThreshold int64 = 1200
 )

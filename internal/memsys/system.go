@@ -130,7 +130,6 @@ func NewSystem(eng *sim.Engine, p Params) (*System, error) {
 				L1:   NewCache(p.L1Size, p.L1Assoc, p.LineSize),
 			}
 		}
-		//simlint:lp-owned construction: runs before the clock starts, no LP exists yet
 		s.Nodes[i] = n
 	}
 	return s, nil

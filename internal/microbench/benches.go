@@ -21,8 +21,6 @@ func All() []Benchmark {
 		{Name: "sim/queue/heap/hold", Fn: benchQueueHold(sim.QueueHeap)},
 		{Name: "sim/queue/calendar/hold", Fn: benchQueueHold(sim.QueueCalendar)},
 		{Name: "sim/engine/step", Fn: benchEngineStep},
-		{Name: "sim/parallel/step/seq", Fn: benchParallelStep(0)},
-		{Name: "sim/parallel/step/cores8", Fn: benchParallelStep(8)},
 		{Name: "memsys/dir/lookup", Fn: benchDirLookup},
 		{Name: "memsys/dir/sharer-scan", Fn: benchSharerScan},
 		{Name: "memsys/l1/read-hit", Fn: benchL1ReadHit},
@@ -83,81 +81,6 @@ func benchEngineStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
-	}
-}
-
-// lpSpin is the per-event compute stand-in of the parallel-step
-// benchmark: enough deterministic integer work (~1µs) to model an
-// LP-local model event, so the benchmark measures compute overlap rather
-// than pure scheduling overhead.
-func lpSpin(x uint64) uint64 {
-	for i := 0; i < 300; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		x ^= x >> 29
-	}
-	return x
-}
-
-// benchParallelStep measures the conservative parallel mode on an 8-node
-// workload: every node is an LP running a compute-heavy self-rescheduling
-// event chain with short delays, so each lookahead quantum holds many
-// events per LP. cores=0 runs the identical workload on the classic
-// sequential engine (AtLP degrades to At); cores=8 runs lookahead-bounded
-// rounds on the worker pool. One benchmark op simulates a fixed window of
-// cycles. The ns/op ratio between the two variants is the intra-run
-// speedup; per-LP state is cache-line padded so it measures the engine,
-// not false sharing.
-func benchParallelStep(cores int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		const (
-			nodes     = 8
-			lookahead = 64
-			window    = 1024 // simulated cycles per benchmark op
-		)
-		eng := sim.NewEngine()
-		var spin [nodes]struct {
-			v uint64
-			_ [56]byte
-		}
-		if cores > 0 {
-			eng.ConfigureLPs(nodes, lookahead)
-			for i := 0; i < nodes; i++ {
-				i := i
-				ctx := eng.LP(i)
-				var fn func()
-				fn = func() {
-					spin[i].v = lpSpin(spin[i].v)
-					ctx.After(int64(spin[i].v%8)+1, fn)
-				}
-				eng.AtLP(i, int64(i)+1, fn)
-			}
-		} else {
-			for i := 0; i < nodes; i++ {
-				i := i
-				var fn func()
-				fn = func() {
-					spin[i].v = lpSpin(spin[i].v)
-					eng.AfterLP(i, int64(spin[i].v%8)+1, fn)
-				}
-				eng.AtLP(i, int64(i)+1, fn)
-			}
-		}
-		deadline := int64(0)
-		runWindow := func() {
-			deadline += window
-			if cores > 0 {
-				eng.RunParallelUntil(deadline, cores)
-			} else {
-				eng.RunUntil(deadline)
-			}
-		}
-		runWindow() // warm queue storage and worker codepaths
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runWindow()
-		}
-		sinkTime += eng.Now()
 	}
 }
 

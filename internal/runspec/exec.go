@@ -27,13 +27,6 @@ type Executor struct {
 	// aborts the batch like any other simulation error.
 	Audit bool
 
-	// Cores, when positive, runs each simulation on the engine's
-	// conservative parallel mode with that many intra-run workers
-	// (core.Options.Workers). Results stay bit-identical to sequential
-	// execution, so Cores — like Workers and Audit — is an execution knob
-	// that never affects cache keys.
-	Cores int
-
 	// Lookup, when set, is probed before scheduling a spec; returning
 	// ok=true satisfies the spec without simulating (memo or persistent
 	// cache hit). A non-nil error reports a corrupt or unreachable store
@@ -188,7 +181,7 @@ func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result
 					if e.Observe != nil {
 						observers = e.Observe(sp)
 					}
-					res, err := sp.RunObservedCores(e.Audit, e.Cores, observers...)
+					res, err := sp.RunObserved(e.Audit, observers...)
 					if err == nil && res.VerifyErr != nil {
 						err = fmt.Errorf("%v: verification: %w", sp, res.VerifyErr)
 					}

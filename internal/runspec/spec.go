@@ -101,32 +101,15 @@ func (sp RunSpec) Validate() error {
 // Run executes the spec's simulation and returns its result. Numeric
 // verification failures are reported in Result.VerifyErr, as with
 // core.Run.
-func (sp RunSpec) Run() (*core.Result, error) { return sp.RunAudited(false) }
+func (sp RunSpec) Run() (*core.Result, error) { return sp.RunObserved(false) }
 
-// RunAudited is Run with the runtime invariant auditor (core.Options.Audit)
-// optionally enabled. Auditing observes without changing the simulated
-// result, so audited and unaudited runs of equal specs are interchangeable;
-// that is why it is a run argument and not part of the spec (it must not
-// fork cache keys).
-func (sp RunSpec) RunAudited(audit bool) (*core.Result, error) {
-	return sp.RunObserved(audit)
-}
-
-// RunObserved is Run with the auditor optionally enabled and any number of
-// observation-bus subscribers attached (core.Options.Observers). Like
-// auditing, observation never changes the simulated result, so observed
-// runs share cache keys with unobserved ones.
+// RunObserved is Run with the runtime invariant auditor
+// (core.Options.Audit) optionally enabled and any number of
+// observation-bus subscribers attached (core.Options.Observers).
+// Auditing and observation never change the simulated result, so audited
+// and observed runs share cache keys with plain ones; that is why both
+// are run arguments and not part of the spec.
 func (sp RunSpec) RunObserved(audit bool, observers ...obs.Observer) (*core.Result, error) {
-	return sp.RunObservedCores(audit, 0, observers...)
-}
-
-// RunObservedCores is RunObserved with the engine's conservative parallel
-// mode enabled on cores workers (core.Options.Workers). Parallel execution
-// is bit-identical to the sequential engine at any worker count, so — like
-// auditing and observation — the core count is a run argument, never part
-// of the spec or its cache keys. Zero cores keeps the classic sequential
-// event loop.
-func (sp RunSpec) RunObservedCores(audit bool, cores int, observers ...obs.Observer) (*core.Result, error) {
 	sp = sp.Normalize()
 	k, err := kernels.NewParams(sp.Kernel, sp.Size, sp.Params)
 	if err != nil {
@@ -134,7 +117,6 @@ func (sp RunSpec) RunObservedCores(audit bool, cores int, observers ...obs.Obser
 	}
 	opts := sp.Options()
 	opts.Audit = audit
-	opts.Workers = cores
 	opts.Observers = observers
 	res, err := core.Run(opts, k)
 	if err != nil {

@@ -82,12 +82,6 @@ type Config struct {
 	// Audit enables the runtime invariant auditor on every simulation.
 	Audit bool
 
-	// Cores, when positive, runs each simulation on the engine's
-	// conservative parallel mode with that many intra-run workers.
-	// Results stay bit-identical to sequential execution, so Cores never
-	// affects the shared result cache.
-	Cores int
-
 	// DefaultTimeout is the per-job deadline applied when a request names
 	// none; zero means no deadline.
 	DefaultTimeout time.Duration
@@ -508,7 +502,6 @@ func (s *Server) runFlight(f *flight) {
 	ex := runspec.Executor{
 		Workers: 1,
 		Audit:   s.cfg.Audit,
-		Cores:   s.cfg.Cores,
 		Observe: func(runspec.RunSpec) []obs.Observer { return []obs.Observer{m} },
 		OnDone:  func(_ runspec.RunSpec, _ *core.Result, c bool) { cached = c },
 	}

@@ -143,13 +143,8 @@ func (q *calQueue) take(b *calBucket) event {
 }
 
 func (q *calQueue) peekTime() (int64, bool) {
-	ev, ok := q.peek()
-	return ev.at, ok
-}
-
-func (q *calQueue) peek() (event, bool) {
 	if q.size == 0 {
-		return event{}, false
+		return 0, false
 	}
 	// As pop, but the day walk may advance the cursor persistently: pushes
 	// into passed days rewind it (see push), so skipping idle days here is
@@ -157,7 +152,7 @@ func (q *calQueue) peek() (event, bool) {
 	for range q.buckets {
 		b := &q.buckets[q.cur]
 		if b.head < len(b.evs) && b.evs[b.head].at < q.top {
-			return b.evs[b.head], true
+			return b.evs[b.head].at, true
 		}
 		q.cur = (q.cur + 1) & q.mask
 		q.top += q.width()
@@ -172,9 +167,9 @@ func (q *calQueue) peek() (event, bool) {
 			min = i
 		}
 	}
-	ev := q.buckets[min].evs[q.buckets[min].head]
-	q.setCursor(ev.at)
-	return ev, true
+	at := q.buckets[min].evs[q.buckets[min].head].at
+	q.setCursor(at)
+	return at, true
 }
 
 // resize rebuilds the ring with n buckets and re-estimates the day width

@@ -25,18 +25,9 @@ type Monitor interface {
 type Engine struct {
 	now     int64
 	seq     uint64
-	kind    QueueKind
 	events  eventQueue
 	procs   []*Proc
 	monitor Monitor
-
-	// Conservative-PDES state (nil/zero on a classic sequential engine);
-	// see lp.go and barrier.go.
-	lps        []*lpState
-	lookahead  int64
-	localCount int     // pending events across all LP queues
-	inRound    bool    // a concurrent round is executing; global pushes are illegal
-	drainBuf   []lpMsg // barrier scratch for outbox drains, reused
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling through
@@ -48,7 +39,7 @@ func NewEngine() *Engine { return NewEngineQueue(QueueCalendar) }
 // pinned by differential tests — so the choice affects simulator speed
 // only, never results. QueueHeap exists for those tests and benchmarks.
 func NewEngineQueue(kind QueueKind) *Engine {
-	return &Engine{kind: kind, events: newEventQueue(kind)}
+	return &Engine{events: newEventQueue(kind)}
 }
 
 // Now returns the current simulated time in cycles.
@@ -59,12 +50,6 @@ func (e *Engine) Now() int64 { return e.now }
 //
 //simlint:hotpath event-queue hold path: every scheduled event is pushed through here
 func (e *Engine) At(t int64, fn func()) {
-	if e.inRound {
-		// A concurrently executing LP event may not touch the global
-		// timeline: it would race the coordinator and other LPs. LP events
-		// schedule through their LPCtx instead.
-		panic("sim: global event scheduled from LP round execution; schedule through the LP's LPCtx")
-	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %d < now %d", t, e.now))
 	}
@@ -99,22 +84,13 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	if e.lps != nil {
-		e.runMergedUntil(1<<63 - 1)
-		return
-	}
 	for e.Step() {
 	}
 }
 
 // RunUntil executes events with time <= deadline. It reports whether the
 // queue drained (true) or the deadline was hit with events pending (false).
-// On an engine with configured LPs it executes the merged serialized
-// schedule — the identical total order, without concurrency.
 func (e *Engine) RunUntil(deadline int64) bool {
-	if e.lps != nil {
-		return e.runMergedUntil(deadline)
-	}
 	for {
 		t, ok := e.events.peekTime()
 		if !ok {
@@ -127,9 +103,8 @@ func (e *Engine) RunUntil(deadline int64) bool {
 	}
 }
 
-// Pending returns the number of queued events across the global timeline
-// and every configured LP.
-func (e *Engine) Pending() int { return e.events.len() + e.localCount }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return e.events.len() }
 
 // Blocked returns the processes that have neither finished nor been killed
 // but are parked with no pending wake event. A non-empty result after Run

@@ -13,8 +13,7 @@ type Proc struct {
 	// resume/yieldCh are this process's strict-handoff pair: dispatch sends
 	// on resume and blocks on yieldCh; the process does the reverse. The
 	// channels are per-process so a handoff only ever involves the
-	// dispatcher and this one goroutine, keeping process state
-	// LP-partitionable.
+	// dispatcher and this one goroutine.
 	resume  chan struct{}
 	yieldCh chan struct{}
 	name    string

@@ -3,14 +3,10 @@ package sim
 import "container/heap"
 
 // event is one pending engine event: a callback ordered by (at, seq).
-// owner is the logical process the event belongs to in parallel mode
-// (lp index + 1), or 0 for an event of the global timeline; the classic
-// engine leaves it 0 everywhere.
 type event struct {
-	at    int64
-	seq   uint64
-	owner int32
-	fn    func()
+	at  int64
+	seq uint64
+	fn  func()
 }
 
 // eventLess is the engine's total event order: time, then insertion
@@ -31,9 +27,6 @@ type eventQueue interface {
 	push(ev event)
 	// pop removes and returns the least event, reporting false when empty.
 	pop() (event, bool)
-	// peek returns the least pending event without removing it, reporting
-	// false when empty.
-	peek() (event, bool)
 	// peekTime returns the least pending event time without removing it,
 	// reporting false when empty.
 	peekTime() (int64, bool)
@@ -77,13 +70,6 @@ func (q *heapQueue) pop() (event, bool) {
 		return event{}, false
 	}
 	return heap.Pop(&q.h).(event), true
-}
-
-func (q *heapQueue) peek() (event, bool) {
-	if len(q.h) == 0 {
-		return event{}, false
-	}
-	return q.h[0], true
 }
 
 func (q *heapQueue) peekTime() (int64, bool) {
