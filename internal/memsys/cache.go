@@ -1,5 +1,7 @@
 package memsys
 
+import "math/bits"
+
 // LineState is the coherence state of a cached line. The model merges the
 // usual E and M states: Exclusive means this cache holds the only copy and
 // may write it (a dirty copy that must be written back when displaced).
@@ -87,36 +89,53 @@ type Line struct {
 // Cache is a set-associative cache with LRU replacement. It stores tags
 // and coherence metadata only.
 type Cache struct {
-	sets     [][]Line
-	lineSize int
-	nsets    int
-	clock    int64
+	// lines holds every frame, set by set: set i is
+	// lines[i*assoc : (i+1)*assoc].
+	lines     []Line
+	assoc     int
+	lineShift uint // log2 of the line size
+	nsets     int
+	// setMask is nsets-1. It selects the set when nsets is a power of two,
+	// as in every Table 1 geometry; otherwise modulo is set and the set
+	// index falls back to % nsets.
+	setMask int
+	modulo  bool
+	clock   int64
 }
 
 // NewCache returns a cache of the given total size in bytes, associativity,
-// and line size.
+// and line size (a power of two, as Params.Validate requires).
 func NewCache(size, assoc, lineSize int) *Cache {
 	nsets := size / (assoc * lineSize)
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &Cache{lineSize: lineSize, nsets: nsets}
-	c.sets = make([][]Line, nsets)
-	ways := make([]Line, nsets*assoc)
-	for i := range c.sets {
-		c.sets[i], ways = ways[:assoc:assoc], ways[assoc:]
+	return &Cache{
+		lines:     make([]Line, nsets*assoc),
+		assoc:     assoc,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		nsets:     nsets,
+		setMask:   nsets - 1,
+		modulo:    nsets&(nsets-1) != 0,
 	}
-	return c
 }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.nsets }
 
 // Assoc returns the associativity.
-func (c *Cache) Assoc() int { return len(c.sets[0]) }
+func (c *Cache) Assoc() int { return c.assoc }
 
+// set returns the frames of the set the line-aligned address maps to.
 func (c *Cache) set(line Addr) []Line {
-	return c.sets[int(line/Addr(c.lineSize))%c.nsets]
+	i := int(line >> c.lineShift)
+	if c.modulo {
+		i %= c.nsets
+	} else {
+		i &= c.setMask
+	}
+	i *= c.assoc
+	return c.lines[i : i+c.assoc : i+c.assoc]
 }
 
 // Lookup returns the valid line holding the line-aligned address, or nil.
@@ -156,21 +175,15 @@ func (c *Cache) Victim(line Addr) *Line {
 // Reset invalidates every line and clears metadata (used when a cache is
 // reused across runs).
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = Line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 }
 
 // ForEachValid calls fn for every valid line.
 func (c *Cache) ForEachValid(fn func(*Line)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].State != Invalid {
-				fn(&set[i])
-			}
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			fn(&c.lines[i])
 		}
 	}
 }

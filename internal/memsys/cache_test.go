@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,10 +9,24 @@ import (
 	"slipstream/internal/sim"
 )
 
+// TestCacheGeometry also pins which set index each geometry takes: the
+// Table 1 L1 masks, while a 48 KB 2-way L1 — 384 sets, a legal
+// wire-supplied machine — must fall back to % 384.
 func TestCacheGeometry(t *testing.T) {
-	c := NewCache(32<<10, 2, 64)
-	if c.Sets() != 256 || c.Assoc() != 2 {
-		t.Fatalf("geometry = %d sets x %d ways, want 256x2", c.Sets(), c.Assoc())
+	for _, tc := range []struct {
+		size, sets int
+		modulo     bool
+	}{{32 << 10, 256, false}, {48 << 10, 384, true}} {
+		c := NewCache(tc.size, 2, 64)
+		if c.Sets() != tc.sets || c.Assoc() != 2 || c.modulo != tc.modulo {
+			t.Fatalf("%d bytes: geometry = %d sets x %d ways (modulo %v), want %dx2 (modulo %v)",
+				tc.size, c.Sets(), c.Assoc(), c.modulo, tc.sets, tc.modulo)
+		}
+		// Lines one set count apart share a set; neighbours do not.
+		wrap := Addr(tc.sets * 64)
+		if &c.set(5 * 64)[0] != &c.set(wrap + 5*64)[0] || &c.set(5 * 64)[0] == &c.set(6 * 64)[0] {
+			t.Errorf("%d bytes: set index does not wrap at %d sets", tc.size, tc.sets)
+		}
 	}
 }
 
@@ -44,12 +59,20 @@ func TestCacheReset(t *testing.T) {
 }
 
 // Property: the cache agrees with a reference model (map + per-set LRU
-// order) over random access sequences.
+// order) over random access sequences. Eight sets take the shift/mask set
+// index; six take the modulo fallback.
 func TestCacheMatchesReferenceModel(t *testing.T) {
+	for _, sets := range []int{8, 6} {
+		t.Run(fmt.Sprintf("%dsets", sets), func(t *testing.T) {
+			checkCacheAgainstReference(t, sets)
+		})
+	}
+}
+
+func checkCacheAgainstReference(t *testing.T, sets int) {
 	const (
 		lineSize = 64
 		assoc    = 4
-		sets     = 8
 	)
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,6 +1,7 @@
 package microbench
 
 import (
+	"math"
 	"testing"
 
 	"slipstream/internal/memsys"
@@ -21,6 +22,7 @@ func All() []Benchmark {
 		{Name: "sim/queue/heap/hold", Fn: benchQueueHold(sim.QueueHeap)},
 		{Name: "sim/queue/calendar/hold", Fn: benchQueueHold(sim.QueueCalendar)},
 		{Name: "sim/engine/step", Fn: benchEngineStep},
+		{Name: "sim/proc/handoff", Fn: benchProcHandoff},
 		{Name: "memsys/dir/lookup", Fn: benchDirLookup},
 		{Name: "memsys/dir/sharer-scan", Fn: benchSharerScan},
 		{Name: "memsys/l1/read-hit", Fn: benchL1ReadHit},
@@ -82,6 +84,37 @@ func benchEngineStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.Step()
 	}
+}
+
+// pingPong starts two processes that alternate Delay(1) until the clock
+// reaches *stop, and runs the engine through the warm-up. Both wake every
+// cycle and each wake is the other process's turn, so every event is a
+// dispatch that switches processes.
+func pingPong(stop *int64) *sim.Engine {
+	eng := sim.NewEngine()
+	body := func(p *sim.Proc) {
+		for eng.Now() < *stop {
+			p.Delay(1)
+		}
+	}
+	eng.Go("ping", body)
+	eng.Go("pong", body)
+	eng.RunUntil(64) // warm the calendar's bucket storage
+	return eng
+}
+
+// benchProcHandoff measures one process switch: two processes alternating
+// Delay(1) under Engine.Run, so each op is a dispatch that hands control
+// from one process goroutine to the other. Steady state must be zero-alloc
+// (asserted by TestProcHandoffZeroAlloc).
+func benchProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	stop := int64(math.MaxInt64)
+	eng := pingPong(&stop)
+	b.ResetTimer()
+	stop = eng.Now() + int64(b.N+1)/2 // two switches per simulated cycle
+	eng.Run()
+	sinkTime += eng.Now()
 }
 
 // benchDirLookup measures home-directory entry lookup over a populated

@@ -1,12 +1,13 @@
 // Package microbench is the repository's hot-path microbenchmark harness.
 //
 // It packages the simulator's performance-critical inner loops — event-queue
-// scheduling, directory lookup and sharer scans, L1/L2 access paths, and
-// observation-bus emission — as named, programmatically runnable benchmarks,
-// and serializes their results as a machine-readable report
-// (schema "slipstream-bench/1"). A report committed with each PR (BENCH_N.json
-// at the repository root) gives the project a reviewable performance
-// trajectory, and Compare diffs two reports so CI can gate on regressions.
+// scheduling, process handoff, directory lookup and sharer scans, L1/L2
+// access paths, and observation-bus emission — as named, programmatically
+// runnable benchmarks, and serializes their results as a machine-readable
+// report (schema "slipstream-bench/1"). A report committed with each PR
+// (BENCH_N.json at the repository root) gives the project a reviewable
+// performance trajectory, and Compare diffs two reports so CI can gate on
+// regressions.
 //
 // cmd/microbench is the command-line front end.
 package microbench

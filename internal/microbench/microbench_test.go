@@ -32,7 +32,7 @@ func TestRegistryNamesAreWellFormed(t *testing.T) {
 			t.Errorf("benchmark %q is not a slash path", bm.Name)
 		}
 	}
-	for _, want := range []string{"sim/queue/heap/hold", "sim/queue/calendar/hold", "sim/engine/step", "obs/emit-access"} {
+	for _, want := range []string{"sim/queue/heap/hold", "sim/queue/calendar/hold", "sim/engine/step", "sim/proc/handoff", "obs/emit-access"} {
 		if !seen[want] {
 			t.Errorf("registry missing %q", want)
 		}
@@ -144,6 +144,22 @@ func TestEngineStepZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { eng.Step() }); avg != 0 {
 		t.Errorf("engine step allocates %.2f per op at steady state, want 0", avg)
+	}
+}
+
+// TestProcHandoffZeroAlloc asserts a process switch allocates nothing at
+// steady state: dispatch reuses each process's bound dispatch closure and
+// control moves over the processes' own channels.
+func TestProcHandoffZeroAlloc(t *testing.T) {
+	stop := int64(math.MaxInt64)
+	eng := pingPong(&stop)
+	if avg := testing.AllocsPerRun(1000, func() { eng.RunUntil(eng.Now() + 1) }); avg != 0 {
+		t.Errorf("process handoff allocates %.2f per simulated cycle at steady state, want 0", avg)
+	}
+	stop = eng.Now()
+	eng.Run()
+	if n := eng.Blocked(); len(n) != 0 || eng.Pending() != 0 {
+		t.Errorf("handoff processes did not finish: blocked %v, %d pending", n, eng.Pending())
 	}
 }
 

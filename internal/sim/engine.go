@@ -2,21 +2,26 @@
 //
 // The engine maintains a virtual clock and an event queue ordered by
 // (time, insertion sequence). Simulated processes (Proc) are goroutines
-// driven by strict handoff: exactly one goroutine — either the event loop
-// or a single process — executes at any moment, so simulations are fully
+// driven by direct handoff: exactly one goroutine holds control at any
+// moment — the caller of Run, RunUntil or Step, or a single process — and
+// that goroutine runs the event loop itself, so simulations are fully
 // deterministic and free of data races without locks.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Monitor observes engine progress. It exists for runtime auditing
-// (internal/audit): the engine calls Step after executing each event, so a
+// (internal/audit): the engine calls Step once per executed event, so a
 // monitor can cross-check clock monotonicity independently of the queue
 // ordering that is supposed to guarantee it. Implementations must not
 // mutate simulation state.
 type Monitor interface {
 	// Step reports that the clock advanced from prev to now and one event
-	// ran at now.
+	// ran at now. For an event that dispatches a process, Step is called
+	// before the process resumes.
 	Step(prev, now int64)
 }
 
@@ -28,6 +33,15 @@ type Engine struct {
 	events  eventQueue
 	procs   []*Proc
 	monitor Monitor
+
+	// limit is the latest event time the current Run, RunUntil or Step
+	// call may still execute; later events stay queued. next is the
+	// process that the event just executed dispatched, if any. caller
+	// carries control back to the goroutine blocked in the call once no
+	// event up to limit is left.
+	limit  int64
+	next   *Proc
+	caller chan struct{}
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling through
@@ -39,7 +53,8 @@ func NewEngine() *Engine { return NewEngineQueue(QueueCalendar) }
 // pinned by differential tests — so the choice affects simulator speed
 // only, never results. QueueHeap exists for those tests and benchmarks.
 func NewEngineQueue(kind QueueKind) *Engine {
-	return &Engine{events: newEventQueue(kind)}
+	//simlint:ignore nondeterminism direct handoff: caller returns control from exactly one goroutine to the one blocked in Run, RunUntil or Step
+	return &Engine{events: newEventQueue(kind), caller: make(chan struct{})}
 }
 
 // Now returns the current simulated time in cycles.
@@ -65,10 +80,13 @@ func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 func (e *Engine) SetMonitor(m Monitor) { e.monitor = m }
 
 // Step executes the next pending event, advancing the clock. It reports
-// whether an event was executed.
+// whether an event was executed. When the event dispatches a process, Step
+// returns once that process reaches its next blocking point.
 //
-//simlint:hotpath engine inner loop: every simulated event passes through here
+//simlint:hotpath single-step driver: benchmarks and step-wise callers run every event through here
 func (e *Engine) Step() bool {
+	// The event runs here rather than through advance so the single-event
+	// path makes one queue call, not a peek and a pop.
 	ev, ok := e.events.pop()
 	if !ok {
 		return false
@@ -79,36 +97,82 @@ func (e *Engine) Step() bool {
 	if e.monitor != nil {
 		e.monitor.Step(prev, ev.at)
 	}
+	if p := e.next; p != nil {
+		// Step's one event has run, so p passes control straight back at
+		// its next blocking point.
+		e.next = nil
+		e.limit = math.MinInt64
+		e.handTo(p)
+	}
 	return true
 }
 
 // Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
+func (e *Engine) Run() { e.RunUntil(math.MaxInt64) }
 
 // RunUntil executes events with time <= deadline. It reports whether the
 // queue drained (true) or the deadline was hit with events pending (false).
 func (e *Engine) RunUntil(deadline int64) bool {
+	e.limit = deadline
+	if p := e.advance(); p != nil {
+		e.handTo(p)
+	}
+	_, pending := e.events.peekTime()
+	return !pending
+}
+
+// handTo gives control to process p on behalf of the caller of Run,
+// RunUntil or Step. Control travels from process to process as they block,
+// and comes back here once no event up to the call's limit is left.
+func (e *Engine) handTo(p *Proc) {
+	e.pass(p)
+	<-e.caller //simlint:ignore nondeterminism direct handoff: blocks until the goroutine holding control ends the call
+}
+
+// advance executes events on the goroutine holding control until one
+// dispatches a process, and returns that process. It returns nil when no
+// event up to the current call's limit is left, and control belongs back
+// with the caller of Run, RunUntil or Step.
+//
+//simlint:hotpath engine inner loop: every event of a Run or RunUntil call passes through here
+func (e *Engine) advance() *Proc {
 	for {
 		t, ok := e.events.peekTime()
-		if !ok {
-			return true
+		if !ok || t > e.limit {
+			return nil
 		}
-		if t > deadline {
-			return false
+		ev, _ := e.events.pop()
+		prev := e.now
+		e.now = ev.at
+		ev.fn()
+		if e.monitor != nil {
+			e.monitor.Step(prev, ev.at)
 		}
-		e.Step()
+		if p := e.next; p != nil {
+			e.next = nil
+			return p
+		}
 	}
+}
+
+// pass hands control to process p, or back to the caller of Run, RunUntil
+// or Step when p is nil. The calling goroutine must hold control and gives
+// it up: it may only block or exit afterwards.
+func (e *Engine) pass(p *Proc) {
+	if p == nil {
+		e.caller <- struct{}{} //simlint:ignore nondeterminism direct handoff: control returns to the goroutine blocked in Run, RunUntil or Step
+		return
+	}
+	p.resume <- struct{}{} //simlint:ignore nondeterminism direct handoff: control moves to the one dispatched process
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return e.events.len() }
 
-// Blocked returns the processes that have neither finished nor been killed
-// but are parked with no pending wake event. A non-empty result after Run
-// indicates simulated deadlock.
+// Blocked returns the processes that have not finished and are parked:
+// blocked in Park and not yet dispatched again. Once Run has drained the
+// queue no wake can be pending, so a non-empty result then indicates
+// simulated deadlock.
 func (e *Engine) Blocked() []*Proc {
 	var b []*Proc
 	for _, p := range e.procs {

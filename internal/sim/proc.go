@@ -1,25 +1,22 @@
 package sim
 
-// errKilled is the sentinel panic value used to unwind a killed process.
+// killedError is the panic value that unwinds a killed process's goroutine.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed" }
 
 // Proc is a simulated process: a goroutine whose execution is interleaved
-// with simulated time under strict handoff. All Proc methods except Kill
+// with simulated time under direct handoff. All Proc methods except Kill
 // and Wake must be called from the process's own goroutine.
 type Proc struct {
 	eng *Engine
-	// resume/yieldCh are this process's strict-handoff pair: dispatch sends
-	// on resume and blocks on yieldCh; the process does the reverse. The
-	// channels are per-process so a handoff only ever involves the
-	// dispatcher and this one goroutine.
-	resume  chan struct{}
-	yieldCh chan struct{}
-	name    string
-	done    bool
-	parked  bool
-	killed  bool
+	// resume gives this process control: the goroutine holding control
+	// sends on it after executing a dispatch of this process.
+	resume chan struct{}
+	name   string
+	done   bool
+	parked bool
+	killed bool
 
 	// dispatchFn is the bound dispatch method, created once at Go so the
 	// wait/wake hot paths (WaitUntil, Wake, Kill) schedule it without
@@ -30,48 +27,47 @@ type Proc struct {
 // Go starts a new simulated process running fn. The process begins at the
 // current simulated time, after already-queued events at this time.
 // The goroutine-and-channel machinery below is the one sanctioned use of
-// concurrency in simulation code: resume/yield implement strict handoff,
-// so exactly one goroutine — the event loop or a single process — runs at
-// any moment and the interleaving is fully determined by the event queue.
+// concurrency in simulation code: under direct handoff exactly one
+// goroutine — the caller of Run, RunUntil or Step, or a single process —
+// holds control at any moment, and the interleaving is fully determined by
+// the event queue.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	//simlint:ignore nondeterminism strict handoff: resume carries control to exactly one parked goroutine
-	//simlint:ignore hotpathalloc one process record and channel pair per spawned task, amortized over its simulated lifetime
+	//simlint:ignore nondeterminism direct handoff: resume carries control to exactly this process's goroutine
+	//simlint:ignore hotpathalloc one process record and resume channel per spawned task, amortized over its simulated lifetime
 	p := &Proc{eng: e, resume: make(chan struct{}), name: name}
-	//simlint:ignore nondeterminism strict handoff: yieldCh returns control from exactly this goroutine to its dispatcher
-	//simlint:ignore hotpathalloc one yield channel per spawned task, amortized over its simulated lifetime
-	p.yieldCh = make(chan struct{})
 	p.dispatchFn = p.dispatch
 	//simlint:ignore hotpathalloc process table is bounded by the spawned task count
 	e.procs = append(e.procs, p)
-	//simlint:ignore hotpathalloc one trampoline closure per spawned process, amortized over its lifetime
-	e.After(0, func() {
-		//simlint:ignore nondeterminism strict handoff: the new goroutine blocks on resume before running
-		//simlint:ignore hotpathalloc one goroutine-body closure per spawned process, amortized over its lifetime
-		go func() {
-			//simlint:ignore hotpathalloc one deferred-cleanup closure per spawned process, amortized over its lifetime
-			defer func() {
-				p.done = true
-				p.parked = false
-				if r := recover(); r != nil {
-					if _, ok := r.(killedError); !ok {
-						// Re-panicking in a goroutine would crash without
-						// context; surface the original value.
-						//simlint:ignore nondeterminism strict handoff: hands control back to the event loop
-						p.yieldCh <- struct{}{}
-						panic(r)
-					}
-				}
-				//simlint:ignore nondeterminism strict handoff: hands control back to the event loop
-				p.yieldCh <- struct{}{}
-			}()
-			//simlint:ignore nondeterminism strict handoff: blocks until the event loop dispatches this process
-			<-p.resume
-			p.checkKilled()
-			fn(p)
-		}()
-		p.dispatch()
-	})
+	//simlint:ignore nondeterminism direct handoff: the new goroutine blocks on resume until its first dispatch
+	go p.run(fn)
+	e.At(e.now, p.dispatchFn)
 	return p
+}
+
+// run is the body of p's goroutine. Control reaches it through the resume
+// channel rather than a call from the event loop, so it is a hot-path root
+// of its own.
+//
+//simlint:hotpath process bodies: every simulated task operation runs under here, between handoffs
+func (p *Proc) run(fn func(p *Proc)) {
+	defer p.exit()
+	<-p.resume //simlint:ignore nondeterminism direct handoff: blocks until the first dispatch of this process
+	p.checkKilled()
+	fn(p)
+}
+
+// exit ends p's goroutine once fn has returned or unwound: it marks p done,
+// re-raises any panic other than a kill, and passes control on. The
+// goroutine then ends, so finished and killed processes leave none behind.
+func (p *Proc) exit() {
+	p.done = true
+	p.parked = false
+	if r := recover(); r != nil {
+		if _, ok := r.(killedError); !ok {
+			panic(r)
+		}
+	}
+	p.eng.pass(p.eng.advance())
 }
 
 // Name returns the process name given to Go.
@@ -83,25 +79,25 @@ func (p *Proc) Done() bool { return p.done }
 // Killed reports whether Kill was called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
-// dispatch transfers control from the event loop (or the currently running
-// process) into p, and returns when p yields back.
+// dispatch is the event that resumes p: it names p as the process the
+// goroutine running the event loop hands control to next.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
 	p.parked = false
-	//simlint:ignore nondeterminism strict handoff: control moves to p, then blocks here until p yields
-	p.resume <- struct{}{}
-	//simlint:ignore nondeterminism strict handoff: control moves to p, then blocks here until p yields
-	<-p.yieldCh
+	p.eng.next = p
 }
 
-// yield returns control to the event loop and blocks until dispatched again.
+// yield gives up control at a blocking point and returns when p is
+// dispatched again. p's goroutine runs the event loop itself: if p's own
+// dispatch is the next to run, p continues without a goroutine switch;
+// otherwise it passes control on and blocks until resumed.
 func (p *Proc) yield() {
-	//simlint:ignore nondeterminism strict handoff: returns control to the event loop, then blocks until redispatched
-	p.yieldCh <- struct{}{}
-	//simlint:ignore nondeterminism strict handoff: returns control to the event loop, then blocks until redispatched
-	<-p.resume
+	if q := p.eng.advance(); q != p {
+		p.eng.pass(q)
+		<-p.resume //simlint:ignore nondeterminism direct handoff: blocks until the next dispatch of this process
+	}
 	p.checkKilled()
 }
 
@@ -132,7 +128,8 @@ func (p *Proc) Park() {
 }
 
 // Wake schedules parked process p to resume at absolute time t. It is safe
-// to call from any simulation context (the event loop or another process).
+// to call from any simulation context (an event callback or another
+// process).
 func (p *Proc) Wake(t int64) {
 	p.eng.At(t, p.dispatchFn)
 }

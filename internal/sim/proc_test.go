@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -156,5 +158,108 @@ func TestProcSpawnedMidRun(t *testing.T) {
 	e.Run()
 	if len(trace) != 2 || trace[0] != 15 || trace[1] != 30 {
 		t.Fatalf("trace = %v, want [15 30]", trace)
+	}
+}
+
+// stamp is one process resumption: which process ran, and when.
+type stamp struct {
+	name string
+	at   int64
+}
+
+// clockLog is a Monitor recording the clock after every event.
+type clockLog []int64
+
+func (l *clockLog) Step(_, now int64) { *l = append(*l, now) }
+
+// TestProcStepMatchesRun pins Step's one-event contract for processes: a
+// Step that dispatches a process returns only once that process has
+// reached its next blocking point, so stepping a run one event at a time
+// gives the same trace and clock sequence as Run. The delays make both
+// kinds of dispatch occur: a switch to the other process, and a process
+// whose own wake is the next event.
+func TestProcStepMatchesRun(t *testing.T) {
+	build := func() (*Engine, *[]stamp) {
+		e := NewEngine()
+		trace := new([]stamp)
+		body := func(d int64) func(p *Proc) {
+			return func(p *Proc) {
+				// One stamp per resumption: the first dispatch, then
+				// after each of the three delays.
+				for i := 0; i < 3; i++ {
+					*trace = append(*trace, stamp{p.Name(), e.Now()})
+					p.Delay(d)
+				}
+				*trace = append(*trace, stamp{p.Name(), e.Now()})
+			}
+		}
+		e.Go("a", body(1))
+		e.Go("b", body(5))
+		return e, trace
+	}
+
+	run, ranTrace := build()
+	var ranClocks clockLog
+	run.SetMonitor(&ranClocks)
+	run.Run()
+
+	step, steppedTrace := build()
+	var steppedClocks []int64
+	for step.Step() {
+		steppedClocks = append(steppedClocks, step.Now())
+		// Every event here is a dispatch, and each resumption stamps
+		// exactly once before blocking again or finishing.
+		if got, want := len(*steppedTrace), len(steppedClocks); got != want {
+			t.Fatalf("after step %d the trace has %d stamps, want %d: Step returned before the process blocked",
+				want, got, want)
+		}
+	}
+
+	if !reflect.DeepEqual(*steppedTrace, *ranTrace) {
+		t.Errorf("stepped trace %v, Run trace %v", *steppedTrace, *ranTrace)
+	}
+	if !reflect.DeepEqual(steppedClocks, []int64(ranClocks)) {
+		t.Errorf("stepped clocks %v, Run clocks %v", steppedClocks, ranClocks)
+	}
+	if len(*ranTrace) != 8 {
+		t.Errorf("trace %v, want 8 stamps", *ranTrace)
+	}
+	if step.Step() {
+		t.Error("Step on a drained engine reported an event")
+	}
+}
+
+// TestProcGoroutinesExit checks that a drained engine leaves no process
+// goroutine behind: processes that finish, are killed while parked, and
+// are killed while waiting all end their goroutines once they have passed
+// control on.
+func TestProcGoroutinesExit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	procs := []*Proc{
+		e.Go("finishes", func(p *Proc) { p.Delay(3) }),
+		e.Go("parked", func(p *Proc) { p.Park() }),
+		e.Go("waiting", func(p *Proc) { p.Delay(1000) }),
+	}
+	e.Go("killer", func(p *Proc) {
+		p.Delay(5)
+		procs[1].Kill()
+		procs[2].Kill()
+	})
+	e.Run()
+	for _, p := range procs {
+		if !p.Done() {
+			t.Fatalf("%s not done", p.Name())
+		}
+	}
+	// An exiting goroutine may still be unwinding after its final send;
+	// give it bounded chances to run.
+	n := runtime.NumGoroutine()
+	for i := 0; i < 10000 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n != before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }
