@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -66,6 +67,7 @@ func main() {
 		metricOut = flag.String("metrics-out", "", "write merged counters and latency histograms of every simulated run to this file (.csv for CSV)")
 		quiet     = flag.Bool("q", false, "suppress per-run progress lines")
 		version   = flag.Bool("version", false, "print version and exit")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected figures' runs to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
 	if *version {
@@ -126,7 +128,10 @@ func main() {
 
 	any := len(tags) > 0
 	if any {
-		if err := s.RunFigures(tags...); err != nil {
+		stopProfile := profileCPU(*cpuProf)
+		err := s.RunFigures(tags...)
+		stopProfile()
+		if err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -176,6 +181,27 @@ func writeFile(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// profileCPU starts a CPU profile written to path, unless path is empty,
+// and returns the function that stops it.
+func profileCPU(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("cpuprofile: %v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatalf("cpuprofile: %v", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatalf("cpuprofile: %v", err)
+		}
+	}
 }
 
 func fatalf(format string, args ...any) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"slipstream"
@@ -46,6 +47,7 @@ func main() {
 		server    = flag.String("server", "", "submit the run to the slipsimd daemon at this base URL instead of simulating locally")
 		verbose   = flag.Bool("v", false, "print per-task breakdowns")
 		version   = flag.Bool("version", false, "print version and exit")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the local simulation to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
 	if *version {
@@ -97,8 +99,8 @@ func main() {
 	if *server != "" {
 		// Observation and auditing happen daemon-side: the exporters hook
 		// the simulating process, which is no longer this one.
-		if *auditRun || *traceOut != "" || *chromeOut != "" || *metricOut != "" {
-			fatalf("-audit, -trace, -trace-out, and -metrics-out are daemon-side options; start slipsimd with them instead of combining them with -server")
+		if *auditRun || *traceOut != "" || *chromeOut != "" || *metricOut != "" || *cpuProf != "" {
+			fatalf("-audit, -trace, -trace-out, -metrics-out, and -cpuprofile are daemon-side options; start slipsimd with them instead of combining them with -server")
 		}
 		spec := slipstream.RunSpec{
 			Kernel: kname, Params: kparams, Size: ksize, Mode: opts.Mode, ARSync: opts.ARSync,
@@ -138,7 +140,9 @@ func main() {
 		opts.Observers = append(opts.Observers, metrics)
 	}
 
+	stopProfile := profileCPU(*cpuProf)
 	res, err := slipstream.Run(opts, k)
+	stopProfile()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -239,6 +243,27 @@ func writeFile(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// profileCPU starts a CPU profile written to path, unless path is empty,
+// and returns the function that stops it.
+func profileCPU(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("cpuprofile: %v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatalf("cpuprofile: %v", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatalf("cpuprofile: %v", err)
+		}
+	}
 }
 
 func fatalf(format string, args ...any) {

@@ -176,6 +176,66 @@ func (k *lockKernel) Verify(p *Program) error {
 	return nil
 }
 
+// queueWatchKernel runs lockKernel's critical sections and checks the
+// lock's waiter queue after every Lock and Unlock: its storage may move
+// only when the queue outgrows its capacity.
+type queueWatchKernel struct {
+	lockKernel
+	storage  *syncWaiter
+	cap      int
+	moves    int // storage changes
+	badMoves int // storage changes that did not grow the capacity
+}
+
+func (k *queueWatchKernel) Task(c *Ctx) {
+	for i := 0; i < k.m; i++ {
+		c.Lock(1)
+		k.watch(c)
+		v := k.ctr.Load(c, 0)
+		c.Compute(5)
+		k.ctr.Store(c, 0, v+1)
+		c.Unlock(1)
+		k.watch(c)
+	}
+	c.Barrier()
+}
+
+func (k *queueWatchKernel) watch(c *Ctx) {
+	q := c.run.lock(1).queue
+	if cap(q) == 0 {
+		return
+	}
+	storage := &q[:cap(q)][0]
+	if storage != k.storage {
+		k.moves++
+		if k.storage != nil && cap(q) <= k.cap {
+			k.badMoves++
+		}
+	}
+	k.storage, k.cap = storage, cap(q)
+}
+
+// TestLockQueueKeepsStorage pins the lock FIFO's reuse of its backing
+// array: granting the lock to the oldest waiter shifts the queue down, so
+// after the first contention Lock's append grows it only to reach a new
+// peak number of waiters.
+func TestLockQueueKeepsStorage(t *testing.T) {
+	k := &queueWatchKernel{lockKernel: lockKernel{m: 25, want: 8 * 25}}
+	res, err := Run(Options{Mode: ModeSingle, CMPs: 8}, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VerifyErr != nil {
+		t.Fatal(res.VerifyErr)
+	}
+	if k.moves == 0 {
+		t.Fatal("the lock was never contended; the test is vacuous")
+	}
+	if k.badMoves > 0 {
+		t.Errorf("lock queue storage moved %d of %d times without growing", k.badMoves, k.moves)
+	}
+}
+
 func TestLockMutualExclusion(t *testing.T) {
 	for _, mode := range []Mode{ModeSingle, ModeDouble, ModeSlipstream} {
 		k := &lockKernel{m: 25}

@@ -52,6 +52,12 @@ type Ctx struct {
 	// fast-forward completion time for a reforked A-stream.
 	t0 int64
 
+	// missReq is the blocking access that access leaves for miss, and
+	// missFn is the bound miss method, created once at spawn so that
+	// issuing a miss through WaitThen allocates nothing.
+	missReq memsys.Req
+	missFn  func() int64
+
 	done     int64
 	finished bool
 }
@@ -116,7 +122,10 @@ func (c *Ctx) Compute(cycles int64) {
 }
 
 // access runs one shared-memory access through the memory system, charging
-// busy and stall time.
+// busy and stall time. A predicted private hit advances the local clock
+// only. Any other access blocks: it is issued by miss, as an engine event
+// once the global clock reaches the local clock, and the task resumes when
+// it completes.
 func (c *Ctx) access(kind memsys.AccessKind, addr memsys.Addr) {
 	sys := c.run.sys
 	c.bump()
@@ -136,31 +145,39 @@ func (c *Ctx) access(kind memsys.AccessKind, addr memsys.Addr) {
 			req.Transparent = true
 		}
 	}
-	hitCost := sys.P.L1Hit
-	if sys.IsL1Hit(req) {
-		// Private hit: advance the local clock only.
-		c.vnow = sys.Access(req, c.vnow)
-		c.bd.Busy += hitCost
+	if done, ok := sys.AccessL1(req, c.vnow); ok {
+		c.vnow = done
+		c.bd.Busy += sys.P.L1Hit
 		c.maybeYield()
 		return
 	}
-	c.flush()
+	c.missReq = req
+	c.proc.WaitThen(c.vnow, c.missFn)
+}
+
+// miss performs the blocking access left in c.missReq at the current
+// global time and returns its completion time, at which the task resumes.
+// It runs on whichever goroutine holds control.
+func (c *Ctx) miss() int64 {
+	sys := c.run.sys
+	req := &c.missReq
 	now := c.engNow()
 	if c.run.opts.ForwardQueue && c.pr != nil && c.role == memsys.RoleR {
 		// Drain a couple of forwarding-queue entries: background
 		// L2-to-L1 pushes of lines the A-stream recently fetched.
 		for _, line := range c.pr.fqPop(2) {
-			c.run.sys.PushL1(c.cpu, line, now)
+			sys.PushL1(c.cpu, line, now)
 		}
 	}
-	done := sys.Access(req, now)
-	if c.run.opts.ForwardQueue && c.role == memsys.RoleA && kind == memsys.Read {
-		c.pr.fqPush(addr.Line(sys.P.LineSize))
+	done := sys.Access(*req, now)
+	if c.run.opts.ForwardQueue && c.role == memsys.RoleA && req.Kind == memsys.Read {
+		c.pr.fqPush(req.Addr.Line(sys.P.LineSize))
 	}
+	hitCost := sys.P.L1Hit
 	c.bd.Busy += hitCost
 	c.bd.MemStall += done - now - hitCost
-	c.proc.WaitUntil(done)
 	c.vnow = done
+	return done
 }
 
 // LoadF performs a timed shared-memory load of a float64.
@@ -473,7 +490,10 @@ func (c *Ctx) Unlock(id int) {
 	tAt := home.DC(0).Acquire(tmsg, r.opts.SyncOcc) + r.opts.SyncOcc
 	if len(ls.queue) > 0 {
 		w := ls.queue[0]
-		ls.queue = ls.queue[1:]
+		// Shift rather than reslice, so Lock's append keeps reusing the
+		// queue's backing array.
+		n := copy(ls.queue, ls.queue[1:])
+		ls.queue = ls.queue[:n]
 		w.proc.Wake(tAt + r.transit(home, w.node))
 	} else {
 		ls.held = false

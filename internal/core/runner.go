@@ -191,6 +191,7 @@ func (r *Runner) spawnTasks() {
 // spawnTask starts an R-stream or conventional task.
 func (r *Runner) spawnTask(id int, cpu *memsys.CPU, role memsys.Role, p *pair) *Ctx {
 	c := &Ctx{run: r, cpu: cpu, id: id, role: role, pr: p}
+	c.missFn = c.miss
 	r.ctxs = append(r.ctxs, c)
 	r.emitTaskStart(c, false)
 	name := fmt.Sprintf("task%d", id)
@@ -224,6 +225,7 @@ func (r *Runner) spawnA(p *pair, cpu *memsys.CPU, refork bool, ffTarget int) *Ct
 		run: r, cpu: cpu, id: p.id, role: memsys.RoleA, pr: p,
 		fastForward: refork, ffTarget: ffTarget,
 	}
+	c.missFn = c.miss
 	r.emitTaskStart(c, refork)
 	//simlint:ignore hotpathalloc one name and one body closure per incarnation, amortized over its simulated lifetime
 	c.proc = r.eng.Go(fmt.Sprintf("task%d(A)", p.id), func(proc *sim.Proc) {

@@ -60,16 +60,45 @@ type Req struct {
 // guarding this contract: prediction true implies Access charges exactly
 // Params.L1Hit cycles and leaves directory, L2, and all non-L1Hits
 // counters unchanged.
-func (s *System) IsL1Hit(r Req) bool {
+func (s *System) IsL1Hit(r Req) bool { return s.privateHit(r) != nil }
+
+// privateHit is the hit predicate behind IsL1Hit and AccessL1: it returns
+// the L1 line that satisfies a predicted private hit, or nil.
+func (s *System) privateHit(r Req) *Line {
 	if r.Kind != Read && r.InCS {
-		return false // the hit path would mutate L2 (WrittenInCS)
+		return nil // the hit path would mutate L2 (WrittenInCS)
 	}
-	line := r.Addr.Line(s.P.LineSize)
-	l1 := r.CPU.L1.Lookup(line)
+	l1 := r.CPU.L1.Lookup(r.Addr.Line(s.P.LineSize))
 	if l1 == nil || (l1.Transparent && r.Role != RoleA) {
-		return false
+		return nil
 	}
-	return r.Kind == Read || l1.State == Exclusive
+	if r.Kind != Read && l1.State != Exclusive {
+		return nil
+	}
+	return l1
+}
+
+// AccessL1 performs the access beginning at time now if IsL1Hit predicts
+// a private hit, and reports whether it did; done is then its completion
+// time, exactly as Access would return it. Otherwise it changes nothing.
+// Unobserved, the hit costs one L1 lookup. With a bus attached the hit
+// runs through Access, so observers see the same events either way.
+//
+//simlint:hotpath private-hit path: every predicted L1 hit of every simulated task lands here
+func (s *System) AccessL1(r Req, now int64) (done int64, ok bool) {
+	if s.Bus != nil {
+		if !s.IsL1Hit(r) {
+			return 0, false
+		}
+		return s.observedAccess(r, now), true
+	}
+	l1 := s.privateHit(r)
+	if l1 == nil {
+		return 0, false
+	}
+	r.CPU.L1.Touch(l1)
+	s.MS.L1Hits++
+	return now + s.P.L1Hit, true
 }
 
 // Access simulates one data access beginning at time now and returns its
@@ -154,34 +183,6 @@ func (s *System) lineEvent(line Addr) {
 }
 
 func (s *System) access(r Req, now int64) int64 {
-	if DebugSlow == nil {
-		return s.accessInner(r, now)
-	}
-	line := r.Addr.Line(s.P.LineSize)
-	// Peek, not Entry: the debug note must not create a directory entry as
-	// a side effect of being observed.
-	e := s.Home(line).Dir.Peek(line)
-	if e == nil {
-		//simlint:ignore hotpathalloc DebugSlow-only diagnostic path; production runs leave the hook nil
-		e = &DirEntry{}
-	}
-	st := "miss"
-	fd := int64(0)
-	if l2 := r.CPU.Node.L2.Lookup(line); l2 != nil {
-		st = l2.State.String()
-		fd = l2.FillDone - now
-	}
-	//simlint:ignore hotpathalloc DebugSlow-only diagnostic path; production runs leave the hook nil
-	note := fmt.Sprintf("l2=%s fdelta=%d dir=%v sharers=%d owner=%d home=%d mynode=%d",
-		st, fd, e.State, e.SharerCount(), e.Owner, s.Home(line).ID, r.CPU.Node.ID)
-	done := s.accessInner(r, now)
-	if done-now > DebugSlowThreshold {
-		DebugSlow(r, now, done, note)
-	}
-	return done
-}
-
-func (s *System) accessInner(r Req, now int64) int64 {
 	cpu := r.CPU
 	node := cpu.Node
 	line := r.Addr.Line(s.P.LineSize)
@@ -628,13 +629,8 @@ func (s *System) sendSIHint(home, owner *Node, line Addr) {
 // synchronization point: hinted lines are written back or invalidated
 // asynchronously, one every Params.SIRate cycles (Section 4.2).
 func (s *System) ProcessSI(node *Node, now int64) {
-	if len(node.siList) == 0 {
-		return
-	}
-	list := node.siList
-	node.siList = nil
 	i := int64(0)
-	for _, addr := range list {
+	for _, addr := range node.siList {
 		l := node.L2.Lookup(addr)
 		if l == nil || !l.SIMark {
 			continue
@@ -645,6 +641,9 @@ func (s *System) ProcessSI(node *Node, now int64) {
 		//simlint:ignore hotpathalloc one scheduled event per self-invalidation; event scheduling is the miss path
 		s.Eng.At(at, func() { s.selfInvalidate(node, addr) })
 	}
+	// The events above hold their own copies of the addresses, so the
+	// list's backing array is free for markSI to refill.
+	node.siList = node.siList[:0]
 }
 
 // selfInvalidate performs one deferred self-invalidation action: lines
@@ -683,11 +682,3 @@ func (s *System) selfInvalidate(node *Node, addr Addr) {
 	}
 	s.lineEvent(addr)
 }
-
-// DebugSlow, when set, is called for any access whose total latency exceeds
-// DebugSlowThreshold cycles. It is a development aid; production code leaves
-// it nil.
-var (
-	DebugSlow          func(r Req, now, done int64, note string)
-	DebugSlowThreshold int64 = 1200
-)

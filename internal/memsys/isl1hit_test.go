@@ -2,7 +2,10 @@ package memsys
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"slipstream/internal/obs"
 )
 
 // lineSnapshot captures the globally visible metadata of one line across
@@ -102,13 +105,28 @@ func installL1HitState(sys *System, state string) {
 	}
 }
 
-// TestIsL1HitDifferential pits IsL1Hit against Access across every
-// combination of access kind, stream role, line state, critical-section
-// flag, and transparent-request flag: whenever IsL1Hit predicts a private
-// hit, Access must charge exactly L1Hit cycles and leave every piece of
-// globally visible state (directory, all L2 copies, all counters except
-// L1Hits) untouched. This is the contract that lets the runtime simulate
-// predicted hits at a skewed local clock.
+// l1hitSys returns a two-node machine holding the named residency
+// situation, with a recording bus attached when observed is set.
+func l1hitSys(t *testing.T, state string, observed bool) (*System, *busRecorder) {
+	sys, _ := newSys(t, 2)
+	installL1HitState(sys, state)
+	rec := &busRecorder{}
+	if observed {
+		sys.Bus = obs.NewBus(rec)
+	}
+	return sys, rec
+}
+
+// TestIsL1HitDifferential pits IsL1Hit against Access, and AccessL1
+// against both, across every combination of access kind, stream role,
+// line state, critical-section flag, and transparent-request flag, with
+// and without a bus. Whenever IsL1Hit predicts a private hit, Access must
+// charge exactly L1Hit cycles and leave every piece of globally visible
+// state (directory, all L2 copies, all counters except L1Hits) untouched.
+// This is the contract that lets the runtime simulate predicted hits at a
+// skewed local clock. AccessL1 must do exactly what IsL1Hit followed, on a
+// predicted hit, by Access does: the same completion time, MemStats, L1
+// frames and LRU order, and emitted events.
 func TestIsL1HitDifferential(t *testing.T) {
 	const issueAt = 1000
 	predicted := 0
@@ -117,36 +135,58 @@ func TestIsL1HitDifferential(t *testing.T) {
 			for _, role := range []Role{RoleNone, RoleR, RoleA} {
 				for _, inCS := range []bool{false, true} {
 					for _, reqTL := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%v/%v/incs=%v/tl=%v", state, kind, role, inCS, reqTL)
-						sys, _ := newSys(t, 2)
-						installL1HitState(sys, state)
-						req := Req{
-							CPU: sys.Nodes[0].CPUs[0], Kind: kind, Addr: 8,
-							Role: role, InCS: inCS,
-							Transparent: reqTL && kind == Read && role == RoleA,
-						}
-						pred := sys.IsL1Hit(req)
-						if !pred {
-							continue
-						}
-						predicted++
-						pre := snapshotLine(sys, 0)
-						preMS := sys.MS
-						preTL, preSI, preReq := sys.TL, sys.SIst, sys.Req
-						done := sys.Access(req, issueAt)
-						if got := done - issueAt; got != sys.P.L1Hit {
-							t.Errorf("%s: predicted hit took %d cycles, want %d", name, got, sys.P.L1Hit)
-						}
-						if !snapshotLine(sys, 0).equal(pre) {
-							t.Errorf("%s: predicted hit changed directory or L2 state", name)
-						}
-						wantMS := preMS
-						wantMS.L1Hits++
-						if sys.MS != wantMS {
-							t.Errorf("%s: predicted hit changed MemStats: %+v -> %+v", name, preMS, sys.MS)
-						}
-						if sys.TL != preTL || sys.SIst != preSI || sys.Req != preReq {
-							t.Errorf("%s: predicted hit changed TL/SI/classification counters", name)
+						for _, observed := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%v/%v/incs=%v/tl=%v/bus=%v", state, kind, role, inCS, reqTL, observed)
+							sys, rec := l1hitSys(t, state, observed)
+							ref, refRec := l1hitSys(t, state, observed)
+							req := func(s *System) Req {
+								return Req{
+									CPU: s.Nodes[0].CPUs[0], Kind: kind, Addr: 8,
+									Role: role, InCS: inCS,
+									Transparent: reqTL && kind == Read && role == RoleA,
+								}
+							}
+
+							pred := ref.IsL1Hit(req(ref))
+							var want int64
+							if pred {
+								want = ref.Access(req(ref), issueAt)
+							}
+							pre := snapshotLine(sys, 0)
+							preMS := sys.MS
+							preTL, preSI, preReq := sys.TL, sys.SIst, sys.Req
+							done, ok := sys.AccessL1(req(sys), issueAt)
+							if ok != pred || done != want {
+								t.Errorf("%s: AccessL1 = %d, %v; IsL1Hit then Access = %d, %v", name, done, ok, want, pred)
+							}
+							if sys.MS != ref.MS {
+								t.Errorf("%s: AccessL1 MemStats %+v, IsL1Hit then Access %+v", name, sys.MS, ref.MS)
+							}
+							l1, refL1 := sys.Nodes[0].CPUs[0].L1, ref.Nodes[0].CPUs[0].L1
+							if !reflect.DeepEqual(l1.lines, refL1.lines) || l1.clock != refL1.clock {
+								t.Errorf("%s: AccessL1 left different L1 frames or LRU order", name)
+							}
+							if !reflect.DeepEqual(rec.events, refRec.events) {
+								t.Errorf("%s: AccessL1 emitted %+v, IsL1Hit then Access %+v", name, rec.events, refRec.events)
+							}
+							if !pred {
+								continue
+							}
+							predicted++
+							if got := done - issueAt; got != sys.P.L1Hit {
+								t.Errorf("%s: predicted hit took %d cycles, want %d", name, got, sys.P.L1Hit)
+							}
+							if !snapshotLine(sys, 0).equal(pre) {
+								t.Errorf("%s: predicted hit changed directory or L2 state", name)
+							}
+							wantMS := preMS
+							wantMS.L1Hits++
+							if sys.MS != wantMS {
+								t.Errorf("%s: predicted hit changed MemStats: %+v -> %+v", name, preMS, sys.MS)
+							}
+							if sys.TL != preTL || sys.SIst != preSI || sys.Req != preReq {
+								t.Errorf("%s: predicted hit changed TL/SI/classification counters", name)
+							}
 						}
 					}
 				}

@@ -308,3 +308,29 @@ func TestEvictionClearsFutureBit(t *testing.T) {
 		t.Fatal("future bit not cleared by eviction")
 	}
 }
+
+// TestProcessSIReusesList checks that ProcessSI empties a node's
+// self-invalidation list in place, so the hints marked before the next
+// synchronization point refill the same backing array.
+func TestProcessSIReusesList(t *testing.T) {
+	s, eng := newSys(t, 2)
+	node := s.Nodes[0]
+	mark := func(first int) {
+		for i := first; i < first+4; i++ {
+			line := Addr(i * s.P.LineSize)
+			l := node.L2.Victim(line)
+			l.Addr, l.State = line, Exclusive
+			s.markSI(node, l)
+		}
+	}
+	mark(0)
+	backing := &node.siList[0]
+	s.ProcessSI(node, eng.Now())
+	if len(node.siList) != 0 {
+		t.Fatalf("%d hints left after ProcessSI", len(node.siList))
+	}
+	mark(4)
+	if &node.siList[0] != backing {
+		t.Fatal("hints marked after ProcessSI went to a new backing array")
+	}
+}

@@ -21,6 +21,7 @@ import (
 type Monitor interface {
 	// Step reports that the clock advanced from prev to now and one event
 	// ran at now. For an event that dispatches a process, Step is called
+	// after any operation WaitThen left for that dispatch has run, and
 	// before the process resumes.
 	Step(prev, now int64)
 }

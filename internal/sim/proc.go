@@ -19,9 +19,13 @@ type Proc struct {
 	killed bool
 
 	// dispatchFn is the bound dispatch method, created once at Go so the
-	// wait/wake hot paths (WaitUntil, Wake, Kill) schedule it without
-	// allocating a fresh method value per call.
+	// wait/wake hot paths (WaitUntil, WaitThen, Wake, Kill) schedule it
+	// without allocating a fresh method value per call.
 	dispatchFn func()
+
+	// then is the operation WaitThen left for p's next dispatch to run in
+	// place of resuming p, or nil.
+	then func() int64
 }
 
 // Go starts a new simulated process running fn. The process begins at the
@@ -80,10 +84,22 @@ func (p *Proc) Done() bool { return p.done }
 func (p *Proc) Killed() bool { return p.killed }
 
 // dispatch is the event that resumes p: it names p as the process the
-// goroutine running the event loop hands control to next.
+// goroutine running the event loop hands control to next. If WaitThen left
+// an operation, dispatch runs it first on the goroutine holding control,
+// and resumes p only if the time the operation returns has already come;
+// otherwise it schedules p's dispatch at that time.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
+	}
+	if op := p.then; op != nil {
+		p.then = nil
+		if !p.killed {
+			if t := op(); t > p.eng.now {
+				p.eng.At(t, p.dispatchFn)
+				return
+			}
+		}
 	}
 	p.parked = false
 	p.eng.next = p
@@ -114,6 +130,24 @@ func (p *Proc) WaitUntil(t int64) {
 		p.checkKilled()
 		return
 	}
+	p.eng.At(t, p.dispatchFn)
+	p.yield()
+}
+
+// WaitThen blocks the process until absolute simulated time t, runs op at
+// t, and blocks it further until the time op returns. It behaves exactly
+// as WaitUntil(t) followed by WaitUntil(op()) — the same events with the
+// same sequence numbers — except that op runs as part of p's dispatch
+// event at t, on whichever goroutine holds control, so p is not resumed in
+// between. A process killed before t unwinds at t without running op. For
+// t not after now, op runs at once on p's own goroutine.
+func (p *Proc) WaitThen(t int64, op func() int64) {
+	if t <= p.eng.now {
+		p.checkKilled()
+		p.WaitUntil(op())
+		return
+	}
+	p.then = op
 	p.eng.At(t, p.dispatchFn)
 	p.yield()
 }

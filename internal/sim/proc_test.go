@@ -263,3 +263,170 @@ func TestProcGoroutinesExit(t *testing.T) {
 		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }
+
+// waitThenScript builds an engine with two processes that issue the same
+// schedule of blocking operations, each an op run at a wake time t. With
+// fused set they issue them as WaitThen(t, op); otherwise as the reference
+// WaitUntil(t) then WaitUntil(op()). Every op stamps the trace and
+// schedules a side event, so event order and sequence numbers both show.
+// The schedules tie the two processes at the same times, and include ops
+// returning their own start time, both at a later t and at a t that is
+// already now.
+func waitThenScript(fused bool) (*Engine, *[]stamp) {
+	e := NewEngine()
+	trace := new([]stamp)
+	body := func(waits, lats []int64) func(p *Proc) {
+		return func(p *Proc) {
+			for i := range waits {
+				*trace = append(*trace, stamp{p.Name(), e.Now()})
+				lat := lats[i]
+				op := func() int64 {
+					*trace = append(*trace, stamp{p.Name() + "/op", e.Now()})
+					e.After(1, func() { *trace = append(*trace, stamp{p.Name() + "/side", e.Now()}) })
+					return e.Now() + lat
+				}
+				t := e.Now() + waits[i]
+				if fused {
+					p.WaitThen(t, op)
+				} else {
+					p.WaitUntil(t)
+					p.WaitUntil(op())
+				}
+			}
+			*trace = append(*trace, stamp{p.Name(), e.Now()})
+		}
+	}
+	e.Go("a", body([]int64{2, 0, 3, 1, 2}, []int64{4, 0, 0, 5, 1}))
+	e.Go("b", body([]int64{2, 4, 0, 1, 2}, []int64{4, 0, 3, 5, 1}))
+	return e, trace
+}
+
+// TestProcWaitThenMatchesWaitUntil pins WaitThen's contract: stepped
+// event by event, it gives the same trace, clock and queue length as
+// WaitUntil(t) followed by WaitUntil(op()), and Run gives the same trace
+// and clock sequence as Step.
+func TestProcWaitThenMatchesWaitUntil(t *testing.T) {
+	fused, fusedTrace := waitThenScript(true)
+	ref, refTrace := waitThenScript(false)
+	steps := 0
+	for {
+		ok, refOK := fused.Step(), ref.Step()
+		if ok != refOK {
+			t.Fatalf("step %d: WaitThen engine stepped=%v, reference stepped=%v", steps, ok, refOK)
+		}
+		if !ok {
+			break
+		}
+		steps++
+		if fused.Now() != ref.Now() || fused.Pending() != ref.Pending() {
+			t.Fatalf("step %d: WaitThen at %d with %d pending, reference at %d with %d pending",
+				steps, fused.Now(), fused.Pending(), ref.Now(), ref.Pending())
+		}
+		if !reflect.DeepEqual(*fusedTrace, *refTrace) {
+			t.Fatalf("step %d: WaitThen trace %v, reference trace %v", steps, *fusedTrace, *refTrace)
+		}
+	}
+	// Per process: a stamp, an op stamp and a side stamp for each of the
+	// five operations, and a final stamp.
+	if len(*fusedTrace) != 2*(5*3+1) {
+		t.Errorf("trace %v: want %d stamps", *fusedTrace, 2*(5*3+1))
+	}
+
+	run, ranTrace := waitThenScript(true)
+	var ranClocks clockLog
+	run.SetMonitor(&ranClocks)
+	run.Run()
+	stepped, _ := waitThenScript(true)
+	var steppedClocks clockLog
+	stepped.SetMonitor(&steppedClocks)
+	for stepped.Step() {
+	}
+	if !reflect.DeepEqual(*ranTrace, *fusedTrace) {
+		t.Errorf("Run trace %v, stepped trace %v", *ranTrace, *fusedTrace)
+	}
+	if !reflect.DeepEqual(ranClocks, steppedClocks) || len(ranClocks) != steps {
+		t.Errorf("Run clocks %v, stepped clocks %v (%d steps)", ranClocks, steppedClocks, steps)
+	}
+}
+
+// TestProcWaitThenKilled checks that a process killed before its wake
+// time unwinds at that time without running op, and that its goroutine
+// exits.
+func TestProcWaitThenKilled(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	ran := false
+	victim := e.Go("victim", func(p *Proc) {
+		p.WaitThen(100, func() int64 { ran = true; return 200 })
+		t.Error("killed process returned from WaitThen")
+	})
+	e.Go("killer", func(p *Proc) {
+		p.Delay(5)
+		victim.Kill()
+	})
+	e.RunUntil(99)
+	if victim.Done() {
+		t.Fatal("killed process unwound before its wake time")
+	}
+	e.RunUntil(100)
+	if !victim.Done() {
+		t.Fatal("killed process did not unwind at its wake time")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after the unwind, want 0", e.Pending())
+	}
+	if ran {
+		t.Fatal("op ran for a killed process")
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 10000 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n != before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
+	}
+}
+
+// TestProcWaitThenResumesInSameEvent checks that an op returning a time no
+// later than its own start resumes the process within the op's event: no
+// further dispatch is scheduled or executed.
+func TestProcWaitThenResumesInSameEvent(t *testing.T) {
+	for _, ret := range []int64{7, 10} {
+		e := NewEngine()
+		var clocks clockLog
+		e.SetMonitor(&clocks)
+		e.Go("p", func(p *Proc) {
+			p.WaitThen(10, func() int64 { return ret })
+			if e.Now() != 10 || e.Pending() != 0 || len(clocks) != 2 {
+				t.Errorf("op returned %d: resumed at %d with %d pending after %d events, want 10, 0 and 2",
+					ret, e.Now(), e.Pending(), len(clocks))
+			}
+		})
+		e.Run()
+	}
+}
+
+// TestProcWaitThenNowRunsInline checks that WaitThen with a time not after
+// now runs op at once on the calling process, ahead of other events at
+// the same time, and then waits until the time op returns.
+func TestProcWaitThenNowRunsInline(t *testing.T) {
+	for _, at := range []int64{3, 5} {
+		e := NewEngine()
+		var trace []stamp
+		e.Go("p", func(p *Proc) {
+			p.Delay(5)
+			e.Go("q", func(*Proc) { trace = append(trace, stamp{"q", e.Now()}) })
+			p.WaitThen(at, func() int64 {
+				trace = append(trace, stamp{"op", e.Now()})
+				return e.Now() + 4
+			})
+			trace = append(trace, stamp{"p", e.Now()})
+		})
+		e.Run()
+		want := []stamp{{"op", 5}, {"q", 5}, {"p", 9}}
+		if !reflect.DeepEqual(trace, want) {
+			t.Errorf("WaitThen(%d) at 5: trace %v, want %v", at, trace, want)
+		}
+	}
+}
