@@ -41,7 +41,6 @@ func main() {
 		si        = flag.Bool("si", false, "enable self-invalidation (implies -tl)")
 		adapt     = flag.Bool("adaptive", false, "vary the A-R policy dynamically (slipstream only)")
 		auditRun  = flag.Bool("audit", false, "cross-check the run against conservation and coherence invariants")
-		traceOut  = flag.String("trace", "", "write a TSV event trace to this file")
 		chromeOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file (open in Perfetto)")
 		metricOut = flag.String("metrics-out", "", "write aggregated counters and latency histograms to this file (.csv for CSV)")
 		server    = flag.String("server", "", "submit the run to the slipsimd daemon at this base URL instead of simulating locally")
@@ -99,8 +98,8 @@ func main() {
 	if *server != "" {
 		// Observation and auditing happen daemon-side: the exporters hook
 		// the simulating process, which is no longer this one.
-		if *auditRun || *traceOut != "" || *chromeOut != "" || *metricOut != "" || *cpuProf != "" {
-			fatalf("-audit, -trace, -trace-out, -metrics-out, and -cpuprofile are daemon-side options; start slipsimd with them instead of combining them with -server")
+		if *auditRun || *chromeOut != "" || *metricOut != "" || *cpuProf != "" {
+			fatalf("-audit, -trace-out, -metrics-out, and -cpuprofile are daemon-side options; start slipsimd with them instead of combining them with -server")
 		}
 		spec := slipstream.RunSpec{
 			Kernel: kname, Params: kparams, Size: ksize, Mode: opts.Mode, ARSync: opts.ARSync,
@@ -124,11 +123,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var tr *slipstream.Trace
-	if *traceOut != "" {
-		tr = &slipstream.Trace{SlowThreshold: 600}
-		opts.Trace = tr
-	}
 	var chrome *slipstream.ChromeTrace
 	if *chromeOut != "" {
 		chrome = &slipstream.ChromeTrace{Name: fmt.Sprintf("%s/%s %s", *kernel, *size, *mode)}
@@ -148,21 +142,6 @@ func main() {
 	}
 	printReport(res, opts, ksize, *verbose)
 
-	if tr != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := tr.WriteTSV(f); err != nil {
-			fatalf("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		sum := tr.Summarize()
-		fmt.Printf("trace: %d events -> %s (mean barrier %.0f, mean token %.0f, mean A-lead %.0f cycles)\n",
-			tr.Len(), *traceOut, sum.MeanBarrier, sum.MeanToken, sum.MeanLead)
-	}
 	if chrome != nil {
 		if err := writeFile(*chromeOut, chrome.WriteJSON); err != nil {
 			fatalf("%v", err)

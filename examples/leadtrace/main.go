@@ -1,8 +1,10 @@
-// Leadtrace: use the tracing API to watch the slipstream mechanism work.
-// For each A-R synchronization policy the example runs CG, traces session
-// boundaries, and prints how far ahead of its R-stream the A-stream runs —
-// the lead that decides whether its prefetches are timely (Figure 7 of the
-// paper) — along with the adaptive controller's choices for comparison.
+// Leadtrace: use an observer to watch the slipstream mechanism work. For
+// each A-R synchronization policy the example runs CG with a
+// slipstream.Leads observer attached, and prints how far ahead of its
+// R-stream the A-stream reaches each session boundary — the lead that
+// decides whether its prefetches are timely (Figure 7 of the paper) —
+// along with the A-stream's time spent waiting for tokens and the adaptive
+// controller's choices for comparison.
 //
 //	go run ./examples/leadtrace
 package main
@@ -14,49 +16,47 @@ import (
 	"slipstream"
 )
 
-func main() {
-	const kernel = "CG"
-	const cmps = 8
+const (
+	kernel = "CG"
+	cmps   = 8
+)
 
-	fmt.Printf("%s on %d CMPs: A-stream lead over R-stream at session boundaries\n\n", kernel, cmps)
-	fmt.Printf("%-10s %14s %12s %14s %12s\n", "policy", "mean lead", "token waits", "mean token", "cycles")
-
-	for _, ar := range slipstream.ARSyncs {
-		tr := &slipstream.Trace{}
-		k, err := slipstream.NewKernel(kernel, slipstream.SizeSmall)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := slipstream.Run(slipstream.Options{
-			CMPs: cmps, Mode: slipstream.Slipstream, ARSync: ar, Trace: tr,
-		}, k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if res.VerifyErr != nil {
-			log.Fatal(res.VerifyErr)
-		}
-		sum := tr.Summarize()
-		fmt.Printf("%-10s %11.0f cy %12d %11.0f cy %12d\n",
-			ar, sum.MeanLead, sum.Counts[slipstream.TraceToken], sum.MeanToken, res.Cycles)
-	}
-
-	// The adaptive controller (the paper's Section 6 future work) picks a
-	// policy per pair at run time from the same evidence.
-	tr := &slipstream.Trace{}
+// run simulates the kernel in slipstream mode starting from policy ar
+// (switching per pair at run time when adaptive is set) and returns the
+// result with the mean A-over-R session lead.
+func run(ar slipstream.ARSync, adaptive bool) (*slipstream.Result, float64) {
 	k, err := slipstream.NewKernel(kernel, slipstream.SizeSmall)
 	if err != nil {
 		log.Fatal(err)
 	}
+	leads := &slipstream.Leads{}
 	res, err := slipstream.Run(slipstream.Options{
-		CMPs: cmps, Mode: slipstream.Slipstream,
-		ARSync: slipstream.L1, AdaptiveARSync: true, Trace: tr,
+		CMPs: cmps, Mode: slipstream.Slipstream, ARSync: ar, AdaptiveARSync: adaptive,
+		Observers: []slipstream.Observer{leads},
 	}, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-10s %11.0f cy %12s %11s %14d  (switches: %d, final: %v)\n",
-		"adaptive", tr.Summarize().MeanLead, "-", "-", res.Cycles,
+	if res.VerifyErr != nil {
+		log.Fatal(res.VerifyErr)
+	}
+	return res, leads.Mean()
+}
+
+func main() {
+	fmt.Printf("%s on %d CMPs: A-stream lead over R-stream at session boundaries\n\n", kernel, cmps)
+	fmt.Printf("%-10s %14s %16s %12s\n", "policy", "mean lead", "A token wait", "cycles")
+
+	for _, ar := range slipstream.ARSyncs {
+		res, lead := run(ar, false)
+		fmt.Printf("%-10s %11.0f cy %13d cy %12d\n", ar, lead, res.AvgATask().ARSync, res.Cycles)
+	}
+
+	// The adaptive controller (the paper's Section 6 future work) picks a
+	// policy per pair at run time from the same evidence.
+	res, lead := run(slipstream.L1, true)
+	fmt.Printf("%-10s %11.0f cy %13d cy %12d  (switches: %d, final: %v)\n",
+		"adaptive", lead, res.AvgATask().ARSync, res.Cycles,
 		res.PolicySwitches, res.FinalPolicies)
 
 	fmt.Println("\nLooser policies (L1, G1) let the A-stream bank a larger lead, making")

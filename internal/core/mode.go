@@ -14,7 +14,6 @@ import (
 
 	"slipstream/internal/memsys"
 	"slipstream/internal/obs"
-	"slipstream/internal/trace"
 )
 
 // Mode selects how tasks are assigned to the processors of each CMP
@@ -240,16 +239,9 @@ type Options struct {
 	// receive the full typed event stream: task lifecycle, classified
 	// memory accesses, coherence-line changes, synchronization waits, and
 	// end-of-run resource occupancy. Observers must not mutate simulation
-	// state; with none attached (and no Trace or Audit) the run takes the
+	// state; with none attached (and no Audit) the run takes the
 	// unobserved fast path.
 	Observers []obs.Observer
-
-	// Trace, when non-nil, collects structured run events (sessions,
-	// synchronization waits, recoveries, policy switches, and — when its
-	// SlowThreshold is set — slow memory accesses). It is attached to the
-	// observation bus like any observer; the field remains as a shorthand
-	// for the common case.
-	Trace *trace.Collector
 
 	// Audit enables the runtime invariant auditor (internal/audit): the
 	// run is cross-checked for time conservation, coherence, counter

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"slipstream/internal/obs"
-	"slipstream/internal/trace"
 )
 
 // TestObserversDoNotPerturbResults pins the central contract of the
@@ -25,49 +23,62 @@ func TestObserversDoNotPerturbResults(t *testing.T) {
 		return res
 	}
 	bare := run()
-	observed := run(&obs.Metrics{}, &obs.ChromeTrace{}, &trace.Collector{SlowThreshold: 1})
+	observed := run(&obs.Metrics{}, &obs.ChromeTrace{}, &obs.Leads{})
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("observers perturbed the result:\nbare:     %+v\nobserved: %+v", bare, observed)
 	}
 }
 
-// TestTraceFieldMatchesObserverList pins the deprecated-adapter guarantee:
-// a collector passed via Options.Trace records exactly what the same
-// collector records when attached through Options.Observers.
-func TestTraceFieldMatchesObserverList(t *testing.T) {
-	run := func(opts Options) *trace.Collector {
-		k := &stencilKernel{n: 1024, iters: 4}
-		if _, err := Run(opts, k); err != nil {
+// TestTracingDoesNotPerturbTiming checks the same contract on a different
+// kernel and A-R policy: a gather run under G0 takes the same number of
+// cycles whether or not the lead tracker is attached.
+func TestTracingDoesNotPerturbTiming(t *testing.T) {
+	run := func(observers ...obs.Observer) int64 {
+		k := &gatherKernel{n: 1024, iters: 3}
+		res, err := Run(Options{
+			Mode: ModeSlipstream, CMPs: 4, ARSync: ZeroTokenGlobal,
+			Observers: observers,
+		}, k)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if opts.Trace != nil {
-			return opts.Trace
-		}
-		return opts.Observers[0].(*trace.Collector)
+		return res.Cycles
 	}
-	base := Options{Mode: ModeSlipstream, CMPs: 4, ARSync: ZeroTokenLocal}
+	plain := run()
+	traced := run(&obs.Leads{})
+	if plain != traced {
+		t.Fatalf("tracing changed the simulation: %d vs %d cycles", plain, traced)
+	}
+}
 
-	legacy := base
-	legacy.Trace = &trace.Collector{SlowThreshold: 400}
-	viaField := run(legacy)
-
-	redesigned := base
-	redesigned.Observers = []obs.Observer{&trace.Collector{SlowThreshold: 400}}
-	viaList := run(redesigned)
-
-	var a, b bytes.Buffer
-	if err := viaField.WriteTSV(&a); err != nil {
+// TestTraceCapturesSlipstreamRun checks that a slipstream run's sessions,
+// barrier waits, remote misses, and A-over-R leads all reach the bus.
+func TestTraceCapturesSlipstreamRun(t *testing.T) {
+	m := &obs.Metrics{}
+	leads := &obs.Leads{}
+	k := &stencilKernel{n: 1024, iters: 4}
+	res, err := Run(Options{
+		Mode: ModeSlipstream, CMPs: 4, ARSync: ZeroTokenLocal,
+		Observers: []obs.Observer{m, leads},
+	}, k)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := viaList.WriteTSV(&b); err != nil {
-		t.Fatal(err)
+	if res.VerifyErr != nil {
+		t.Fatal(res.VerifyErr)
 	}
-	if a.String() != b.String() {
-		t.Errorf("Options.Trace and Options.Observers diverge:\nTrace:\n%s\nObservers:\n%s",
-			a.String(), b.String())
+	// 4 R-streams x 4 sessions plus 4 A-streams x 4 sessions.
+	if got := m.Counter("session.count"); got < 16 {
+		t.Errorf("session.count = %d, want >= 16", got)
 	}
-	if viaField.Len() == 0 {
-		t.Fatal("trace collected no events")
+	if h := m.Histogram("wait.barrier"); h == nil || h.Count == 0 {
+		t.Error("no barrier waits recorded")
+	}
+	if got := m.Counter("access.dir-remote"); got == 0 {
+		t.Error("no remote-directory accesses recorded")
+	}
+	if len(leads.Series()) == 0 {
+		t.Fatal("no A-over-R leads computable")
 	}
 }
 

@@ -60,13 +60,10 @@ func Run(opts Options, k Kernel) (*Result, error) {
 	}
 	sys.Classify = opts.Mode == ModeSlipstream
 
-	// All observation consumers — caller observers, the trace collector,
-	// and the auditor — attach to one bus; emission sites pay a single
-	// pointer test when it stays nil.
+	// All observation consumers — caller observers and the auditor —
+	// attach to one bus; emission sites pay a single pointer test when it
+	// stays nil.
 	bus := obs.NewBus(opts.Observers...)
-	if opts.Trace != nil {
-		bus = bus.Attach(opts.Trace)
-	}
 	var aud *audit.Auditor
 	if opts.Audit || auditForced {
 		aud = audit.New(sys)

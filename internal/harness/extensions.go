@@ -5,7 +5,7 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
-	"slipstream/internal/trace"
+	"slipstream/internal/obs"
 )
 
 // AdaptiveRow is one kernel's comparison of the four fixed A-R policies
@@ -210,9 +210,10 @@ type LeadRow struct {
 	MeanLead float64
 }
 
-// ExtLeadsData measures, via tracing, how far ahead of its R-stream each
-// policy lets the A-stream run — the quantity behind Figure 7's
-// timely/late split.
+// ExtLeadsData measures, with an obs.Leads observer, how far ahead of its
+// R-stream each policy lets the A-stream run — the quantity behind Figure
+// 7's timely/late split. Its runs are simulated here, not planned: a memo
+// or cache hit has no event stream to measure.
 func (s *Session) ExtLeadsData(kernelNames []string) ([]LeadRow, error) {
 	var out []LeadRow
 	for _, name := range kernelNames {
@@ -221,21 +222,16 @@ func (s *Session) ExtLeadsData(kernelNames []string) ([]LeadRow, error) {
 			cmps = s.fftCMPs()
 		}
 		for _, ar := range core.ARSyncs {
-			k, err := kernels.New(name, s.cfg.Size)
+			sp := s.spec(name, core.ModeSlipstream, ar, cmps, false, false)
+			leads := &obs.Leads{}
+			res, err := sp.RunObserved(s.cfg.Audit, append(s.observersFor(sp), leads)...)
 			if err != nil {
-				return nil, err
-			}
-			tr := &trace.Collector{}
-			res, err := core.Run(core.Options{
-				CMPs: cmps, Mode: core.ModeSlipstream, ARSync: ar, Trace: tr,
-			}, k)
-			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("harness: %w", err)
 			}
 			if res.VerifyErr != nil {
-				return nil, res.VerifyErr
+				return nil, fmt.Errorf("harness: %v: verification: %w", sp, res.VerifyErr)
 			}
-			out = append(out, LeadRow{Kernel: name, AR: ar, MeanLead: tr.Summarize().MeanLead})
+			out = append(out, LeadRow{Kernel: name, AR: ar, MeanLead: leads.Mean()})
 		}
 	}
 	return out, nil

@@ -43,8 +43,8 @@ func TestOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestCachedSessionSimulatesOnlyUncacheableRuns checks the second-session
-// contract: with a warm persistent cache, everything except the traced
-// leads study (which cannot be cached) is served without simulation, and
+// contract: with a warm persistent cache, everything except the leads
+// study (which must observe its runs) is served without simulation, and
 // the rendered output is byte-identical.
 func TestCachedSessionSimulatesOnlyUncacheableRuns(t *testing.T) {
 	if testing.Short() {
@@ -71,8 +71,8 @@ func TestCachedSessionSimulatesOnlyUncacheableRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2, hits2 := s2.Stats()
-	// ExtLeads runs with a trace collector attached and bypasses the spec
-	// path entirely, so it contributes to neither counter.
+	// ExtLeads simulates its runs with an obs.Leads observer attached and
+	// never memoizes or caches them, so it contributes to neither counter.
 	if sim2 != 0 {
 		t.Errorf("warm session re-simulated %d cached runs", sim2)
 	}

@@ -17,7 +17,7 @@ type Figure struct {
 	// cmd/experiments flags.
 	Tag string
 	// Plan returns every spec the renderer's data needs. Nil for static
-	// tables and for the traced study whose runs cannot be cached.
+	// tables and for the lead study, whose runs must be observed.
 	Plan func(*Session) []runspec.RunSpec
 	// Render draws the figure from memoized results.
 	Render func(*Session) error
@@ -39,8 +39,8 @@ func Figures() []Figure {
 		{Tag: "adaptive", Plan: (*Session).planExtAdaptive, Render: (*Session).ExtAdaptive},
 		{Tag: "forward", Plan: (*Session).planExtForward, Render: (*Session).ExtForward},
 		{Tag: "sensitivity", Plan: (*Session).planExtSensitivity, Render: (*Session).ExtSensitivity},
-		// ExtLeads runs with a trace collector attached, and traces are
-		// neither memoizable nor persistable, so it has no plan and
+		// ExtLeads measures each run with an obs.Leads observer, and memo
+		// and cache hits are not observed, so it has no plan and
 		// simulates during rendering.
 		{Tag: "leads", Render: (*Session).ExtLeads},
 		{Tag: "banks", Plan: (*Session).planExtBanks, Render: (*Session).ExtBanks},

@@ -5,10 +5,11 @@
 // nil-checkable fan-out Bus.
 //
 // Every instrumentation consumer — the runtime invariant auditor, the
-// structured trace collector, the Chrome trace-event exporter, and the
-// metrics registry — is an Observer subscribed to one Bus. Emission sites
-// guard with a single pointer test (`if bus != nil`), so a run with nothing
-// attached pays one branch per event site and constructs no Event values.
+// Chrome trace-event exporter, the metrics registry, and the A-over-R
+// session lead series (Leads) — is an Observer subscribed to one Bus.
+// Emission sites guard with a single pointer test (`if bus != nil`), so a
+// run with nothing attached pays one branch per event site and constructs
+// no Event values.
 //
 // Determinism rules:
 //

@@ -28,7 +28,6 @@ import (
 	"slipstream/internal/memsys"
 	"slipstream/internal/obs"
 	"slipstream/internal/stats"
-	"slipstream/internal/trace"
 )
 
 // Re-exported configuration and result types. These are aliases, so values
@@ -76,13 +75,12 @@ type (
 	// Metrics is an Observer that aggregates events into named counters
 	// and latency histograms with deterministic text/CSV output.
 	Metrics = obs.Metrics
-	// Trace collects structured run events when assigned to
-	// Options.Trace; see TraceSummary and TraceEvent.
-	Trace = trace.Collector
-	// TraceEvent is one structured trace record.
-	TraceEvent = trace.Event
-	// TraceSummary aggregates a trace.
-	TraceSummary = trace.Summary
+	// Leads is an Observer that measures the A-stream's lead over its
+	// R-stream at each session boundary; see Lead.
+	Leads = obs.Leads
+	// Lead is one session's A-over-R arrival lead in cycles (positive
+	// means the A-stream arrived first).
+	Lead = obs.Lead
 	// AuditError is returned by Run when Options.Audit is set and the run
 	// violated a simulation invariant; it carries the violations.
 	AuditError = core.AuditError
@@ -138,17 +136,6 @@ const (
 	SizeTiny  = kernels.Tiny
 	SizeSmall = kernels.Small
 	SizePaper = kernels.Paper
-)
-
-// Trace event kinds (see TraceEvent.Kind).
-const (
-	TraceSession      = trace.EvSession
-	TraceBarrier      = trace.EvBarrier
-	TraceLock         = trace.EvLock
-	TraceToken        = trace.EvToken
-	TraceSlowAccess   = trace.EvSlowAccess
-	TraceRecovery     = trace.EvRecovery
-	TracePolicySwitch = trace.EvPolicySwitch
 )
 
 // Run simulates kernel under the given options. The returned Result is
