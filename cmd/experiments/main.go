@@ -68,6 +68,7 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress per-run progress lines")
 		version   = flag.Bool("version", false, "print version and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected figures' runs to this file (read it with go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write an allocation profile to this file after the selected figures' runs (read it with go tool pprof)")
 	)
 	flag.Parse()
 	if *version {
@@ -129,8 +130,10 @@ func main() {
 	any := len(tags) > 0
 	if any {
 		stopProfile := profileCPU(*cpuProf)
+		writeMemProfile := profileMem(*memProf)
 		err := s.RunFigures(tags...)
 		stopProfile()
+		writeMemProfile()
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -200,6 +203,28 @@ func profileCPU(path string) (stop func()) {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
 			fatalf("cpuprofile: %v", err)
+		}
+	}
+}
+
+// profileMem creates path for an allocation profile, unless path is empty,
+// and returns the function that writes the allocs profile of everything
+// the process has allocated so far into it.
+func profileMem(path string) (write func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("memprofile: %v", err)
+	}
+	return func() {
+		runtime.GC() // the profile is current as of the last completed GC
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatalf("memprofile: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			fatalf("memprofile: %v", err)
 		}
 	}
 }

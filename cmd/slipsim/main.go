@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 
@@ -47,6 +48,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-task breakdowns")
 		version   = flag.Bool("version", false, "print version and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the local simulation to this file (read it with go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write an allocation profile to this file after the local simulation (read it with go tool pprof)")
 	)
 	flag.Parse()
 	if *version {
@@ -98,8 +100,8 @@ func main() {
 	if *server != "" {
 		// Observation and auditing happen daemon-side: the exporters hook
 		// the simulating process, which is no longer this one.
-		if *auditRun || *chromeOut != "" || *metricOut != "" || *cpuProf != "" {
-			fatalf("-audit, -trace-out, -metrics-out, and -cpuprofile are daemon-side options; start slipsimd with them instead of combining them with -server")
+		if *auditRun || *chromeOut != "" || *metricOut != "" || *cpuProf != "" || *memProf != "" {
+			fatalf("-audit, -trace-out, -metrics-out, -cpuprofile, and -memprofile act on the simulating process, which with -server is the daemon; drop them (slipsimd takes -audit)")
 		}
 		spec := slipstream.RunSpec{
 			Kernel: kname, Params: kparams, Size: ksize, Mode: opts.Mode, ARSync: opts.ARSync,
@@ -135,8 +137,10 @@ func main() {
 	}
 
 	stopProfile := profileCPU(*cpuProf)
+	writeMemProfile := profileMem(*memProf)
 	res, err := slipstream.Run(opts, k)
 	stopProfile()
+	writeMemProfile()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -241,6 +245,28 @@ func profileCPU(path string) (stop func()) {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
 			fatalf("cpuprofile: %v", err)
+		}
+	}
+}
+
+// profileMem creates path for an allocation profile, unless path is empty,
+// and returns the function that writes the allocs profile of everything
+// the process has allocated so far into it.
+func profileMem(path string) (write func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("memprofile: %v", err)
+	}
+	return func() {
+		runtime.GC() // the profile is current as of the last completed GC
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatalf("memprofile: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			fatalf("memprofile: %v", err)
 		}
 	}
 }

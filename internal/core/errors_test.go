@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -74,5 +75,41 @@ func TestMaxCyclesGuard(t *testing.T) {
 func TestUnknownModeRejected(t *testing.T) {
 	if _, err := Run(Options{Mode: Mode(99), CMPs: 2}, &deadlockKernel{}); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+}
+
+// TestFailedRunsLeakNoGoroutines checks that a run that deadlocks, stops
+// at mismatched barriers, or exceeds its cycle budget leaves no process
+// goroutine behind, in single and slipstream mode: Run kills every
+// unfinished process and drains the engine before it returns the error.
+func TestFailedRunsLeakNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, mode := range []Mode{ModeSingle, ModeSlipstream} {
+		for _, tc := range []struct {
+			name string
+			opts Options
+			k    Kernel
+		}{
+			{"deadlock", Options{CMPs: 2}, &deadlockKernel{}},
+			{"mismatched-barriers", Options{CMPs: 3}, &lopsidedKernel{}},
+			{"over-budget", Options{CMPs: 2, MaxCycles: 5_000_000}, &spinKernel{}},
+			{"audited-deadlock", Options{CMPs: 2, Audit: true}, &deadlockKernel{}},
+		} {
+			opts := tc.opts
+			opts.Mode = mode
+			if _, err := Run(opts, tc.k); err == nil {
+				t.Fatalf("%s/%v: failed run returned no error", tc.name, mode)
+			}
+		}
+	}
+	// An exiting goroutine may still be unwinding after its final send;
+	// give it bounded chances to run.
+	n := runtime.NumGoroutine()
+	for i := 0; i < 10000 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after the failed runs, %d before", n, before)
 	}
 }

@@ -99,6 +99,7 @@ func Run(opts Options, k Kernel) (*Result, error) {
 	r.spawnTasks()
 
 	if !eng.RunUntil(opts.MaxCycles) {
+		r.abort()
 		return nil, fmt.Errorf("core: %s/%s on %d CMPs exceeded %d cycles",
 			k.Name(), opts.Mode, opts.CMPs, opts.MaxCycles)
 	}
@@ -107,11 +108,13 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		for i, p := range blocked {
 			names[i] = p.Name()
 		}
+		r.abort()
 		return nil, fmt.Errorf("core: %s/%s on %d CMPs deadlocked; blocked: %s",
 			k.Name(), opts.Mode, opts.CMPs, strings.Join(names, ", "))
 	}
 	for _, c := range r.ctxs {
 		if !c.finished {
+			r.abort()
 			return nil, fmt.Errorf("core: task %d did not finish", c.id)
 		}
 	}
@@ -122,15 +125,40 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		if opts.Mode == ModeSlipstream {
 			ev.Flags |= obs.FlagSlipstream
 		}
-		// EvRunEnd drives the auditor's end-of-run checks (FinishRun).
+		// EvRunEnd drives the auditor's end-of-run checks (FinishRun),
+		// whose sweep walks every cache.
 		bus.Emit(&ev)
 	}
+	// Nothing reads a cache from here on: hand the frames to the next run.
+	sys.Release()
 	if aud != nil {
 		if vs := aud.Violations(); len(vs) > 0 {
 			return nil, &AuditError{Violations: vs, Dropped: aud.Dropped()}
 		}
 	}
 	return res, nil
+}
+
+// abort ends a failed run without leaking its processes. It detaches the
+// bus and the engine monitor, so neither the caller's observers nor the
+// auditor see anything after the failure, kills every unfinished process,
+// and runs the engine until each has unwound and its goroutine exited.
+// Then nothing can touch a cache, and the memory system is released.
+func (r *Runner) abort() {
+	r.bus = nil
+	r.sys.Bus = nil
+	r.eng.SetMonitor(nil)
+	for _, c := range r.ctxs {
+		c.proc.Kill()
+	}
+	for _, p := range r.pairs {
+		p.a.proc.Kill()
+	}
+	// A killed process unwinds at its next dispatch, which is pending or,
+	// for a parked one, scheduled by Kill. Earlier A-stream incarnations
+	// were killed at their refork and unwind the same way.
+	r.eng.Run()
+	r.sys.Release()
 }
 
 // emitTaskStart announces a task incarnation on the bus (chrome lanes and

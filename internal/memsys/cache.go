@@ -1,6 +1,9 @@
 package memsys
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // LineState is the coherence state of a cached line. The model merges the
 // usual E and M states: Exclusive means this cache holds the only copy and
@@ -101,23 +104,75 @@ type Cache struct {
 	setMask int
 	modulo  bool
 	clock   int64
+
+	// frames is the pooled storage lines is drawn from (lines == *frames),
+	// and pool the pool release returns it to.
+	frames *[]Line
+	pool   *sync.Pool
+}
+
+// framePools holds released frame slices, one pool per frame count, so a
+// cache reuses the storage of an earlier, released cache of the same
+// geometry instead of allocating it afresh. A Table 1 machine has two
+// geometries (L1 and L2), so the map stays tiny.
+var framePools struct {
+	sync.Mutex
+	m map[int]*sync.Pool
+}
+
+// framePool returns the pool of n-frame slices.
+func framePool(n int) *sync.Pool {
+	framePools.Lock()
+	defer framePools.Unlock()
+	p := framePools.m[n]
+	if p == nil {
+		if framePools.m == nil {
+			framePools.m = make(map[int]*sync.Pool)
+		}
+		p = &sync.Pool{}
+		framePools.m[n] = p
+	}
+	return p
 }
 
 // NewCache returns a cache of the given total size in bytes, associativity,
-// and line size (a power of two, as Params.Validate requires).
+// and line size (a power of two, as Params.Validate requires). Its frames
+// come from a released cache of the same frame count when one is pooled,
+// reset so the cache is indistinguishable from a newly allocated one.
 func NewCache(size, assoc, lineSize int) *Cache {
 	nsets := size / (assoc * lineSize)
 	if nsets < 1 {
 		nsets = 1
 	}
-	return &Cache{
-		lines:     make([]Line, nsets*assoc),
+	c := &Cache{
+		pool:      framePool(nsets * assoc),
 		assoc:     assoc,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		nsets:     nsets,
 		setMask:   nsets - 1,
 		modulo:    nsets&(nsets-1) != 0,
 	}
+	if f, ok := c.pool.Get().(*[]Line); ok {
+		c.frames = f
+		c.lines = *f
+		c.Reset()
+	} else {
+		lines := make([]Line, nsets*assoc)
+		c.frames = &lines
+		c.lines = lines
+	}
+	return c
+}
+
+// release returns the cache's frames to their pool and leaves the cache
+// dead: with no frames, a stray Lookup or Victim panics rather than read
+// frames a later cache now owns. Releasing twice is a no-op.
+func (c *Cache) release() {
+	if c.frames == nil {
+		return
+	}
+	c.pool.Put(c.frames)
+	c.frames, c.lines = nil, nil
 }
 
 // Sets returns the number of sets.
@@ -172,8 +227,8 @@ func (c *Cache) Victim(line Addr) *Line {
 	return lru
 }
 
-// Reset invalidates every line and clears metadata (used when a cache is
-// reused across runs).
+// Reset invalidates every line, drops every classification record, and
+// restarts the LRU clock: NewCache resets pooled frames with it.
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.clock = 0

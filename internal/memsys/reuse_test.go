@@ -1,0 +1,125 @@
+package memsys
+
+import (
+	"reflect"
+	"testing"
+
+	"slipstream/internal/sim"
+)
+
+// fillEveryFrame makes every frame of c a valid, exclusively held line
+// carrying every per-line mark and an open classification record.
+func fillEveryFrame(c *Cache) {
+	for set := 0; set < c.Sets(); set++ {
+		for way := 0; way < c.Assoc(); way++ {
+			addr := Addr((way*c.Sets() + set) << c.lineShift)
+			l := c.Victim(addr)
+			*l = Line{
+				Addr: addr, State: Exclusive, Transparent: true,
+				SIMark: true, WrittenInCS: true, FillDone: 12345,
+				recs: []reqRec{{role: RoleA, excl: true, fillDone: 12345, compAfter: true}},
+			}
+			c.Touch(l)
+		}
+	}
+}
+
+// checkNew fails unless c is in exactly the state of a newly allocated
+// cache: no valid line, a victim at way 0 of every set, no records, and
+// an LRU clock that starts over.
+func checkNew(t *testing.T, name string, c *Cache) {
+	t.Helper()
+	for set := 0; set < c.Sets(); set++ {
+		for way := 0; way < c.Assoc(); way++ {
+			addr := Addr((way*c.Sets() + set) << c.lineShift)
+			if c.Lookup(addr) != nil {
+				t.Fatalf("%s: line %#x survived reuse", name, addr)
+			}
+			if v := c.Victim(addr); v != &c.set(addr)[0] {
+				t.Fatalf("%s: victim for %#x is not way 0", name, addr)
+			}
+		}
+	}
+	c.ForEachValid(func(l *Line) { t.Fatalf("%s: ForEachValid visited %#x", name, l.Addr) })
+	for i := range c.lines {
+		if l := &c.lines[i]; !reflect.ValueOf(*l).IsZero() {
+			t.Fatalf("%s: frame %d = %+v, want a zero frame", name, i, *l)
+		}
+	}
+	if c.clock != 0 {
+		t.Fatalf("%s: LRU clock = %d, want 0", name, c.clock)
+	}
+	l := c.Victim(0)
+	c.Touch(l)
+	if l.lru != 1 {
+		t.Fatalf("%s: first touch stamps %d, want 1", name, l.lru)
+	}
+}
+
+// TestReleasedFramesComeBackNew fills every frame of a Table 1 L1 and L2,
+// releases the system, and checks that the caches of the next system of
+// that geometry are indistinguishable from newly allocated ones — the
+// property that lets runs share frame storage without moving a result.
+// The pool may hand back any released slice or none, so the test repeats
+// until a frame slice was actually reused.
+func TestReleasedFramesComeBackNew(t *testing.T) {
+	p := DefaultParams(2)
+	reused := false
+	for attempt := 0; attempt < 50 && !reused; attempt++ {
+		s, err := NewSystem(sim.NewEngine(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := make(map[*[]Line]bool)
+		for _, n := range s.Nodes {
+			fillEveryFrame(n.L2)
+			released[n.L2.frames] = true
+			for _, cpu := range n.CPUs {
+				fillEveryFrame(cpu.L1)
+				released[cpu.L1.frames] = true
+			}
+		}
+		s.Release()
+
+		s, err = NewSystem(sim.NewEngine(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range s.Nodes {
+			reused = reused || released[n.L2.frames]
+			checkNew(t, "L2", n.L2)
+			for _, cpu := range n.CPUs {
+				reused = reused || released[cpu.L1.frames]
+				checkNew(t, "L1", cpu.L1)
+			}
+		}
+	}
+	if !reused {
+		t.Fatal("no released frame slice was reused in 50 attempts")
+	}
+}
+
+// TestReleasedSystemIsDead checks that a released system's caches hold no
+// frames, so a stray access panics instead of reading frames a later
+// system owns, and that releasing twice returns nothing twice.
+func TestReleasedSystemIsDead(t *testing.T) {
+	s, err := NewSystem(sim.NewEngine(), DefaultParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	s.Release()
+	for _, c := range []*Cache{s.Nodes[0].L2, s.Nodes[0].CPUs[0].L1, s.Nodes[0].CPUs[1].L1} {
+		if c.lines != nil || c.frames != nil {
+			t.Fatal("released cache still holds frames")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("lookup in a released cache did not panic")
+				}
+			}()
+			c.Lookup(0x40)
+		}()
+	}
+}

@@ -148,11 +148,13 @@ func (s *System) Home(line Addr) *Node {
 
 // Finalize closes all open classification records (end of run counts as the
 // end of every line's residency) and reports end-of-run resource occupancy
-// to the bus.
+// to the bus. Only classifying runs open records (addRec), so the others
+// skip the sweep over every L2 frame.
 func (s *System) Finalize() {
-	for _, n := range s.Nodes {
-		n := n
-		n.L2.ForEachValid(func(l *Line) { s.closeRecs(n, l) })
+	if s.Classify {
+		for _, n := range s.Nodes {
+			n.L2.ForEachValid(func(l *Line) { s.closeRecs(n, l) })
+		}
 	}
 	if s.Bus == nil {
 		return
@@ -164,6 +166,25 @@ func (s *System) Finalize() {
 		s.emitResource(now, fmt.Sprintf("node%d/ni-out", n.ID), n.NIOut.BusyCycles(), n.NIOut.Uses())
 		busy, uses := n.DCStats()
 		s.emitResource(now, fmt.Sprintf("node%d/dc", n.ID), busy, uses)
+	}
+}
+
+// Release returns every L1 and L2 frame slice to the pool NewCache draws
+// from, so the next system of the same geometry reuses the storage instead
+// of allocating it. The system is dead afterwards: its caches have no
+// frames, so a stray access panics rather than read frames a later run now
+// owns. A reused cache is reset to exactly a new one's state, so release
+// order cannot move a result. core.Run calls Release once nothing can
+// touch a cache again: after the result is collected and the end-of-run
+// observers (the auditor's final sweep) have run, or after a failed run's
+// processes have all exited. Systems that are never released are simply
+// collected.
+func (s *System) Release() {
+	for _, n := range s.Nodes {
+		n.L2.release()
+		for _, c := range n.CPUs {
+			c.L1.release()
+		}
 	}
 }
 

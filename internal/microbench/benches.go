@@ -28,6 +28,7 @@ func All() []Benchmark {
 		{Name: "memsys/l1/read-hit", Fn: benchL1ReadHit},
 		{Name: "memsys/l2/read-hit", Fn: benchL2ReadHit},
 		{Name: "memsys/dir/write-pingpong", Fn: benchDirWritePingPong},
+		{Name: "memsys/system/setup", Fn: benchSystemSetup},
 		{Name: "obs/emit-access", Fn: benchObsEmitAccess},
 	}
 }
@@ -219,6 +220,29 @@ func benchDirWritePingPong(b *testing.B) {
 		now = s.Access(req, now)
 	}
 	sinkTime += now
+}
+
+// setupSystem builds a Table 1 machine of 8 CMPs, finalizes it, and
+// releases it, as core.Run does around every run.
+func setupSystem() {
+	s, err := memsys.NewSystem(sim.NewEngine(), memsys.DefaultParams(8))
+	if err != nil {
+		panic(err)
+	}
+	s.Finalize()
+	s.Release()
+}
+
+// benchSystemSetup measures what a run spends on its memory system outside
+// simulation: building every node's L1s, L2, and directory, the
+// end-of-run Finalize, and the Release that hands the cache frames to the
+// next run. With the frame pool warm, an op allocates the node structures
+// but no cache frames (asserted by TestSystemSetupReusesFrames).
+func benchSystemSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		setupSystem()
+	}
 }
 
 // nopObserver subscribes to the bus and discards events, isolating

@@ -3,6 +3,7 @@ package microbench
 import (
 	"flag"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -160,6 +161,28 @@ func TestProcHandoffZeroAlloc(t *testing.T) {
 	eng.Run()
 	if n := eng.Blocked(); len(n) != 0 || eng.Pending() != 0 {
 		t.Errorf("handoff processes did not finish: blocked %v, %d pending", n, eng.Pending())
+	}
+}
+
+// TestSystemSetupReusesFrames asserts that once the frame pool is warm,
+// building, finalizing and releasing an 8-CMP Table 1 machine allocates
+// under 1 MB per op on average, against about 7.8 MB of cache frames
+// without reuse. Averaging over many ops keeps the bound stable when a GC
+// empties the pool.
+func TestSystemSetupReusesFrames(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of released frames")
+	}
+	const ops = 40
+	setupSystem() // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		setupSystem()
+	}
+	runtime.ReadMemStats(&after)
+	if mean := float64(after.TotalAlloc-before.TotalAlloc) / ops; mean >= 1<<20 {
+		t.Errorf("system setup allocates %.0f bytes per op with the frame pool warm, want < 1 MB", mean)
 	}
 }
 
