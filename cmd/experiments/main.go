@@ -23,11 +23,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -35,27 +33,13 @@ import (
 	"slipstream/internal/core"
 	"slipstream/internal/harness"
 	"slipstream/internal/kernels"
+	"slipstream/internal/outfile"
 	"slipstream/internal/runcache"
 )
 
 func main() {
 	var (
 		all       = flag.Bool("all", false, "regenerate every table and figure")
-		table1    = flag.Bool("table1", false, "Table 1: machine parameters")
-		table2    = flag.Bool("table2", false, "Table 2: benchmarks and sizes")
-		fig1      = flag.Bool("fig1", false, "Figure 1: double vs single")
-		fig4      = flag.Bool("fig4", false, "Figure 4: single-mode scalability")
-		fig5      = flag.Bool("fig5", false, "Figure 5: slipstream and double vs single")
-		fig6      = flag.Bool("fig6", false, "Figure 6: execution time breakdown")
-		fig7      = flag.Bool("fig7", false, "Figure 7: request classification")
-		fig9      = flag.Bool("fig9", false, "Figure 9: transparent load breakdown")
-		fig10     = flag.Bool("fig10", false, "Figure 10: transparent loads + self-invalidation")
-		adapt     = flag.Bool("adaptive", false, "extension: dynamic A-R policy selection (paper Section 6)")
-		forward   = flag.Bool("forward", false, "extension: A-to-R address forwarding queue (paper Section 6)")
-		sens      = flag.Bool("sensitivity", false, "extension: slipstream benefit vs network latency")
-		leads     = flag.Bool("leads", false, "extension: A-stream lead analysis per policy")
-		banks     = flag.Bool("banks", false, "extension: directory-controller banking sensitivity")
-		synth     = flag.Bool("synth", false, "extension: synthetic sharing-pattern sweep (SYNTH generator)")
 		size      = flag.String("size", "small", "problem size preset: tiny, small, paper")
 		cmps      = flag.String("cmps", "2,4,8,16", "comma-separated CMP counts to sweep")
 		workers   = flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
@@ -70,6 +54,11 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected figures' runs to this file (read it with go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write an allocation profile to this file after the selected figures' runs (read it with go tool pprof)")
 	)
+	figs := harness.Figures()
+	want := make([]*bool, len(figs))
+	for i, f := range figs {
+		want[i] = flag.Bool(f.Tag, false, f.Doc)
+	}
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("experiments"))
@@ -113,29 +102,32 @@ func main() {
 	}
 	s := harness.NewSession(cfg)
 
-	selected := map[string]bool{
-		"table1": *table1, "table2": *table2,
-		"fig1": *fig1, "fig4": *fig4, "fig5": *fig5, "fig6": *fig6,
-		"fig7": *fig7, "fig9": *fig9, "fig10": *fig10,
-		"adaptive": *adapt, "forward": *forward, "sensitivity": *sens,
-		"leads": *leads, "banks": *banks, "synth": *synth,
-	}
 	var tags []string
-	for _, tag := range harness.Tags() {
-		if *all || selected[tag] {
-			tags = append(tags, tag)
+	for i, f := range figs {
+		if *all || *want[i] {
+			tags = append(tags, f.Tag)
 		}
 	}
 
 	any := len(tags) > 0
 	if any {
-		stopProfile := profileCPU(*cpuProf)
-		writeMemProfile := profileMem(*memProf)
-		err := s.RunFigures(tags...)
-		stopProfile()
-		writeMemProfile()
+		stopProfile, err := outfile.CPUProfile(*cpuProf)
 		if err != nil {
-			fatalf("%v", err)
+			fatalf("cpuprofile: %v", err)
+		}
+		writeMemProfile, err := outfile.MemProfile(*memProf)
+		if err != nil {
+			fatalf("memprofile: %v", err)
+		}
+		runErr := s.RunFigures(tags...)
+		if err := stopProfile(); err != nil {
+			fatalf("cpuprofile: %v", err)
+		}
+		if err := writeMemProfile(); err != nil {
+			fatalf("memprofile: %v", err)
+		}
+		if runErr != nil {
+			fatalf("%v", runErr)
 		}
 	}
 	if *csvDir != "" {
@@ -146,7 +138,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: wrote CSV data to %s\n", *csvDir)
 	}
 	if *chromeOut != "" {
-		if err := writeFile(*chromeOut, s.WriteTrace); err != nil {
+		if err := outfile.Write(*chromeOut, s.WriteTrace); err != nil {
 			fatalf("trace-out: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: wrote Chrome trace to %s (open in Perfetto)\n", *chromeOut)
@@ -156,7 +148,7 @@ func main() {
 		if strings.HasSuffix(*metricOut, ".csv") {
 			write = s.WriteMetricsCSV
 		}
-		if err := writeFile(*metricOut, write); err != nil {
+		if err := outfile.Write(*metricOut, write); err != nil {
 			fatalf("metrics-out: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: wrote metrics to %s\n", *metricOut)
@@ -170,62 +162,6 @@ func main() {
 		simulated, cacheHits := s.Stats()
 		fmt.Fprintf(os.Stderr, "experiments: %d runs simulated, %d served from cache\n",
 			simulated, cacheHits)
-	}
-}
-
-// writeFile creates path and streams render into it.
-func writeFile(path string, render func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// profileCPU starts a CPU profile written to path, unless path is empty,
-// and returns the function that stops it.
-func profileCPU(path string) (stop func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("cpuprofile: %v", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		fatalf("cpuprofile: %v", err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-	}
-}
-
-// profileMem creates path for an allocation profile, unless path is empty,
-// and returns the function that writes the allocs profile of everything
-// the process has allocated so far into it.
-func profileMem(path string) (write func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("memprofile: %v", err)
-	}
-	return func() {
-		runtime.GC() // the profile is current as of the last completed GC
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fatalf("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("memprofile: %v", err)
-		}
 	}
 }
 

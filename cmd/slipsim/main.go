@@ -18,14 +18,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"slipstream"
 	"slipstream/internal/buildinfo"
+	"slipstream/internal/outfile"
 	"slipstream/internal/service/client"
 )
 
@@ -136,18 +134,28 @@ func main() {
 		opts.Observers = append(opts.Observers, metrics)
 	}
 
-	stopProfile := profileCPU(*cpuProf)
-	writeMemProfile := profileMem(*memProf)
-	res, err := slipstream.Run(opts, k)
-	stopProfile()
-	writeMemProfile()
+	stopProfile, err := outfile.CPUProfile(*cpuProf)
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("cpuprofile: %v", err)
+	}
+	writeMemProfile, err := outfile.MemProfile(*memProf)
+	if err != nil {
+		fatalf("memprofile: %v", err)
+	}
+	res, runErr := slipstream.Run(opts, k)
+	if err := stopProfile(); err != nil {
+		fatalf("cpuprofile: %v", err)
+	}
+	if err := writeMemProfile(); err != nil {
+		fatalf("memprofile: %v", err)
+	}
+	if runErr != nil {
+		fatalf("%v", runErr)
 	}
 	printReport(res, opts, ksize, *verbose)
 
 	if chrome != nil {
-		if err := writeFile(*chromeOut, chrome.WriteJSON); err != nil {
+		if err := outfile.Write(*chromeOut, chrome.WriteJSON); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("timeline: %d trace events -> %s (open in Perfetto / chrome://tracing)\n",
@@ -158,7 +166,7 @@ func main() {
 		if strings.HasSuffix(*metricOut, ".csv") {
 			write = metrics.WriteCSV
 		}
-		if err := writeFile(*metricOut, write); err != nil {
+		if err := outfile.Write(*metricOut, write); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("metrics: -> %s\n", *metricOut)
@@ -211,62 +219,6 @@ func printReport(res *slipstream.Result, opts slipstream.Options, ksize slipstre
 		}
 		for i, bd := range res.ATasks {
 			fmt.Printf("  A    %2d: %v\n", i, bd)
-		}
-	}
-}
-
-// writeFile creates path and streams render into it.
-func writeFile(path string, render func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// profileCPU starts a CPU profile written to path, unless path is empty,
-// and returns the function that stops it.
-func profileCPU(path string) (stop func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("cpuprofile: %v", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		fatalf("cpuprofile: %v", err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-	}
-}
-
-// profileMem creates path for an allocation profile, unless path is empty,
-// and returns the function that writes the allocs profile of everything
-// the process has allocated so far into it.
-func profileMem(path string) (write func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("memprofile: %v", err)
-	}
-	return func() {
-		runtime.GC() // the profile is current as of the last completed GC
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fatalf("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("memprofile: %v", err)
 		}
 	}
 }

@@ -297,6 +297,8 @@ var (
 	// AdaptiveARSync, TransparentLoads, SelfInvalidate, ForwardQueue) set
 	// under another execution mode.
 	ErrSlipstreamOnly = errors.New("option applies only to slipstream mode")
+	// ErrStoreBuffer reports a negative StoreBuffer depth.
+	ErrStoreBuffer = errors.New("StoreBuffer must be >= 0")
 )
 
 // Validate reports option errors. Run calls it after defaulting, so a
@@ -315,6 +317,14 @@ func (o Options) Validate() error {
 	}
 	if o.SelfInvalidate && !o.TransparentLoads {
 		return fmt.Errorf("core: %w", ErrSelfInvalidateNeedsTL)
+	}
+	if o.StoreBuffer < 0 {
+		return fmt.Errorf("core: %w: got %d", ErrStoreBuffer, o.StoreBuffer)
+	}
+	// Check the machine Run will build: a RunSpec's Machine arrives over
+	// the wire, and a negative latency in it would panic the engine.
+	if err := o.withDefaults().Machine.Validate(); err != nil {
+		return err
 	}
 	if o.Mode != ModeSlipstream {
 		switch {

@@ -58,8 +58,9 @@ func TestSymbolicJSONRejectsMalformedValues(t *testing.T) {
 }
 
 // TestValidateRejectsOutOfRangeValues extends the typed-error table
-// with the boundary cases: negative enum values, negative CMP counts,
-// and the adaptive policy outside slipstream mode.
+// with the boundary cases: negative enum values, negative CMP counts, a
+// negative store-buffer depth, and the adaptive policy outside slipstream
+// mode.
 func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,6 +71,7 @@ func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 		{"negative CMPs", Options{Mode: ModeSingle, CMPs: -4}, ErrCMPCount},
 		{"negative arsync", Options{Mode: ModeSlipstream, CMPs: 2, ARSync: ARSync(-2)}, ErrUnknownARSync},
 		{"adaptive outside slipstream", Options{Mode: ModeDouble, CMPs: 2, AdaptiveARSync: true}, ErrSlipstreamOnly},
+		{"negative store buffer", Options{Mode: ModeSingle, CMPs: 2, StoreBuffer: -1}, ErrStoreBuffer},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -80,7 +82,7 @@ func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 		// Each failure must stay distinguishable: it matches exactly one
 		// of the typed option errors.
 		matches := 0
-		for _, sentinel := range []error{ErrUnknownMode, ErrUnknownARSync, ErrCMPCount, ErrSelfInvalidateNeedsTL, ErrSlipstreamOnly} {
+		for _, sentinel := range []error{ErrUnknownMode, ErrUnknownARSync, ErrCMPCount, ErrSelfInvalidateNeedsTL, ErrSlipstreamOnly, ErrStoreBuffer} {
 			if errors.Is(err, sentinel) {
 				matches++
 			}

@@ -3,55 +3,60 @@ package harness
 import (
 	"encoding/csv"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 
 	"slipstream/internal/kernels"
-	"slipstream/internal/runspec"
 	"slipstream/internal/stats"
 )
 
-// WriteCSV regenerates every figure's data and writes one CSV file per
-// figure into dir (creating it if needed), for external plotting tools.
-// The figures' plans are executed first so the shared runs are simulated
-// on the worker pool rather than serially during data generation.
-func (s *Session) WriteCSV(dir string) error {
-	var specs []runspec.RunSpec
-	csvTags := map[string]bool{
-		"fig1": true, "fig4": true, "fig5": true, "fig6": true,
-		"fig7": true, "fig9": true, "fig10": true,
-	}
-	for _, f := range Figures() {
-		if csvTags[f.Tag] && f.Plan != nil {
-			specs = append(specs, f.Plan(s)...)
+// csvFiles lists the files WriteCSV writes, each with the function that
+// computes and writes its rows.
+var csvFiles = []struct {
+	name  string
+	write func(*Session, *csv.Writer) error
+}{
+	{"fig1_double_vs_single.csv", (*Session).csvFig1},
+	{"fig4_single_scaling.csv", (*Session).csvFig4},
+	{"fig5_slipstream_vs_single.csv", (*Session).csvFig5},
+	{"fig6_breakdown.csv", (*Session).csvFig6},
+	{"fig7_request_classes.csv", (*Session).csvFig7},
+	{"fig9_transparent_loads.csv", (*Session).csvFig9},
+	{"fig10_tl_si.csv", (*Session).csvFig10},
+}
+
+// csvData computes every CSV file's rows and discards them: rendered
+// against a recording session (see plan), it yields WriteCSV's runs.
+func csvData(s *Session) error {
+	for _, f := range csvFiles {
+		if err := f.write(s, csv.NewWriter(io.Discard)); err != nil {
+			return err
 		}
 	}
-	if err := s.Execute(specs); err != nil {
+	return nil
+}
+
+// WriteCSV regenerates every figure's data and writes one CSV file per
+// figure into dir (creating it if needed), for external plotting tools.
+// The runs the files need are planned and executed first, so they are
+// simulated on the worker pool rather than serially during data
+// generation.
+func (s *Session) WriteCSV(dir string) error {
+	if err := s.Execute(s.plan(csvData)); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	writers := []struct {
-		name string
-		fn   func(*csv.Writer) error
-	}{
-		{"fig1_double_vs_single.csv", s.csvFig1},
-		{"fig4_single_scaling.csv", s.csvFig4},
-		{"fig5_slipstream_vs_single.csv", s.csvFig5},
-		{"fig6_breakdown.csv", s.csvFig6},
-		{"fig7_request_classes.csv", s.csvFig7},
-		{"fig9_transparent_loads.csv", s.csvFig9},
-		{"fig10_tl_si.csv", s.csvFig10},
-	}
-	for _, w := range writers {
+	for _, w := range csvFiles {
 		f, err := os.Create(filepath.Join(dir, w.name))
 		if err != nil {
 			return err
 		}
 		cw := csv.NewWriter(f)
-		err = w.fn(cw)
+		err = w.write(s, cw)
 		cw.Flush()
 		if cerr := f.Close(); err == nil {
 			err = cerr

@@ -5,7 +5,9 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
+	"slipstream/internal/memsys"
 	"slipstream/internal/obs"
+	"slipstream/internal/runspec"
 )
 
 // AdaptiveRow is one kernel's comparison of the four fixed A-R policies
@@ -46,6 +48,13 @@ func (s *Session) ExtAdaptiveData() ([]AdaptiveRow, error) {
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// adaptiveSpec is the dynamic-policy run of the ExtAdaptive study.
+func (s *Session) adaptiveSpec(kernel string, cmps int) runspec.RunSpec {
+	sp := s.spec(kernel, core.ModeSlipstream, core.OneTokenLocal, cmps, false, false)
+	sp.AdaptiveARSync = true
+	return sp
 }
 
 // ExtAdaptive renders the adaptive-vs-fixed comparison (not a figure of
@@ -129,6 +138,13 @@ func (s *Session) ExtForwardData() ([]ForwardRow, error) {
 	return out, nil
 }
 
+// forwardSpec is the forwarding-queue run of the ExtForward study.
+func (s *Session) forwardSpec(kernel string, cmps int) runspec.RunSpec {
+	sp := s.spec(kernel, core.ModeSlipstream, core.ZeroTokenLocal, cmps, false, false)
+	sp.ForwardQueue = true
+	return sp
+}
+
 // ExtForward renders the forwarding-queue comparison.
 func (s *Session) ExtForward() error {
 	data, err := s.ExtForwardData()
@@ -184,9 +200,18 @@ func (s *Session) ExtSensitivityData(kernelNames []string, netTimes []int64) ([]
 	return out, nil
 }
 
+// sensitivitySpec is one machine-override run of the ExtSensitivity sweep.
+func (s *Session) sensitivitySpec(kernel string, mode core.Mode, ar core.ARSync, netTime int64) runspec.RunSpec {
+	sp := s.spec(kernel, mode, ar, s.MaxCMPs(), false, false)
+	m := memsys.DefaultParams(sp.CMPs)
+	m.NetTime = netTime
+	sp.Machine = m
+	return sp
+}
+
 // ExtSensitivity renders the network-latency sensitivity study.
 func (s *Session) ExtSensitivity() error {
-	data, err := s.ExtSensitivityData(extSensitivityKernels(), extSensitivityNets())
+	data, err := s.ExtSensitivityData([]string{"SOR", "CG", "MG"}, []int64{25, 50, 100, 200})
 	if err != nil {
 		return err
 	}
@@ -213,8 +238,12 @@ type LeadRow struct {
 // ExtLeadsData measures, with an obs.Leads observer, how far ahead of its
 // R-stream each policy lets the A-stream run — the quantity behind Figure
 // 7's timely/late split. Its runs are simulated here, not planned: a memo
-// or cache hit has no event stream to measure.
+// or cache hit has no event stream to measure. A recording session (see
+// plan) gets no rows.
 func (s *Session) ExtLeadsData(kernelNames []string) ([]LeadRow, error) {
+	if s.recording {
+		return nil, nil
+	}
 	var out []LeadRow
 	for _, name := range kernelNames {
 		cmps := s.MaxCMPs()
@@ -307,9 +336,18 @@ func (s *Session) ExtBanksData(kernelNames []string, bankCounts []int) ([]BankRo
 	return out, nil
 }
 
+// bankSpec is one machine-override run of the ExtBanks sweep.
+func (s *Session) bankSpec(kernel string, mode core.Mode, ar core.ARSync, cmps, banks int) runspec.RunSpec {
+	sp := s.spec(kernel, mode, ar, cmps, false, false)
+	m := memsys.DefaultParams(cmps)
+	m.DCBanks = banks
+	sp.Machine = m
+	return sp
+}
+
 // ExtBanks renders the directory-controller banking study.
 func (s *Session) ExtBanks() error {
-	data, err := s.ExtBanksData(extBanksKernels(), extBanksCounts())
+	data, err := s.ExtBanksData([]string{"SOR", "OCEAN", "CG", "MG", "SP", "WATER-NS"}, []int{1, 2, 4})
 	if err != nil {
 		return err
 	}

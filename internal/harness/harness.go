@@ -2,10 +2,12 @@
 // A-R synchronization policies, and machine sizes, and renders each table
 // and figure of the evaluation as text.
 //
-// The harness is split into a plan phase and an execute phase. Every
-// figure declares the runspec.RunSpec set its data requires (see Figures);
-// a session collects the union across all requested figures, deduplicates
-// it, and executes it on a bounded worker pool, satisfying specs from its
+// The harness is split into a plan phase and an execute phase. Each
+// figure's renderer is the only declaration of the runs it needs (see
+// Figures): a session plans the requested figures by rendering them once
+// against a recording copy of itself, which notes every runspec.RunSpec
+// they ask for and simulates nothing. It executes the union on a bounded
+// worker pool, deduplicated and in plan order, satisfying specs from its
 // in-process memo and, when configured, a persistent runcache first. Each
 // simulation stays single-threaded and deterministic, so figure output is
 // bit-identical at any worker count. Rendering then happens serially in
@@ -67,6 +69,11 @@ type Config struct {
 type Session struct {
 	cfg      Config
 	progress *lockedWriter // nil when Config.Progress is nil
+
+	// recording marks the planning copy of a session (see plan): result
+	// appends each spec to planned and simulates nothing.
+	recording bool
+	planned   []runspec.RunSpec
 
 	mu           sync.Mutex
 	memo         map[runspec.RunSpec]*core.Result
@@ -259,13 +266,18 @@ func (s *Session) progressLine(verb string, sp runspec.RunSpec, res *core.Result
 		sp.TransparentLoads, sp.SelfInvalidate, extra, res.Cycles)
 }
 
-// result returns the completed run for a spec. Specs a figure's plan
-// declared are already memoized by Execute; a plan miss is simulated
-// inline (serially) so rendering never fails on coverage drift.
+// result returns the completed run for a spec. Execute has already
+// memoized every spec of a figure's plan. A spec the plan could not
+// foresee (one chosen from another run's numbers) or that a direct
+// Fig*Data/Ext*Data call asks for is simulated inline, serially.
 // Verification failures are returned as errors: a figure must never be
 // built from wrong numerics.
 func (s *Session) result(sp runspec.RunSpec) (*core.Result, error) {
 	sp = sp.Normalize()
+	if s.recording {
+		s.planned = append(s.planned, sp)
+		return &core.Result{}, nil
+	}
 	if res, ok, _ := s.lookup(sp); ok {
 		return res, nil
 	}
@@ -342,21 +354,18 @@ func (s *Session) RunFigures(tags ...string) error {
 		}
 	}
 
-	var specs []runspec.RunSpec
-	for _, f := range selected {
-		if f.Plan != nil {
-			specs = append(specs, f.Plan(s)...)
+	render := func(into *Session) error {
+		for _, f := range selected {
+			if err := f.Render(into); err != nil {
+				return fmt.Errorf("harness: %s: %w", f.Tag, err)
+			}
 		}
+		return nil
 	}
-	if err := s.Execute(specs); err != nil {
+	if err := s.Execute(s.plan(render)); err != nil {
 		return err
 	}
-	for _, f := range selected {
-		if err := f.Render(s); err != nil {
-			return fmt.Errorf("harness: %s: %w", f.Tag, err)
-		}
-	}
-	return nil
+	return render(s)
 }
 
 // All renders every table and figure in paper order, followed by the

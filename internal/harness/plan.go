@@ -1,25 +1,22 @@
 package harness
 
 import (
-	"slipstream/internal/core"
-	"slipstream/internal/kernels"
-	"slipstream/internal/memsys"
+	"io"
+
 	"slipstream/internal/runspec"
 )
 
-// A Figure couples a plan — the RunSpecs a figure's data requires — with
-// its renderer. Plans are pure declarations: executing the union of every
-// requested figure's plan up front lets the scheduler deduplicate shared
-// configurations (the single-mode baselines, the four-policy sweeps) and
-// run them in parallel before any rendering starts.
+// A Figure is one table, figure, or extension study. Its renderer is the
+// only declaration of the runs it needs: it asks for each one through
+// Session.result, so rendering it against a recording session (see plan)
+// yields its run plan.
 type Figure struct {
-	// Tag is the stable identifier used by RunFigures and the
-	// cmd/experiments flags.
+	// Tag is the stable identifier used by RunFigures and, as a flag
+	// name, by cmd/experiments.
 	Tag string
-	// Plan returns every spec the renderer's data needs. Nil for static
-	// tables and for the lead study, whose runs must be observed.
-	Plan func(*Session) []runspec.RunSpec
-	// Render draws the figure from memoized results.
+	// Doc is the one-line description cmd/experiments shows for the flag.
+	Doc string
+	// Render draws the figure.
 	Render func(*Session) error
 }
 
@@ -27,24 +24,21 @@ type Figure struct {
 // render order.
 func Figures() []Figure {
 	return []Figure{
-		{Tag: "table1", Render: (*Session).Table1},
-		{Tag: "table2", Render: (*Session).Table2},
-		{Tag: "fig1", Plan: (*Session).planFig1, Render: (*Session).Fig1},
-		{Tag: "fig4", Plan: (*Session).planFig4, Render: (*Session).Fig4},
-		{Tag: "fig5", Plan: (*Session).planFig5, Render: (*Session).Fig5},
-		{Tag: "fig6", Plan: (*Session).planFig6, Render: (*Session).Fig6},
-		{Tag: "fig7", Plan: (*Session).planFig7, Render: (*Session).Fig7},
-		{Tag: "fig9", Plan: (*Session).planFig9, Render: (*Session).Fig9},
-		{Tag: "fig10", Plan: (*Session).planFig10, Render: (*Session).Fig10},
-		{Tag: "adaptive", Plan: (*Session).planExtAdaptive, Render: (*Session).ExtAdaptive},
-		{Tag: "forward", Plan: (*Session).planExtForward, Render: (*Session).ExtForward},
-		{Tag: "sensitivity", Plan: (*Session).planExtSensitivity, Render: (*Session).ExtSensitivity},
-		// ExtLeads measures each run with an obs.Leads observer, and memo
-		// and cache hits are not observed, so it has no plan and
-		// simulates during rendering.
-		{Tag: "leads", Render: (*Session).ExtLeads},
-		{Tag: "banks", Plan: (*Session).planExtBanks, Render: (*Session).ExtBanks},
-		{Tag: "synth", Plan: (*Session).planExtSynth, Render: (*Session).ExtSynth},
+		{"table1", "Table 1: machine parameters", (*Session).Table1},
+		{"table2", "Table 2: benchmarks and sizes", (*Session).Table2},
+		{"fig1", "Figure 1: double vs single", (*Session).Fig1},
+		{"fig4", "Figure 4: single-mode scalability", (*Session).Fig4},
+		{"fig5", "Figure 5: slipstream and double vs single", (*Session).Fig5},
+		{"fig6", "Figure 6: execution time breakdown", (*Session).Fig6},
+		{"fig7", "Figure 7: request classification", (*Session).Fig7},
+		{"fig9", "Figure 9: transparent load breakdown", (*Session).Fig9},
+		{"fig10", "Figure 10: transparent loads + self-invalidation", (*Session).Fig10},
+		{"adaptive", "extension: dynamic A-R policy selection (paper Section 6)", (*Session).ExtAdaptive},
+		{"forward", "extension: A-to-R address forwarding queue (paper Section 6)", (*Session).ExtForward},
+		{"sensitivity", "extension: slipstream benefit vs network latency", (*Session).ExtSensitivity},
+		{"leads", "extension: A-stream lead analysis per policy", (*Session).ExtLeads},
+		{"banks", "extension: directory-controller banking sensitivity", (*Session).ExtBanks},
+		{"synth", "extension: synthetic sharing-pattern sweep (SYNTH generator)", (*Session).ExtSynth},
 	}
 }
 
@@ -58,198 +52,23 @@ func Tags() []string {
 	return tags
 }
 
-func (s *Session) planFig1() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		for _, cmps := range s.cfg.CMPCounts {
-			specs = append(specs,
-				s.spec(name, core.ModeSingle, 0, cmps, false, false),
-				s.spec(name, core.ModeDouble, 0, cmps, false, false))
-		}
-	}
-	return specs
-}
-
-func (s *Session) planFig4() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		specs = append(specs, s.spec(name, core.ModeSequential, 0, 1, false, false))
-		for _, cmps := range s.cfg.CMPCounts {
-			specs = append(specs, s.spec(name, core.ModeSingle, 0, cmps, false, false))
-		}
-	}
-	return specs
-}
-
-func (s *Session) planFig5() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		for _, cmps := range s.cfg.CMPCounts {
-			specs = append(specs,
-				s.spec(name, core.ModeSingle, 0, cmps, false, false),
-				s.spec(name, core.ModeDouble, 0, cmps, false, false))
-			for _, ar := range core.ARSyncs {
-				specs = append(specs, s.spec(name, core.ModeSlipstream, ar, cmps, false, false))
-			}
-		}
-	}
-	return specs
-}
-
-func (s *Session) planFig6() []runspec.RunSpec {
-	cmps := s.MaxCMPs()
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		specs = append(specs,
-			s.spec(name, core.ModeSingle, 0, cmps, false, false),
-			s.spec(name, core.ModeDouble, 0, cmps, false, false))
-		// The "best" policy's run is one of the four swept here.
-		for _, ar := range core.ARSyncs {
-			specs = append(specs, s.spec(name, core.ModeSlipstream, ar, cmps, false, false))
-		}
-	}
-	return specs
-}
-
-func (s *Session) planFig7() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		cmps := s.MaxCMPs()
-		if name == "FFT" {
-			cmps = s.fftCMPs()
-		}
-		for _, ar := range core.ARSyncs {
-			specs = append(specs, s.spec(name, core.ModeSlipstream, ar, cmps, false, false))
-		}
-	}
-	return specs
-}
-
-func (s *Session) planFig9() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range fig9Kernels() {
-		cmps := s.MaxCMPs()
-		if name == "FFT" {
-			cmps = s.fftCMPs()
-		}
-		specs = append(specs, s.spec(name, core.ModeSlipstream, core.OneTokenGlobal, cmps, true, true))
-	}
-	return specs
-}
-
-func (s *Session) planFig10() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range fig9Kernels() {
-		cmps := s.MaxCMPs()
-		if name == "FFT" {
-			cmps = s.fftCMPs()
-		}
-		specs = append(specs,
-			s.spec(name, core.ModeSingle, 0, cmps, false, false),
-			s.spec(name, core.ModeDouble, 0, cmps, false, false),
-			s.spec(name, core.ModeSlipstream, core.OneTokenGlobal, cmps, false, false),
-			s.spec(name, core.ModeSlipstream, core.OneTokenGlobal, cmps, true, false),
-			s.spec(name, core.ModeSlipstream, core.OneTokenGlobal, cmps, true, true))
-	}
-	return specs
-}
-
-func (s *Session) planExtAdaptive() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		cmps := s.MaxCMPs()
-		if name == "FFT" {
-			cmps = s.fftCMPs()
-		}
-		for _, ar := range core.ARSyncs {
-			specs = append(specs, s.spec(name, core.ModeSlipstream, ar, cmps, false, false))
-		}
-		specs = append(specs, s.adaptiveSpec(name, cmps))
-	}
-	return specs
-}
-
-// adaptiveSpec is the dynamic-policy run of the ExtAdaptive study.
-func (s *Session) adaptiveSpec(kernel string, cmps int) runspec.RunSpec {
-	sp := s.spec(kernel, core.ModeSlipstream, core.OneTokenLocal, cmps, false, false)
-	sp.AdaptiveARSync = true
-	return sp
-}
-
-func (s *Session) planExtForward() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range kernels.Names() {
-		cmps := s.MaxCMPs()
-		if name == "FFT" {
-			cmps = s.fftCMPs()
-		}
-		specs = append(specs,
-			s.spec(name, core.ModeSlipstream, core.ZeroTokenLocal, cmps, false, false),
-			s.forwardSpec(name, cmps))
-	}
-	return specs
-}
-
-// forwardSpec is the forwarding-queue run of the ExtForward study.
-func (s *Session) forwardSpec(kernel string, cmps int) runspec.RunSpec {
-	sp := s.spec(kernel, core.ModeSlipstream, core.ZeroTokenLocal, cmps, false, false)
-	sp.ForwardQueue = true
-	return sp
-}
-
-// sensitivitySpec is one machine-override run of the ExtSensitivity sweep.
-func (s *Session) sensitivitySpec(kernel string, mode core.Mode, ar core.ARSync, netTime int64) runspec.RunSpec {
-	sp := s.spec(kernel, mode, ar, s.MaxCMPs(), false, false)
-	m := memsys.DefaultParams(sp.CMPs)
-	m.NetTime = netTime
-	sp.Machine = m
-	return sp
-}
-
-// extSensitivityKernels and extSensitivityNets fix the ExtSensitivity
-// sweep so its plan and its renderer stay in lockstep.
-func extSensitivityKernels() []string { return []string{"SOR", "CG", "MG"} }
-func extSensitivityNets() []int64     { return []int64{25, 50, 100, 200} }
-
-func (s *Session) planExtSensitivity() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range extSensitivityKernels() {
-		for _, nt := range extSensitivityNets() {
-			specs = append(specs, s.sensitivitySpec(name, core.ModeSingle, 0, nt))
-			for _, ar := range core.ARSyncs {
-				specs = append(specs, s.sensitivitySpec(name, core.ModeSlipstream, ar, nt))
-			}
-		}
-	}
-	return specs
-}
-
-// bankSpec is one machine-override run of the ExtBanks sweep.
-func (s *Session) bankSpec(kernel string, mode core.Mode, ar core.ARSync, cmps, banks int) runspec.RunSpec {
-	sp := s.spec(kernel, mode, ar, cmps, false, false)
-	m := memsys.DefaultParams(cmps)
-	m.DCBanks = banks
-	sp.Machine = m
-	return sp
-}
-
-// extBanksKernels and extBanksCounts fix the ExtBanks sweep.
-func extBanksKernels() []string { return []string{"SOR", "OCEAN", "CG", "MG", "SP", "WATER-NS"} }
-func extBanksCounts() []int     { return []int{1, 2, 4} }
-
-func (s *Session) planExtBanks() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, name := range extBanksKernels() {
-		cmps := s.MaxCMPs()
-		if name == "FFT" {
-			cmps = s.fftCMPs()
-		}
-		for _, banks := range extBanksCounts() {
-			specs = append(specs, s.bankSpec(name, core.ModeSingle, 0, cmps, banks))
-			for _, ar := range core.ARSyncs {
-				specs = append(specs, s.bankSpec(name, core.ModeSlipstream, ar, cmps, banks))
-			}
-		}
-	}
-	return specs
+// plan returns the specs render asks for, in the order it asks for them.
+// It runs render once against a recording copy of the session, whose
+// result appends each spec and answers with an empty Result instead of
+// simulating. The copy writes to io.Discard and has no progress writer,
+// cache, or observers, so s is left untouched.
+//
+// Renderers tolerate empty results. A spec chosen from another run's
+// numbers (Figure 6's best policy) is recorded as whatever the empty
+// results pick; if the real render picks another, result simulates it
+// inline. The lead study observes its own runs and records none.
+func (s *Session) plan(render func(*Session) error) []runspec.RunSpec {
+	cfg := s.cfg
+	cfg.Out, cfg.Progress, cfg.Cache, cfg.Observe = io.Discard, nil, nil, false
+	rec := NewSession(cfg)
+	rec.recording = true
+	// Only static inputs can fail here (a bad SYNTH axis); the real render
+	// reports the error once the figures before it have printed.
+	_ = render(rec)
+	return rec.planned
 }

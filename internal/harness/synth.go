@@ -16,9 +16,8 @@ type SynthAxis struct {
 	Values []float64
 }
 
-// synthAxes fixes the ExtSynth sweep so its plan and its renderer stay in
-// lockstep. The middle value of each axis sits at (or near) the SYNTH
-// default; the ends stress the axis.
+// synthAxes fixes the ExtSynth sweep. The middle value of each axis sits
+// at (or near) the SYNTH default; the ends stress the axis.
 func synthAxes() []SynthAxis {
 	return []SynthAxis{
 		{"pc", []float64{0, 1, 4}},
@@ -42,42 +41,6 @@ func (s *Session) synthSpec(param string, v float64, mode core.Mode, ar core.ARS
 	return sp.Normalize(), nil
 }
 
-func (s *Session) planExtSynth() []runspec.RunSpec {
-	var specs []runspec.RunSpec
-	for _, ax := range synthAxes() {
-		for _, v := range ax.Values {
-			for _, mk := range synthModes() {
-				sp, err := s.synthSpec(ax.Param, v, mk.mode, mk.ar, mk.tl, mk.si)
-				if err != nil {
-					// Axes are static; a bad one fails loudly at render.
-					continue
-				}
-				specs = append(specs, sp)
-			}
-		}
-	}
-	return specs
-}
-
-// synthModes lists the execution modes each sweep point runs under:
-// the single-mode baseline, plain slipstream, and slipstream with
-// transparent loads + self-invalidation.
-func synthModes() []struct {
-	mode   core.Mode
-	ar     core.ARSync
-	tl, si bool
-} {
-	return []struct {
-		mode   core.Mode
-		ar     core.ARSync
-		tl, si bool
-	}{
-		{core.ModeSingle, 0, false, false},
-		{core.ModeSlipstream, core.OneTokenLocal, false, false},
-		{core.ModeSlipstream, core.OneTokenLocal, true, true},
-	}
-}
-
 // SynthRow records one sweep point: cycle counts per mode and the
 // A-stream recovery counts of the slipstream runs (the deviation-check
 // kills, the paper's measure of how far speculation strays).
@@ -94,11 +57,22 @@ type SynthRow struct {
 // ExtSynthData sweeps each synthetic sharing-pattern axis one knob at a
 // time and measures how the slipstream benefit tracks it.
 func (s *Session) ExtSynthData(axes []SynthAxis) ([]SynthRow, error) {
+	// Each sweep point runs under the single-mode baseline, plain
+	// slipstream, and slipstream with transparent loads + self-invalidation.
+	modes := []struct {
+		mode   core.Mode
+		ar     core.ARSync
+		tl, si bool
+	}{
+		{core.ModeSingle, 0, false, false},
+		{core.ModeSlipstream, core.OneTokenLocal, false, false},
+		{core.ModeSlipstream, core.OneTokenLocal, true, true},
+	}
 	var out []SynthRow
 	for _, ax := range axes {
 		for _, v := range ax.Values {
 			row := SynthRow{Param: ax.Param, Value: v}
-			for i, mk := range synthModes() {
+			for i, mk := range modes {
 				sp, err := s.synthSpec(ax.Param, v, mk.mode, mk.ar, mk.tl, mk.si)
 				if err != nil {
 					return nil, err

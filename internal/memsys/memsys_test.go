@@ -285,6 +285,19 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.L1Assoc = 0 },
 		func(p *Params) { p.L2Size = 0 },
 		func(p *Params) { p.SIRate = 0 },
+		// A negative latency or occupancy schedules events in the past.
+		func(p *Params) { p.L1Hit = -1 },
+		func(p *Params) { p.L2Hit = -1 },
+		func(p *Params) { p.L2Occ = -1 },
+		func(p *Params) { p.BusTime = -1 },
+		func(p *Params) { p.PILocalDCTime = -1 },
+		func(p *Params) { p.PIRemoteDCTime = -1 },
+		func(p *Params) { p.NIRemoteDCTime = -1 },
+		func(p *Params) { p.NILocalDCTime = -1 },
+		func(p *Params) { p.NetTime = -500 },
+		func(p *Params) { p.MemTime = -1 },
+		func(p *Params) { p.NIPortOcc = -1 },
+		func(p *Params) { p.InvalOcc = -1 },
 	}
 	for i, mutate := range cases {
 		p := DefaultParams(4)
@@ -296,5 +309,12 @@ func TestParamsValidate(t *testing.T) {
 	p := DefaultParams(16)
 	if err := p.Validate(); err != nil {
 		t.Errorf("default params rejected: %v", err)
+	}
+	// Zero is a valid latency and occupancy.
+	p.L1Hit, p.L2Hit, p.L2Occ, p.BusTime = 0, 0, 0, 0
+	p.PILocalDCTime, p.PIRemoteDCTime, p.NIRemoteDCTime, p.NILocalDCTime = 0, 0, 0, 0
+	p.NetTime, p.MemTime, p.NIPortOcc, p.InvalOcc = 0, 0, 0, 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("zero latencies rejected: %v", err)
 	}
 }

@@ -81,6 +81,21 @@ func (p Params) Validate() error {
 	case p.DCBanks < 1 || p.DCBanks > 16:
 		return fmt.Errorf("memsys: DCBanks = %d, want 1..16", p.DCBanks)
 	}
+	// A negative latency or occupancy would schedule an event in the past.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"L1Hit", p.L1Hit}, {"L2Hit", p.L2Hit}, {"L2Occ", p.L2Occ},
+		{"BusTime", p.BusTime}, {"PILocalDCTime", p.PILocalDCTime},
+		{"PIRemoteDCTime", p.PIRemoteDCTime}, {"NIRemoteDCTime", p.NIRemoteDCTime},
+		{"NILocalDCTime", p.NILocalDCTime}, {"NetTime", p.NetTime},
+		{"MemTime", p.MemTime}, {"NIPortOcc", p.NIPortOcc}, {"InvalOcc", p.InvalOcc},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("memsys: %s = %d, want >= 0", f.name, f.v)
+		}
+	}
 	return nil
 }
 

@@ -19,8 +19,7 @@ var (
 // All returns the registered hot-path benchmarks in report order.
 func All() []Benchmark {
 	return []Benchmark{
-		{Name: "sim/queue/heap/hold", Fn: benchQueueHold(sim.QueueHeap)},
-		{Name: "sim/queue/calendar/hold", Fn: benchQueueHold(sim.QueueCalendar)},
+		{Name: "sim/queue/calendar/hold", Fn: benchQueueHold},
 		{Name: "sim/engine/step", Fn: benchEngineStep},
 		{Name: "sim/proc/handoff", Fn: benchProcHandoff},
 		{Name: "memsys/dir/lookup", Fn: benchDirLookup},
@@ -33,37 +32,34 @@ func All() []Benchmark {
 	}
 }
 
-// holdPending is the steady-state event population of the queue benchmarks:
-// large enough to exercise bucket/heap structure, small next to a real
-// run's queue depth.
+// holdPending is the steady-state event population of the queue benchmark:
+// large enough to exercise the calendar's bucket structure, small next to
+// a real run's queue depth.
 const holdPending = 256
 
 // benchQueueHold is the classic "hold" queue benchmark through the engine
 // API: a fixed population of self-rescheduling events, so every Step is one
-// pop plus one push at a pseudo-random future time. The two queue kinds run
-// the identical workload; their ns/op difference is the scheduler swap.
-func benchQueueHold(kind sim.QueueKind) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		eng := sim.NewEngineQueue(kind)
-		rng := uint64(1)
-		var fn func()
-		fn = func() {
-			// Deterministic LCG; delays 1..64 cycles spread events across
-			// calendar days the way simulator wakeups do.
-			rng = rng*6364136223846793005 + 1442695040888963407
-			eng.After(int64(rng>>58)+1, fn)
-		}
-		for i := 0; i < holdPending; i++ {
-			eng.After(int64(i%64)+1, fn)
-		}
-		for i := 0; i < 4*holdPending; i++ { // warm to steady state
-			eng.Step()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Step()
-		}
+// pop plus one push at a pseudo-random future time.
+func benchQueueHold(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	rng := uint64(1)
+	var fn func()
+	fn = func() {
+		// Deterministic LCG; delays 1..64 cycles spread events across
+		// calendar days the way simulator wakeups do.
+		rng = rng*6364136223846793005 + 1442695040888963407
+		eng.After(int64(rng>>58)+1, fn)
+	}
+	for i := 0; i < holdPending; i++ {
+		eng.After(int64(i%64)+1, fn)
+	}
+	for i := 0; i < 4*holdPending; i++ { // warm to steady state
+		eng.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
 	}
 }
 

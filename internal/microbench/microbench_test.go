@@ -33,7 +33,7 @@ func TestRegistryNamesAreWellFormed(t *testing.T) {
 			t.Errorf("benchmark %q is not a slash path", bm.Name)
 		}
 	}
-	for _, want := range []string{"sim/queue/heap/hold", "sim/queue/calendar/hold", "sim/engine/step", "sim/proc/handoff", "obs/emit-access"} {
+	for _, want := range []string{"sim/queue/calendar/hold", "sim/engine/step", "sim/proc/handoff", "obs/emit-access"} {
 		if !seen[want] {
 			t.Errorf("registry missing %q", want)
 		}
@@ -190,7 +190,7 @@ func TestSystemSetupReusesFrames(t *testing.T) {
 // zero-alloc under the hold workload's pseudo-random delays (bucket
 // storage is warm and stable).
 func TestQueueHoldCalendarZeroAlloc(t *testing.T) {
-	eng := sim.NewEngineQueue(sim.QueueCalendar)
+	eng := sim.NewEngine()
 	rng := uint64(1)
 	var fn func()
 	fn = func() {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"slipstream/internal/core"
+	"slipstream/internal/memsys"
 	"slipstream/internal/runspec"
 	"slipstream/internal/service"
 	"slipstream/internal/service/api"
@@ -298,20 +299,25 @@ func awaitCounter(t *testing.T, s *service.Server, name string, want int64) {
 
 // TestGatewayRejectsBadBatchWhole pins gateway admission: a batch with
 // one invalid spec is refused up front with 400 and never reaches any
-// replica.
+// replica. A replica that ran the negative-latency machine would panic.
 func TestGatewayRejectsBadBatchWhole(t *testing.T) {
 	cl := newCluster(t, 2, func(int) service.Config { return service.Config{Workers: 1} })
-	bad := specTL(2)
-	bad.TransparentLoads = false
-	bad.SelfInvalidate = true // requires transparent loads
+	siWithoutTL := specTL(2)
+	siWithoutTL.TransparentLoads = false
+	siWithoutTL.SelfInvalidate = true // requires transparent loads
+	pastNet := specTL(2)
+	pastNet.Machine = memsys.DefaultParams(2)
+	pastNet.Machine.NetTime = -500
 
-	_, _, err := cl.client().RunBatch(context.Background(), []runspec.RunSpec{specTL(1), bad}, 0)
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("err = %v, want 400 APIError", err)
-	}
-	if apiErr.Code != api.CodeBadRequest {
-		t.Errorf("code = %q, want %q", apiErr.Code, api.CodeBadRequest)
+	for _, bad := range []runspec.RunSpec{siWithoutTL, pastNet} {
+		_, _, err := cl.client().RunBatch(context.Background(), []runspec.RunSpec{specTL(1), bad}, 0)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("err = %v, want 400 APIError", err)
+		}
+		if apiErr.Code != api.CodeBadRequest {
+			t.Errorf("code = %q, want %q", apiErr.Code, api.CodeBadRequest)
+		}
 	}
 	for i, s := range cl.servers {
 		if n := s.CounterValue("service.submissions"); n != 0 {

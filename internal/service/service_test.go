@@ -14,6 +14,7 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
+	"slipstream/internal/memsys"
 	"slipstream/internal/runcache"
 	"slipstream/internal/runspec"
 	"slipstream/internal/service/api"
@@ -182,7 +183,9 @@ func TestAdmissionBackpressure(t *testing.T) {
 }
 
 // TestValidationRejectsBeforeAdmission pins that a bad spec is refused
-// with the typed Options.Validate error text and occupies no queue slot.
+// with its validation error text and occupies no queue slot. A machine
+// with a negative latency would schedule events in the past and panic
+// the daemon if it were admitted.
 func TestValidationRejectsBeforeAdmission(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer func() {
@@ -192,26 +195,38 @@ func TestValidationRejectsBeforeAdmission(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bad := runspec.RunSpec{Kernel: "SOR", Size: kernels.Tiny, Mode: core.ModeSlipstream, CMPs: 2,
+	siWithoutTL := runspec.RunSpec{Kernel: "SOR", Size: kernels.Tiny, Mode: core.ModeSlipstream, CMPs: 2,
 		SelfInvalidate: true} // self-invalidation requires transparent loads
-	resp := postRun(t, ts.URL, api.RunRequest{Specs: []runspec.RunSpec{tinySpec(1), bad}})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("HTTP status = %d, want 400", resp.StatusCode)
+	pastNet := tinySpec(2)
+	pastNet.Machine = memsys.DefaultParams(2)
+	pastNet.Machine.NetTime = -500
+	for _, tc := range []struct {
+		bad  runspec.RunSpec
+		want string
+	}{
+		{siWithoutTL, core.ErrSelfInvalidateNeedsTL.Error()},
+		{pastNet, "NetTime = -500"},
+	} {
+		resp := postRun(t, ts.URL, api.RunRequest{Specs: []runspec.RunSpec{tinySpec(1), tc.bad}})
+		var er api.ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("HTTP status = %d, want 400", resp.StatusCode)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(er.Error, tc.want) {
+			t.Errorf("error %q does not carry the validation error %q", er.Error, tc.want)
+		}
+		if !strings.Contains(er.Error, "spec 1") {
+			t.Errorf("error %q does not name the offending spec index", er.Error)
+		}
 	}
-	var er api.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(er.Error, core.ErrSelfInvalidateNeedsTL.Error()) {
-		t.Errorf("error %q does not carry the typed validation error %q", er.Error, core.ErrSelfInvalidateNeedsTL)
-	}
-	if !strings.Contains(er.Error, "spec 1") {
-		t.Errorf("error %q does not name the offending spec index", er.Error)
-	}
-	// Nothing was admitted: the unknown-kernel variant also reports cleanly.
+	// Nothing was admitted.
 	if got := s.CounterValue("service.submissions"); got != 0 {
-		t.Errorf("service.submissions = %d after rejected batch, want 0", got)
+		t.Errorf("service.submissions = %d after rejected batches, want 0", got)
 	}
 }
 

@@ -163,12 +163,13 @@ func TestCalendarPeekRewind(t *testing.T) {
 	}
 }
 
-// TestEngineQueueKindsIdentical runs a process-level workload under both
-// queue kinds and asserts identical completion traces — the engine-level
-// differential check on top of the queue-level ones.
+// TestEngineQueueKindsIdentical runs a process-level workload on the
+// calendar queue and on the heap oracle and asserts identical completion
+// traces — the engine-level differential check on top of the queue-level
+// ones.
 func TestEngineQueueKindsIdentical(t *testing.T) {
-	runWorkload := func(kind QueueKind) []string {
-		e := NewEngineQueue(kind)
+	runWorkload := func(q eventQueue) []string {
+		e := newEngine(q)
 		var log []string
 		for i := 0; i < 4; i++ {
 			i := i
@@ -182,8 +183,8 @@ func TestEngineQueueKindsIdentical(t *testing.T) {
 		e.Run()
 		return log
 	}
-	cal := runWorkload(QueueCalendar)
-	heap := runWorkload(QueueHeap)
+	cal := runWorkload(newCalQueue())
+	heap := runWorkload(&heapQueue{})
 	if len(cal) != len(heap) {
 		t.Fatalf("trace lengths differ: calendar %d, heap %d", len(cal), len(heap))
 	}

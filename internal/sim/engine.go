@@ -46,16 +46,14 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling through
-// the default calendar queue.
-func NewEngine() *Engine { return NewEngineQueue(QueueCalendar) }
+// a calendar queue.
+func NewEngine() *Engine { return newEngine(newCalQueue()) }
 
-// NewEngineQueue returns an engine using the given event-queue
-// implementation. All queue kinds pop in identical (time, sequence) order —
-// pinned by differential tests — so the choice affects simulator speed
-// only, never results. QueueHeap exists for those tests and benchmarks.
-func NewEngineQueue(kind QueueKind) *Engine {
+// newEngine returns an engine scheduling through q. Tests pass the heap
+// oracle here to check the calendar queue's order at engine level.
+func newEngine(q eventQueue) *Engine {
 	//simlint:ignore nondeterminism direct handoff: caller returns control from exactly one goroutine to the one blocked in Run, RunUntil or Step
-	return &Engine{events: newEventQueue(kind), caller: make(chan struct{})}
+	return &Engine{events: q, caller: make(chan struct{})}
 }
 
 // Now returns the current simulated time in cycles.

@@ -129,6 +129,8 @@ var (
 	// AdaptiveARSync, TransparentLoads, SelfInvalidate, ForwardQueue) set
 	// under another execution mode.
 	ErrSlipstreamOnly = core.ErrSlipstreamOnly
+	// ErrStoreBuffer reports a negative StoreBuffer depth.
+	ErrStoreBuffer = core.ErrStoreBuffer
 )
 
 // Benchmark size presets.
