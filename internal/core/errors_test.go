@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -47,6 +48,17 @@ func TestMismatchedBarriersAreDetected(t *testing.T) {
 	_, err := Run(Options{Mode: ModeSingle, CMPs: 3}, &lopsidedKernel{})
 	if err == nil {
 		t.Fatal("mismatched barriers returned no error")
+	}
+}
+
+// TestNegativeSyncOccIsAnError checks that Run rejects a negative
+// synchronization occupancy with ErrSyncOcc. Simulated, it would schedule a
+// barrier release in the past, a panic on a process goroutine that the
+// caller cannot recover.
+func TestNegativeSyncOccIsAnError(t *testing.T) {
+	_, err := Run(Options{Mode: ModeSingle, CMPs: 2, SyncOcc: -5000}, &sumKernel{n: 64})
+	if !errors.Is(err, ErrSyncOcc) {
+		t.Fatalf("Run with SyncOcc -5000 = %v, want ErrSyncOcc", err)
 	}
 }
 

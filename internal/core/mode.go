@@ -216,6 +216,7 @@ type Options struct {
 
 	// SyncOcc is the directory-controller occupancy charged per
 	// synchronization message (barrier arrivals/releases, lock traffic).
+	// Zero selects the default of 10 cycles; a negative value is an error.
 	SyncOcc int64
 
 	// SkewQuantum bounds how far a task's local clock may run ahead of
@@ -299,6 +300,9 @@ var (
 	ErrSlipstreamOnly = errors.New("option applies only to slipstream mode")
 	// ErrStoreBuffer reports a negative StoreBuffer depth.
 	ErrStoreBuffer = errors.New("StoreBuffer must be >= 0")
+	// ErrSyncOcc reports a negative SyncOcc, which would schedule
+	// synchronization messages in the simulated past.
+	ErrSyncOcc = errors.New("SyncOcc must be >= 0")
 )
 
 // Validate reports option errors. Run calls it after defaulting, so a
@@ -320,6 +324,9 @@ func (o Options) Validate() error {
 	}
 	if o.StoreBuffer < 0 {
 		return fmt.Errorf("core: %w: got %d", ErrStoreBuffer, o.StoreBuffer)
+	}
+	if o.SyncOcc < 0 {
+		return fmt.Errorf("core: %w: got %d", ErrSyncOcc, o.SyncOcc)
 	}
 	// Check the machine Run will build: a RunSpec's Machine arrives over
 	// the wire, and a negative latency in it would panic the engine.

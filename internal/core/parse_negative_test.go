@@ -59,8 +59,8 @@ func TestSymbolicJSONRejectsMalformedValues(t *testing.T) {
 
 // TestValidateRejectsOutOfRangeValues extends the typed-error table
 // with the boundary cases: negative enum values, negative CMP counts, a
-// negative store-buffer depth, and the adaptive policy outside slipstream
-// mode.
+// negative store-buffer depth, a negative synchronization occupancy, and
+// the adaptive policy outside slipstream mode.
 func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 	cases := []struct {
 		name string
@@ -72,6 +72,7 @@ func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 		{"negative arsync", Options{Mode: ModeSlipstream, CMPs: 2, ARSync: ARSync(-2)}, ErrUnknownARSync},
 		{"adaptive outside slipstream", Options{Mode: ModeDouble, CMPs: 2, AdaptiveARSync: true}, ErrSlipstreamOnly},
 		{"negative store buffer", Options{Mode: ModeSingle, CMPs: 2, StoreBuffer: -1}, ErrStoreBuffer},
+		{"negative sync occupancy", Options{Mode: ModeSingle, CMPs: 2, SyncOcc: -1}, ErrSyncOcc},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -82,7 +83,7 @@ func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 		// Each failure must stay distinguishable: it matches exactly one
 		// of the typed option errors.
 		matches := 0
-		for _, sentinel := range []error{ErrUnknownMode, ErrUnknownARSync, ErrCMPCount, ErrSelfInvalidateNeedsTL, ErrSlipstreamOnly, ErrStoreBuffer} {
+		for _, sentinel := range []error{ErrUnknownMode, ErrUnknownARSync, ErrCMPCount, ErrSelfInvalidateNeedsTL, ErrSlipstreamOnly, ErrStoreBuffer, ErrSyncOcc} {
 			if errors.Is(err, sentinel) {
 				matches++
 			}

@@ -105,39 +105,39 @@ type Cache struct {
 	modulo  bool
 	clock   int64
 
-	// frames is the pooled storage lines is drawn from (lines == *frames),
-	// and pool the pool release returns it to.
+	// frames is the storage lines is drawn from (lines == *frames), and
+	// free the list release returns it to.
 	frames *[]Line
-	pool   *sync.Pool
+	free   *freeList[*[]Line]
 }
 
-// framePools holds released frame slices, one pool per frame count, so a
+// frameLists holds released frame slices, one list per frame count, so a
 // cache reuses the storage of an earlier, released cache of the same
 // geometry instead of allocating it afresh. A Table 1 machine has two
 // geometries (L1 and L2), so the map stays tiny.
-var framePools struct {
+var frameLists struct {
 	sync.Mutex
-	m map[int]*sync.Pool
+	m map[int]*freeList[*[]Line]
 }
 
-// framePool returns the pool of n-frame slices.
-func framePool(n int) *sync.Pool {
-	framePools.Lock()
-	defer framePools.Unlock()
-	p := framePools.m[n]
-	if p == nil {
-		if framePools.m == nil {
-			framePools.m = make(map[int]*sync.Pool)
+// frameList returns the list of released n-frame slices.
+func frameList(n int) *freeList[*[]Line] {
+	frameLists.Lock()
+	defer frameLists.Unlock()
+	l := frameLists.m[n]
+	if l == nil {
+		if frameLists.m == nil {
+			frameLists.m = make(map[int]*freeList[*[]Line])
 		}
-		p = &sync.Pool{}
-		framePools.m[n] = p
+		l = &freeList[*[]Line]{}
+		frameLists.m[n] = l
 	}
-	return p
+	return l
 }
 
 // NewCache returns a cache of the given total size in bytes, associativity,
 // and line size (a power of two, as Params.Validate requires). Its frames
-// come from a released cache of the same frame count when one is pooled,
+// come from a released cache of the same frame count when one is free,
 // reset so the cache is indistinguishable from a newly allocated one.
 func NewCache(size, assoc, lineSize int) *Cache {
 	nsets := size / (assoc * lineSize)
@@ -145,14 +145,14 @@ func NewCache(size, assoc, lineSize int) *Cache {
 		nsets = 1
 	}
 	c := &Cache{
-		pool:      framePool(nsets * assoc),
+		free:      frameList(nsets * assoc),
 		assoc:     assoc,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		nsets:     nsets,
 		setMask:   nsets - 1,
 		modulo:    nsets&(nsets-1) != 0,
 	}
-	if f, ok := c.pool.Get().(*[]Line); ok {
+	if f, ok := c.free.get(); ok {
 		c.frames = f
 		c.lines = *f
 		c.Reset()
@@ -164,14 +164,14 @@ func NewCache(size, assoc, lineSize int) *Cache {
 	return c
 }
 
-// release returns the cache's frames to their pool and leaves the cache
+// release returns the cache's frames to their free list and leaves the cache
 // dead: with no frames, a stray Lookup or Victim panics rather than read
 // frames a later cache now owns. Releasing twice is a no-op.
 func (c *Cache) release() {
 	if c.frames == nil {
 		return
 	}
-	c.pool.Put(c.frames)
+	c.free.put(c.frames)
 	c.frames, c.lines = nil, nil
 }
 
@@ -228,7 +228,7 @@ func (c *Cache) Victim(line Addr) *Line {
 }
 
 // Reset invalidates every line, drops every classification record, and
-// restarts the LRU clock: NewCache resets pooled frames with it.
+// restarts the LRU clock: NewCache resets reused frames with it.
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.clock = 0

@@ -123,3 +123,72 @@ func TestReleasedSystemIsDead(t *testing.T) {
 		}()
 	}
 }
+
+// TestReleasedPagesComeBackEmpty marks directory entries at every home,
+// releases the system, and checks that the next system of that geometry,
+// which takes the same pages back, has none of them: only the entries it
+// creates itself are present, Idle and empty, Peek finds no other marked
+// line, and ForEach visits only the new entries.
+func TestReleasedPagesComeBackEmpty(t *testing.T) {
+	p := DefaultParams(3)
+	s, err := NewSystem(sim.NewEngine(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var marked []Addr
+	for i := 0; i < 2*p.Nodes*(1<<dirPageShift); i += 5 {
+		line := Addr(i * p.LineSize)
+		e := s.Home(line).Dir.Entry(line)
+		e.State, e.Owner = DirExclusive, i%p.Nodes
+		e.AddSharer(i % p.Nodes)
+		e.AddFuture((i + 1) % p.Nodes)
+		marked = append(marked, line)
+	}
+	released := make(map[*dirPage]bool)
+	for _, n := range s.Nodes {
+		for _, pg := range n.Dir.pages {
+			released[pg] = true
+		}
+	}
+	s.Release()
+
+	s, err = NewSystem(sim.NewEngine(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Create the first entry of each page at every home, which takes the
+	// released pages back.
+	fresh := make(map[Addr]bool)
+	for page := 0; page < 2; page++ {
+		for home := 0; home < p.Nodes; home++ {
+			line := Addr(((page<<dirPageShift)*p.Nodes + home) * p.LineSize)
+			e := s.Home(line).Dir.Entry(line)
+			if *e != (DirEntry{present: true}) {
+				t.Fatalf("new entry %#x = %+v, want Idle and empty", line, *e)
+			}
+			fresh[line] = true
+		}
+	}
+	for _, n := range s.Nodes {
+		if len(n.Dir.pages) != 2 {
+			t.Fatalf("node %d holds %d pages, want 2", n.ID, len(n.Dir.pages))
+		}
+		for i, pg := range n.Dir.pages {
+			if !released[pg] {
+				t.Fatalf("node %d: page %d is not a released page", n.ID, i)
+			}
+		}
+	}
+	for _, line := range marked {
+		if e := s.Home(line).Dir.Peek(line); e != nil && !fresh[line] {
+			t.Fatalf("released entry %#x survived reuse: %+v", line, *e)
+		}
+	}
+	for _, n := range s.Nodes {
+		n.Dir.ForEach(func(line Addr, e *DirEntry) {
+			if !fresh[line] {
+				t.Fatalf("ForEach visited %#x, which this system never created", line)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"slipstream/internal/obs"
 	"slipstream/internal/sim"
@@ -113,13 +114,14 @@ func NewSystem(eng *sim.Engine, p Params) (*System, error) {
 		return nil, err
 	}
 	s := &System{P: p, Eng: eng, Mem: NewMem(p.LineSize)}
+	lineShift := uint(bits.TrailingZeros(uint(p.LineSize)))
 	s.Nodes = make([]*Node, p.Nodes)
 	for i := range s.Nodes {
 		n := &Node{
 			ID:      i,
 			sys:     s,
 			L2:      NewCache(p.L2Size, p.L2Assoc, p.LineSize),
-			Dir:     NewDirectory(),
+			Dir:     NewDirectory(i, lineShift, p.Nodes),
 			dcBanks: make([]sim.Resource, p.DCBanks),
 		}
 		for slot := 0; slot < 2; slot++ {
@@ -169,22 +171,25 @@ func (s *System) Finalize() {
 	}
 }
 
-// Release returns every L1 and L2 frame slice to the pool NewCache draws
-// from, so the next system of the same geometry reuses the storage instead
-// of allocating it. The system is dead afterwards: its caches have no
-// frames, so a stray access panics rather than read frames a later run now
-// owns. A reused cache is reset to exactly a new one's state, so release
-// order cannot move a result. core.Run calls Release once nothing can
-// touch a cache again: after the result is collected and the end-of-run
-// observers (the auditor's final sweep) have run, or after a failed run's
-// processes have all exited. Systems that are never released are simply
-// collected.
+// Release hands every L1 and L2 frame slice and every directory page to
+// the free lists NewCache and Directory.Entry draw from, so the next
+// system reuses the storage instead of allocating it. The system is dead
+// afterwards: its caches have no frames, so a stray access panics rather
+// than read frames a later run now owns, and its directories hold no
+// pages. Reused storage is reset to exactly a new one's state, so release
+// order cannot move a result. The functional memory is not released: a
+// caller may still read it after the run. core.Run calls Release once
+// nothing can touch a cache or a directory again: after the result is
+// collected and the end-of-run observers (the auditor's final sweep) have
+// run, or after a failed run's processes have all exited. Systems that
+// are never released are simply collected.
 func (s *System) Release() {
 	for _, n := range s.Nodes {
 		n.L2.release()
 		for _, c := range n.CPUs {
 			c.L1.release()
 		}
+		n.Dir.release()
 	}
 }
 

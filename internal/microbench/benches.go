@@ -115,11 +115,12 @@ func benchProcHandoff(b *testing.B) {
 }
 
 // benchDirLookup measures home-directory entry lookup over a populated
-// directory, the first step of every L2 miss.
+// directory, the first step of every L2 miss: 4096 lines of 64 bytes, all
+// homed at the one node.
 func benchDirLookup(b *testing.B) {
 	b.ReportAllocs()
 	const lines = 4096
-	d := memsys.NewDirectory()
+	d := memsys.NewDirectory(0, 6, 1)
 	for i := 0; i < lines; i++ {
 		e := d.Entry(memsys.Addr(i * 64))
 		e.State = memsys.DirShared
@@ -218,12 +219,18 @@ func benchDirWritePingPong(b *testing.B) {
 	sinkTime += now
 }
 
-// setupSystem builds a Table 1 machine of 8 CMPs, finalizes it, and
-// releases it, as core.Run does around every run.
+// setupSystem builds a Table 1 machine of 8 CMPs, creates a few directory
+// entries at every home, finalizes the machine, and releases it, as
+// core.Run does around every run.
 func setupSystem() {
-	s, err := memsys.NewSystem(sim.NewEngine(), memsys.DefaultParams(8))
+	p := memsys.DefaultParams(8)
+	s, err := memsys.NewSystem(sim.NewEngine(), p)
 	if err != nil {
 		panic(err)
+	}
+	for i := 0; i < 4*p.Nodes; i++ {
+		line := memsys.Addr(i * p.LineSize)
+		s.Home(line).Dir.Entry(line).AddSharer(i % p.Nodes)
 	}
 	s.Finalize()
 	s.Release()
@@ -231,9 +238,10 @@ func setupSystem() {
 
 // benchSystemSetup measures what a run spends on its memory system outside
 // simulation: building every node's L1s, L2, and directory, the
-// end-of-run Finalize, and the Release that hands the cache frames to the
-// next run. With the frame pool warm, an op allocates the node structures
-// but no cache frames (asserted by TestSystemSetupReusesFrames).
+// end-of-run Finalize, and the Release that hands the cache frames and
+// directory pages to the next run. With the free lists warm, an op
+// allocates the node structures but no cache frames or directory pages
+// (asserted by TestSystemSetupReusesFrames).
 func benchSystemSetup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -131,6 +131,8 @@ var (
 	ErrSlipstreamOnly = core.ErrSlipstreamOnly
 	// ErrStoreBuffer reports a negative StoreBuffer depth.
 	ErrStoreBuffer = core.ErrStoreBuffer
+	// ErrSyncOcc reports a negative SyncOcc.
+	ErrSyncOcc = core.ErrSyncOcc
 )
 
 // Benchmark size presets.
