@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // deadlockKernel waits on an event nobody signals.
@@ -90,12 +91,42 @@ func TestUnknownModeRejected(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has stopped
+// falling, waiting at most a second: a goroutine an earlier test ended
+// may still be exiting, and counting it would hide a leak of one.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+	return n
+}
+
+// checkGoroutinesExit fails t if the goroutine count stays above before
+// for five seconds. An exiting goroutine may still be unwinding after its
+// final send, so the count is polled until it falls back.
+func checkGoroutinesExit(t *testing.T, before int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %s, %d before", n, after, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFailedRunsLeakNoGoroutines checks that a run that deadlocks, stops
 // at mismatched barriers, or exceeds its cycle budget leaves no process
 // goroutine behind, in single and slipstream mode: Run kills every
 // unfinished process and drains the engine before it returns the error.
 func TestFailedRunsLeakNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	for _, mode := range []Mode{ModeSingle, ModeSlipstream} {
 		for _, tc := range []struct {
 			name string
@@ -114,14 +145,5 @@ func TestFailedRunsLeakNoGoroutines(t *testing.T) {
 			}
 		}
 	}
-	// An exiting goroutine may still be unwinding after its final send;
-	// give it bounded chances to run.
-	n := runtime.NumGoroutine()
-	for i := 0; i < 10000 && n > before; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
-	}
-	if n > before {
-		t.Fatalf("%d goroutines after the failed runs, %d before", n, before)
-	}
+	checkGoroutinesExit(t, before, "after the failed runs")
 }

@@ -253,12 +253,8 @@ func (s *Session) ExtLeadsData(kernelNames []string) ([]LeadRow, error) {
 		for _, ar := range core.ARSyncs {
 			sp := s.spec(name, core.ModeSlipstream, ar, cmps, false, false)
 			leads := &obs.Leads{}
-			res, err := sp.RunObserved(s.cfg.Audit, append(s.observersFor(sp), leads)...)
-			if err != nil {
+			if _, err := sp.RunObserved(s.cfg.Audit, append(s.observersFor(sp), leads)...); err != nil {
 				return nil, fmt.Errorf("harness: %w", err)
-			}
-			if res.VerifyErr != nil {
-				return nil, fmt.Errorf("harness: %v: verification: %w", sp, res.VerifyErr)
 			}
 			out = append(out, LeadRow{Kernel: name, AR: ar, MeanLead: leads.Mean()})
 		}

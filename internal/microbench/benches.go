@@ -33,8 +33,12 @@ func All() []Benchmark {
 }
 
 // holdPending is the steady-state event population of the queue benchmark:
-// large enough to exercise the calendar's bucket structure, small next to
-// a real run's queue depth.
+// large enough to exercise the calendar's bucket structure, and well above
+// a real run's typical queue depth. Sampled at every Engine.At of
+// paper-size runs on 8 CMPs, the mean depth was 7.0–8.0 events in single
+// mode (max 8) and 13.2–17.0 in slipstream mode with TL+SI (max 509, in
+// FFT). Binary and 4-ary heaps matched the calendar queue at depth 8 but
+// were slower from depth 32 up, so the calendar queue stays (DESIGN §13).
 const holdPending = 256
 
 // benchQueueHold is the classic "hold" queue benchmark through the engine

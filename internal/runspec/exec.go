@@ -2,7 +2,6 @@ package runspec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,12 +28,11 @@ type Executor struct {
 
 	// Lookup, when set, is probed before scheduling a spec; returning
 	// ok=true satisfies the spec without simulating (memo or persistent
-	// cache hit). A non-nil error reports a corrupt or unreachable store
-	// entry: the executor treats it as a miss and simulates, so callers
-	// that want to surface corruption count it inside Lookup itself (the
-	// service layer's runcache.corrupt counter). It may be called from
-	// Execute's caller goroutine only.
-	Lookup func(RunSpec) (*core.Result, bool, error)
+	// cache hit). A corrupt or unreachable store entry is a miss: a fresh
+	// simulation answers it, so callers that want to surface corruption
+	// count it inside Lookup itself. It may be called from Execute's
+	// caller goroutine only.
+	Lookup func(RunSpec) (*core.Result, bool)
 
 	// Observe, when set, supplies observation-bus subscribers for each
 	// freshly simulated spec (results served by Lookup are not observed —
@@ -53,60 +51,20 @@ type Executor struct {
 	OnDone func(spec RunSpec, res *core.Result, cached bool)
 }
 
-const (
-	statePending = iota
-	stateDone
-	stateFailed
-	stateCanceled
-)
-
-// Status classifies the outcome of one spec after Execute. It lets
-// callers that interrupt a batch (drain, deadline) tell completed work
-// apart from work that never started.
-type Status uint8
-
-const (
-	// StatusNotRun marks a spec that was never simulated: scheduling
-	// stopped (cancellation or an earlier spec's failure) before it
-	// started.
-	StatusNotRun Status = iota
-	// StatusDone marks a spec with a result, from a fresh simulation or a
-	// Lookup hit.
-	StatusDone
-	// StatusFailed marks a spec whose simulation or verification failed.
-	StatusFailed
-	// StatusCanceled marks a spec whose simulation was in flight when the
-	// context was canceled; its result was discarded (never Stored).
-	StatusCanceled
-)
-
-var statusNames = [...]string{"not-run", "done", "failed", "canceled"}
-
-func (s Status) String() string {
-	if int(s) < len(statusNames) {
-		return statusNames[s]
-	}
-	return "?"
-}
-
-// Execute runs every spec and returns results and per-spec statuses in
-// input order (duplicates share one result and status). A simulation error
-// or numeric verification failure aborts scheduling of not-yet-started
-// specs; the returned error is always that of the earliest failing spec in
-// plan order, so failures are deterministic too.
-//
-// On failure or cancellation the statuses report what happened to each
-// spec instead of discarding everything, and the result slice carries the
-// per-spec results that did complete — non-nil exactly where the status is
-// StatusDone — so an interrupted caller (a draining daemon, a deadline)
-// can tell finished work from skipped work.
+// Execute runs every spec and returns results in input order (duplicates
+// share one result). A simulation error or numeric verification failure
+// aborts scheduling of not-yet-started specs; the returned error is always
+// that of the earliest failing spec in plan order, so failures are
+// deterministic too. The results of specs that completed are returned
+// even then; a spec that failed, was canceled or never started has a nil
+// result.
 //
 // Canceling ctx stops new work: queued specs are not started, in-flight
 // simulations finish but their results are discarded (never Stored), and
 // Execute returns ctx.Err() after the workers drain — cancellation takes
 // precedence over per-spec errors. A nil ctx behaves like
 // context.Background().
-func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result, []Status, error) {
+func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -122,16 +80,15 @@ func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result
 		}
 	}
 
-	results := make([]*core.Result, len(unique))
+	results := make([]*core.Result, len(unique)) // nil until the spec is done
 	errs := make([]error, len(unique))
-	state := make([]uint8, len(unique))
 	cached := make([]bool, len(unique))
 
 	var mu sync.Mutex
 	next := 0
 	// flush reports completions in plan order; callers hold mu.
 	flush := func() {
-		for next < len(unique) && state[next] == stateDone {
+		for next < len(unique) && results[next] != nil {
 			if e.OnDone != nil {
 				e.OnDone(unique[next], results[next], cached[next])
 			}
@@ -142,12 +99,9 @@ func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result
 	var todo []int
 	for i, sp := range unique {
 		if e.Lookup != nil {
-			// A Lookup error is a miss: corruption must never block a
-			// batch when a fresh simulation can answer it.
-			if res, ok, _ := e.Lookup(sp); ok {
+			if res, ok := e.Lookup(sp); ok {
 				results[i] = res
 				cached[i] = true
-				state[i] = stateDone
 				continue
 			}
 		}
@@ -182,9 +136,6 @@ func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result
 						observers = e.Observe(sp)
 					}
 					res, err := sp.RunObserved(e.Audit, observers...)
-					if err == nil && res.VerifyErr != nil {
-						err = fmt.Errorf("%v: verification: %w", sp, res.VerifyErr)
-					}
 					mu.Lock()
 					switch {
 					case ctx.Err() != nil:
@@ -192,18 +143,15 @@ func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result
 						// partially drained batch, so it must never be Stored
 						// or reported.
 						errs[i] = ctx.Err()
-						state[i] = stateCanceled
 						aborted.Store(true)
 					case err != nil:
 						errs[i] = err
-						state[i] = stateFailed
 						aborted.Store(true)
 					default:
 						if e.Store != nil {
 							e.Store(sp, res)
 						}
 						results[i] = res
-						state[i] = stateDone
 						flush()
 					}
 					mu.Unlock()
@@ -222,34 +170,22 @@ func (e *Executor) Execute(ctx context.Context, specs []RunSpec) ([]*core.Result
 		wg.Wait()
 	}
 
-	statuses := make([]Status, len(specs))
 	out := make([]*core.Result, len(specs))
 	for i, sp := range norm {
-		u := index[sp]
-		switch state[u] {
-		case stateDone:
-			statuses[i] = StatusDone
-			out[i] = results[u]
-		case stateFailed:
-			statuses[i] = StatusFailed
-		case stateCanceled:
-			statuses[i] = StatusCanceled
-		default:
-			statuses[i] = StatusNotRun
-		}
+		out[i] = results[index[sp]]
 	}
 
 	// Cancellation takes precedence over per-spec errors: the batch was
 	// interrupted, not broken.
 	if err := ctx.Err(); err != nil {
-		return out, statuses, err
+		return out, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			// The earliest failure in plan order, as for Execute; later
-			// specs may still have completed and are reported as such.
-			return out, statuses, err
+			// The earliest failure in plan order; later specs may still
+			// have completed and keep their results.
+			return out, err
 		}
 	}
-	return out, statuses, nil
+	return out, nil
 }

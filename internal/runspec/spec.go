@@ -1,5 +1,7 @@
 // Package runspec defines RunSpec — the declarative description of one
 // simulation run — and a bounded-parallel Executor for sets of specs.
+// Running a spec checks the kernel's numerics: a verification failure is
+// an error, never a result.
 //
 // RunSpec is the plan/execute boundary of the experiment harness: figures
 // declare the specs their data requires, a scheduler deduplicates the
@@ -98,9 +100,10 @@ func (sp RunSpec) Validate() error {
 	return sp.Normalize().Options().Validate()
 }
 
-// Run executes the spec's simulation and returns its result. Numeric
-// verification failures are reported in Result.VerifyErr, as with
-// core.Run.
+// Run executes the spec's simulation and returns its result. Unlike
+// core.Run, which reports it in Result.VerifyErr, a numeric verification
+// failure is an error ("<spec>: verification: …"), as is a failed
+// simulation; either way the result is nil.
 func (sp RunSpec) Run() (*core.Result, error) { return sp.RunObserved(false) }
 
 // RunObserved is Run with the runtime invariant auditor
@@ -121,6 +124,9 @@ func (sp RunSpec) RunObserved(audit bool, observers ...obs.Observer) (*core.Resu
 	res, err := core.Run(opts, k)
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", sp, err)
+	}
+	if res.VerifyErr != nil {
+		return nil, fmt.Errorf("%v: verification: %w", sp, res.VerifyErr)
 	}
 	return res, nil
 }

@@ -90,7 +90,7 @@ func TestExecutorDedupsAndOrders(t *testing.T) {
 		Store:   func(RunSpec, *core.Result) { ran.Add(1) },
 		OnDone:  func(sp RunSpec, _ *core.Result, _ bool) { order = append(order, sp) },
 	}
-	res, _, err := ex.Execute(context.Background(), specs)
+	res, err := ex.Execute(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestExecutorLookupShortCircuits(t *testing.T) {
 	var cachedSeen bool
 	ex := &Executor{
 		Workers: 2,
-		Lookup:  func(RunSpec) (*core.Result, bool, error) { return canned, true, nil },
+		Lookup:  func(RunSpec) (*core.Result, bool) { return canned, true },
 		Store:   func(RunSpec, *core.Result) { t.Error("Store called despite lookup hit") },
 		OnDone:  func(_ RunSpec, _ *core.Result, cached bool) { cachedSeen = cached },
 	}
-	res, _, err := ex.Execute(context.Background(), []RunSpec{sorSpec(2)})
+	res, err := ex.Execute(context.Background(), []RunSpec{sorSpec(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExecutorLookupShortCircuits(t *testing.T) {
 
 func TestExecutorReportsEarliestError(t *testing.T) {
 	bad := RunSpec{Kernel: "NOPE", Size: kernels.Tiny, Mode: core.ModeSingle, CMPs: 2}
-	_, _, err := (&Executor{Workers: 4}).Execute(context.Background(), []RunSpec{sorSpec(2), bad, sorSpec(4)})
+	_, err := (&Executor{Workers: 4}).Execute(context.Background(), []RunSpec{sorSpec(2), bad, sorSpec(4)})
 	if err == nil {
 		t.Fatal("bad spec did not fail Execute")
 	}
@@ -138,20 +138,19 @@ func TestExecutorCanceledContext(t *testing.T) {
 		Workers: 2,
 		Store:   func(RunSpec, *core.Result) { t.Error("Store called under canceled context") },
 	}
-	res, statuses, err := ex.Execute(ctx, []RunSpec{sorSpec(2), sorSpec(4)})
+	res, err := ex.Execute(ctx, []RunSpec{sorSpec(2), sorSpec(4)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for i := range res {
-		if res[i] != nil || statuses[i] != StatusNotRun {
-			t.Errorf("spec %d after pre-canceled Execute: result %v status %v, want nil/not-run",
-				i, res[i], statuses[i])
+		if res[i] != nil {
+			t.Errorf("spec %d after pre-canceled Execute: result %v, want nil", i, res[i])
 		}
 	}
 }
 
 func TestExecutorNilContextRuns(t *testing.T) {
-	res, _, err := (&Executor{Workers: 1}).Execute(nil, []RunSpec{sorSpec(2)})
+	res, err := (&Executor{Workers: 1}).Execute(nil, []RunSpec{sorSpec(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +164,8 @@ func TestExecutorObserveSeesOnlySimulatedSpecs(t *testing.T) {
 	var observed atomic.Int32
 	ex := &Executor{
 		Workers: 2,
-		Lookup: func(sp RunSpec) (*core.Result, bool, error) {
-			return canned, sp == sorSpec(2).Normalize(), nil
+		Lookup: func(sp RunSpec) (*core.Result, bool) {
+			return canned, sp == sorSpec(2).Normalize()
 		},
 		Observe: func(sp RunSpec) []obs.Observer {
 			if sp == sorSpec(2).Normalize() {
@@ -176,7 +175,7 @@ func TestExecutorObserveSeesOnlySimulatedSpecs(t *testing.T) {
 			return []obs.Observer{&obs.Metrics{}}
 		},
 	}
-	if _, _, err := ex.Execute(context.Background(), []RunSpec{sorSpec(2), sorSpec(4)}); err != nil {
+	if _, err := ex.Execute(context.Background(), []RunSpec{sorSpec(2), sorSpec(4)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := observed.Load(); got != 1 {

@@ -20,11 +20,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -47,25 +45,18 @@ type GatewayConfig struct {
 	// HTTPClient overrides the transport used for replica calls; nil
 	// selects http.DefaultClient.
 	HTTPClient *http.Client
-
-	// DownTTL is how long a replica stays rehashed-around after a
-	// transport failure before the gateway tries it again; zero selects
-	// 2s.
-	DownTTL time.Duration
-
-	// Version is the simulator semantics version used to derive cache
-	// keys for placement; empty selects core.SimVersion. It must match
-	// the replicas' version or every placement key would differ from the
-	// replicas' cache keys (placement would still be consistent, but
-	// mixed-version fleets are not supported).
-	Version string
 }
+
+// downTTL is how long a replica stays rehashed-around after a transport
+// failure before the gateway tries it again.
+const downTTL = 2 * time.Second
 
 // Gateway shards /v1/run batches across slipsimd replicas by consistent
 // hashing. It is stateless apart from the transient down-replica marks
 // and its metrics registry, so gateways scale horizontally themselves.
+// Placement keys are the replicas' cache keys at core.SimVersion, so a
+// fleet runs one simulator version.
 type Gateway struct {
-	cfg      GatewayConfig
 	replicas []string
 	clients  []*client.Client
 	ring     *hashRing
@@ -80,14 +71,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("service: gateway needs at least one replica")
 	}
-	if cfg.Version == "" {
-		cfg.Version = core.SimVersion
-	}
-	if cfg.DownTTL <= 0 {
-		cfg.DownTTL = 2 * time.Second
-	}
 	g := &Gateway{
-		cfg:       cfg,
 		replicas:  make([]string, len(cfg.Replicas)),
 		clients:   make([]*client.Client, len(cfg.Replicas)),
 		downUntil: make([]time.Time, len(cfg.Replicas)),
@@ -118,7 +102,7 @@ func (g *Gateway) Replicas() []string { return append([]string(nil), g.replicas.
 // ring for the spec's cache key. With no replicas down it is a pure
 // function of the spec and the replica list.
 func (g *Gateway) ReplicaFor(sp runspec.RunSpec) (string, error) {
-	key, err := runcache.KeyFor(g.cfg.Version, sp)
+	key, err := runcache.KeyFor(core.SimVersion, sp)
 	if err != nil {
 		return "", err
 	}
@@ -144,7 +128,7 @@ func (g *Gateway) CounterValue(name string) int64 {
 // around it until the TTL passes.
 func (g *Gateway) markDown(rep int) {
 	g.mu.Lock()
-	g.downUntil[rep] = time.Now().Add(g.cfg.DownTTL)
+	g.downUntil[rep] = time.Now().Add(downTTL)
 	g.metrics.Count("gateway.replica.down", 1)
 	g.mu.Unlock()
 }
@@ -241,18 +225,8 @@ func replicaDown(err error) bool {
 }
 
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req api.RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("decoding request: %w", err), 0)
-		return
-	}
-	if len(req.Specs) == 0 {
-		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("service: empty batch"), 0)
-		return
-	}
-	if _, err := parseTier(req.Priority); err != nil {
+	req, _, err := decodeRunRequest(w, r)
+	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return
 	}
@@ -269,7 +243,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		specs[i] = sp.Normalize()
-		key, err := runcache.KeyFor(g.cfg.Version, specs[i])
+		key, err := runcache.KeyFor(core.SimVersion, specs[i])
 		if err != nil {
 			writeAPIError(w, http.StatusInternalServerError, api.CodeInternal, err, 0)
 			return
@@ -396,7 +370,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := api.Health{
 		Status:   "ok",
-		Version:  g.cfg.Version,
+		Version:  core.SimVersion,
 		Replicas: make([]api.ReplicaHealth, len(g.replicas)),
 	}
 	var wg sync.WaitGroup
@@ -425,18 +399,5 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set(api.VersionHeader, core.SimVersion)
-	g.metrics.WriteText(w)
-}
-
-// writeAPIError writes a JSON error body with the protocol error code and
-// an optional Retry-After hint (seconds; 0 omits the header).
-func writeAPIError(w http.ResponseWriter, status int, code string, err error, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, api.ErrorResponse{Error: err.Error(), Code: code})
+	writeMetrics(w, &g.mu, &g.metrics)
 }

@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 
 	"slipstream/internal/core"
+	"slipstream/internal/obs"
 	"slipstream/internal/runcache"
 	"slipstream/internal/service/api"
 )
@@ -42,32 +45,41 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+// decodeRunRequest reads a POST /v1/run body for the daemon and the
+// gateway alike: JSON of at most maxRequestBytes with no unknown fields,
+// at least one spec, and a known priority tier. An error is the
+// request's 400 answer.
+func decodeRunRequest(w http.ResponseWriter, r *http.Request) (api.RunRequest, tier, error) {
 	var req api.RunRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+		return req, 0, fmt.Errorf("decoding request: %w", err)
+	}
+	if len(req.Specs) == 0 {
+		return req, 0, fmt.Errorf("service: empty batch")
 	}
 	tr, err := parseTier(req.Priority)
+	return req, tr, err
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	req, tr, err := decodeRunRequest(w, r)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return
 	}
 	attaches, err := s.submit(req.Specs, req.Timeout(), tr)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			s.httpError(w, http.StatusTooManyRequests, api.CodeQueueFull, err)
+			writeAPIError(w, http.StatusTooManyRequests, api.CodeQueueFull, err, 1)
 		case errors.Is(err, ErrShed):
-			w.Header().Set("Retry-After", "5")
-			s.httpError(w, http.StatusTooManyRequests, api.CodeShed, err)
+			writeAPIError(w, http.StatusTooManyRequests, api.CodeShed, err, 5)
 		case errors.Is(err, ErrDraining):
-			s.httpError(w, http.StatusServiceUnavailable, api.CodeDraining, err)
+			writeAPIError(w, http.StatusServiceUnavailable, api.CodeDraining, err, 0)
 		default:
-			s.httpError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+			writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		}
 		return
 	}
@@ -88,7 +100,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		if a.f.err != nil {
 			status, code := flightErrStatus(a.f.err)
-			s.httpError(w, status, code, fmt.Errorf("job %d (%v): %w", a.f.id, a.f.spec, a.f.err))
+			writeAPIError(w, status, code, fmt.Errorf("job %d (%v): %w", a.f.id, a.f.spec, a.f.err), 0)
 			return
 		}
 		resp.Results[i] = a.f.res
@@ -99,7 +111,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set(api.CacheHeader, disposition(hits, len(attaches)))
-	s.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // disposition maps a batch's hit count to the X-Slipsim-Cache value.
@@ -146,13 +158,26 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 	}
 	s.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, h)
+	writeJSON(w, http.StatusOK, h)
 }
 
+// handleMetrics serves the service metrics registry — service counters
+// plus every simulated run's merged observation metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	writeMetrics(w, &s.mu, &s.metrics)
+}
+
+// writeMetrics answers GET /metrics for the daemon and the gateway: m in
+// the sorted, byte-stable obs text format. It renders under mu, which
+// guards m against racing merges, and writes after releasing it, so a
+// slow client never holds the lock.
+func writeMetrics(w http.ResponseWriter, mu *sync.Mutex, m *obs.Metrics) {
 	var buf bytes.Buffer
-	if err := s.WriteMetrics(&buf); err != nil {
-		s.httpError(w, http.StatusInternalServerError, api.CodeInternal, err)
+	mu.Lock()
+	err := m.WriteText(&buf)
+	mu.Unlock()
+	if err != nil {
+		writeAPIError(w, http.StatusInternalServerError, api.CodeInternal, err, 0)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -236,12 +261,13 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) httpError(w http.ResponseWriter, status int, code string, err error) {
-	s.writeJSON(w, status, api.ErrorResponse{Error: err.Error(), Code: code})
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	writeJSON(w, code, v)
+// writeAPIError writes a JSON error body with the protocol error code and
+// an optional Retry-After hint (seconds; 0 omits the header).
+func writeAPIError(w http.ResponseWriter, status int, code string, err error, retryAfter int) {
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	writeJSON(w, status, api.ErrorResponse{Error: err.Error(), Code: code})
 }
 
 // writeJSON writes a JSON body with the protocol version header. Shared

@@ -1,8 +1,9 @@
 package service
 
 // Regression tests for review findings on the distributed serving layer:
-// the admission store probe must not hold the server mutex, and gateway
-// down-marking must not be poisoned by the caller's own context.
+// the admission store probe must not hold the server mutex and is a
+// spec's only probe, and gateway down-marking must not be poisoned by the
+// caller's own context.
 
 import (
 	"context"
@@ -80,6 +81,65 @@ func TestStoreProbeReleasesMutex(t *testing.T) {
 	close(bs.unblock)
 	<-submitted
 	s.Close()
+}
+
+// countingStore is a local directory cache that counts the Load and
+// Store calls reaching it.
+type countingStore struct {
+	*runcache.Cache
+	loads, stores atomic.Int64
+}
+
+func (c *countingStore) Load(sp runspec.RunSpec) (*core.Result, bool, error) {
+	c.loads.Add(1)
+	return c.Cache.Load(sp)
+}
+
+func (c *countingStore) Store(sp runspec.RunSpec, res *core.Result) error {
+	c.stores.Add(1)
+	return c.Cache.Store(sp, res)
+}
+
+// TestColdSpecProbesStoreOnce pins that admission makes the only store
+// probe a spec gets: a cold submission loads once, simulates once and
+// stores once, and a repeat is a memo hit that never reaches the store.
+func TestColdSpecProbesStoreOnce(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingStore{Cache: cache}
+	s := New(Config{Workers: 1, Cache: cs})
+	defer func() {
+		s.StartDrain()
+		s.Wait()
+	}()
+
+	for i, wantHit := range []bool{false, true} {
+		att, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0, tierInteractive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-att[0].f.done
+		if f := att[0].f; f.err != nil || f.res == nil {
+			t.Fatalf("submission %d: err=%v res=%v, want a result", i+1, f.err, f.res)
+		}
+		if att[0].hit != wantHit {
+			t.Errorf("submission %d: hit=%t, want %t", i+1, att[0].hit, wantHit)
+		}
+		if got := cs.loads.Load(); got != 1 {
+			t.Errorf("after submission %d: %d store loads, want 1", i+1, got)
+		}
+		if got := cs.stores.Load(); got != 1 {
+			t.Errorf("after submission %d: %d store writes, want 1", i+1, got)
+		}
+		if got := s.CounterValue("run.count"); got != 1 {
+			t.Errorf("after submission %d: run.count = %d, want 1", i+1, got)
+		}
+	}
+	if got := s.CounterValue("service.memo.hit"); got != 1 {
+		t.Errorf("service.memo.hit = %d, want 1", got)
+	}
 }
 
 // TestReplicaDownClassification pins what may mark a replica down: real

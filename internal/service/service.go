@@ -1,11 +1,10 @@
 // Package service is the serving core of slipsimd: a long-lived server
 // that accepts RunSpec batches, admits them into bounded per-tier job
-// queues, and executes them on a fixed worker pool through the
-// runspec.Executor — turning the deterministic one-shot simulator into an
-// always-on service with queueing, caching, backpressure, and graceful
-// drain. The same package provides Gateway, which consistent-hashes specs
-// across a static list of such servers so the properties below hold
-// fleet-wide.
+// queues, and simulates each admitted spec on a fixed worker pool —
+// turning the deterministic one-shot simulator into an always-on service
+// with queueing, caching, backpressure, and graceful drain. The same
+// package provides Gateway, which consistent-hashes specs across a static
+// list of such servers so the properties below hold fleet-wide.
 //
 // The design leans on one property of the compute core: a simulation is a
 // pure function of its normalized RunSpec. That purity makes three serving
@@ -18,8 +17,9 @@
 //     for the daemon's lifetime, so a spec ever simulated (or ever failed —
 //     failures are deterministic too) is answered without re-running.
 //   - Read-through persistent caching: admission probes the shared
-//     runcache.Store before queueing, and fresh results are stored back, so
-//     daemon restarts, peer daemons, and CLI runs share one result store.
+//     runcache.Store before queueing — the only probe a spec gets — and
+//     fresh results are stored back, so daemon restarts, peer daemons, and
+//     CLI runs share one result store.
 //
 // Admission control is strict, cache-aware, and tiered: cached and
 // coalesced submissions are always admitted (they consume no queue slot),
@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -149,12 +148,6 @@ func (s jobState) String() string { return jobStateNames[s] }
 // terminal reports whether a flight in this state will never change again.
 func (s jobState) terminal() bool { return s >= jobDone }
 
-// retryable reports whether a terminal flight may be superseded by a new
-// one for the same spec. Deterministic outcomes (done, failed) are
-// memoized forever; cancellations (drain, hard stop, deadline) are
-// environmental and must not poison the spec.
-func (s jobState) retryable() bool { return s == jobCanceled }
-
 // flight is one admitted unit of work: a unique normalized spec moving
 // through queued → running → {done, failed, canceled}. All submissions of
 // an equal spec share one flight, whichever tier they arrived on (the
@@ -170,13 +163,24 @@ type flight struct {
 
 	// Guarded by Server.mu.
 	state   jobState
-	cached  bool  // satisfied without simulating (memo or cache hit)
+	cached  bool  // answered by the store probe at admission
 	waiters int64 // submissions that attached to this flight
-	upd     int64 // Server.seq value at the last state change
+	upd     int64 // Server.seq value at the last state change; 0 before it
 	res     *core.Result
 	err     error
 
 	done chan struct{} // closed on reaching a terminal state
+}
+
+// answers reports whether f, found in the flight table, can answer a new
+// submission of its spec. A done or failed flight memoizes its verdict,
+// since both are deterministic; a queued or running one is joined unless
+// its deadline has passed, which dooms it to a canceled verdict and would
+// time the new waiter out on a result that will never come. A canceled
+// flight leaves the table when it publishes, so the table never offers
+// one. Callers hold Server.mu.
+func (f *flight) answers() bool {
+	return f.state.terminal() || f.ctx.Err() == nil
 }
 
 // attach is one submission's view of one spec: the flight serving it and
@@ -264,11 +268,8 @@ func (s *Server) probeCandidates(norm []runspec.RunSpec) (probe []runspec.RunSpe
 			continue
 		}
 		seen[sp] = true
-		if f, ok := s.flights[sp]; ok {
-			doomed := !f.state.terminal() && f.ctx.Err() != nil
-			if !doomed && !(f.state.terminal() && f.state.retryable()) {
-				continue // memo hit or coalesce join: no probe needed
-			}
+		if f, ok := s.flights[sp]; ok && f.answers() {
+			continue // memo hit or coalesce join: no probe needed
 		}
 		probe = append(probe, sp)
 	}
@@ -280,14 +281,12 @@ func (s *Server) probeCandidates(norm []runspec.RunSpec) (probe []runspec.RunSpe
 // Validation errors are reported before any admission, so a bad batch
 // never occupies queue slots.
 //
-// The store probe runs with s.mu released: Store.Load may be a disk read
-// or a peer HTTP round-trip, and holding the server mutex across it would
-// serialize every endpoint, worker transition, and drain on one
-// submission's I/O.
+// The store probe here is the only one a spec gets: a worker simulates a
+// queued flight without probing again. It runs with s.mu released:
+// Store.Load may be a disk read or a peer HTTP round-trip, and holding
+// the server mutex across it would serialize every endpoint, worker
+// transition, and drain on one submission's I/O.
 func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier) ([]attach, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("service: empty batch")
-	}
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d (%v): %w", i, sp, err)
@@ -345,25 +344,19 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier)
 			attaches[i] = attach{f: f}
 			continue
 		}
-		if f, ok := s.flights[sp]; ok {
-			// A non-terminal flight whose deadline already expired is
-			// doomed to a canceled verdict; joining it would time out the
-			// new waiter on a result that will never materialize. Admit a
-			// replacement instead — the doomed flight removes itself from
-			// the table when it publishes (identity-checked, so it cannot
-			// evict the replacement).
-			doomed := !f.state.terminal() && f.ctx.Err() != nil
-			if !doomed && !(f.state.terminal() && f.state.retryable()) {
-				f.waiters++
-				hit := f.state.terminal()
-				if hit {
-					s.metrics.Count("service.memo.hit", 1)
-				} else {
-					s.metrics.Count("service.coalesced", 1)
-				}
-				attaches[i] = attach{f: f, hit: hit}
-				continue
+		// A flight that cannot answer is doomed: admit a replacement. The
+		// doomed flight removes itself from the table when it publishes
+		// (identity-checked, so it cannot evict the replacement).
+		if f, ok := s.flights[sp]; ok && f.answers() {
+			f.waiters++
+			hit := f.state.terminal()
+			if hit {
+				s.metrics.Count("service.memo.hit", 1)
+			} else {
+				s.metrics.Count("service.coalesced", 1)
 			}
+			attaches[i] = attach{f: f, hit: hit}
+			continue
 		}
 		f := &flight{id: s.nextID, spec: sp, tier: tr, waiters: 1, done: make(chan struct{})}
 		f.ctx, f.cancel = s.baseCtx, func() {}
@@ -376,7 +369,7 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier)
 			f.cancel() // no simulation: release the deadline timer
 			f.res = res
 			f.cached = true
-			s.registerLocked(f, jobDone)
+			s.transitionLocked(f, jobDone)
 			close(f.done)
 			attaches[i] = attach{f: f, hit: true}
 			newFlights[sp] = f
@@ -412,7 +405,7 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier)
 		}
 	}
 	for _, f := range fresh {
-		s.registerLocked(f, jobQueued)
+		s.transitionLocked(f, jobQueued)
 		q <- f
 	}
 	s.metrics.Count("service.submissions", 1)
@@ -421,28 +414,22 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier)
 	return attaches, nil
 }
 
-// registerLocked adds a flight to the table and history in state st.
-// Callers hold mu.
-func (s *Server) registerLocked(f *flight, st jobState) {
-	s.flights[f.spec] = f
-	s.jobs = append(s.jobs, f)
-	f.state = st
-	s.counts[st]++
-	s.seq++
-	f.upd = s.seq
-	s.cond.Broadcast()
-}
-
-// setState transitions a flight, maintaining counts and waking watchers.
-func (s *Server) setState(f *flight, st jobState) {
-	s.mu.Lock()
-	s.counts[f.state]--
+// transitionLocked moves f to state st, keeping the per-state counts,
+// bumps the /runs sequence, and wakes its watchers. A flight's first
+// transition (upd still 0) also enters it in the flight table and the
+// history. Callers hold mu.
+func (s *Server) transitionLocked(f *flight, st jobState) {
+	if f.upd == 0 {
+		s.flights[f.spec] = f
+		s.jobs = append(s.jobs, f)
+	} else {
+		s.counts[f.state]--
+	}
 	s.counts[st]++
 	f.state = st
 	s.seq++
 	f.upd = s.seq
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // worker drains the job queues until both are closed (drain) and empty.
@@ -484,46 +471,34 @@ func (s *Server) worker() {
 	}
 }
 
-// runFlight executes one flight through the runspec Executor, honoring its
-// deadline, and publishes the terminal state.
+// runFlight simulates one flight and publishes its terminal state.
+// core.Run cannot be interrupted, so the flight's context — its deadline
+// and the hard stop — is checked on both sides of the run: a flight whose
+// context ended in the queue never runs, and a result finished after it
+// ended is discarded, never stored. Admission made the spec's store
+// probe; the run's metrics registry merges into the service registry.
 func (s *Server) runFlight(f *flight) {
-	s.setState(f, jobRunning)
+	s.mu.Lock()
+	s.transitionLocked(f, jobRunning)
+	s.mu.Unlock()
 	if s.runStarted != nil {
 		s.runStarted(f.spec)
 	}
 	defer f.cancel()
 
-	// One executor invocation per flight: Lookup re-probes the shared
-	// store (another process or peer may have produced the result since
-	// admission), Store persists fresh verified results, and the per-run
-	// metrics registry merges into the service registry on completion.
 	m := &obs.Metrics{}
-	cached := false
-	ex := runspec.Executor{
-		Workers: 1,
-		Audit:   s.cfg.Audit,
-		Observe: func(runspec.RunSpec) []obs.Observer { return []obs.Observer{m} },
-		OnDone:  func(_ runspec.RunSpec, _ *core.Result, c bool) { cached = c },
-	}
-	if s.cfg.Cache != nil {
-		ex.Lookup = func(sp runspec.RunSpec) (*core.Result, bool, error) {
-			res, ok, err := s.cfg.Cache.Load(sp)
-			if err != nil {
-				s.mu.Lock()
-				s.metrics.Count("runcache.corrupt", 1)
-				s.mu.Unlock()
-			}
-			return res, ok, err
-		}
-		ex.Store = func(sp runspec.RunSpec, res *core.Result) {
-			if err := s.cfg.Cache.Store(sp, res); err != nil {
-				s.mu.Lock()
-				s.metrics.Count("service.cache.storeerr", 1)
-				s.mu.Unlock()
-			}
+	var res *core.Result
+	err := f.ctx.Err()
+	if err == nil {
+		res, err = f.spec.RunObserved(s.cfg.Audit, m)
+		if ctxErr := f.ctx.Err(); ctxErr != nil {
+			err = ctxErr
 		}
 	}
-	results, statuses, err := ex.Execute(f.ctx, []runspec.RunSpec{f.spec})
+	storeFailed := false
+	if err == nil && s.cfg.Cache != nil {
+		storeFailed = s.cfg.Cache.Store(f.spec, res) != nil
+	}
 
 	// Publish the terminal state in one critical section: result fields,
 	// metrics, and the state transition become visible together, and the
@@ -531,16 +506,14 @@ func (s *Server) runFlight(f *flight) {
 	// complete flight.
 	s.mu.Lock()
 	s.metrics.Merge(m)
+	if storeFailed {
+		s.metrics.Count("service.cache.storeerr", 1)
+	}
 	st := jobDone
 	switch {
-	case err == nil && statuses[0] == runspec.StatusDone:
-		f.res = results[0]
-		f.cached = cached
-		if cached {
-			s.metrics.Count("service.cache.hit", 1)
-		} else {
-			s.metrics.Count("service.sim.count", 1)
-		}
+	case err == nil:
+		f.res = res
+		s.metrics.Count("service.sim.count", 1)
 		s.metrics.Count("service.jobs.done", 1)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Drain hard-stop or per-job deadline: environmental, retryable.
@@ -559,12 +532,7 @@ func (s *Server) runFlight(f *flight) {
 		f.err = err
 		s.metrics.Count("service.jobs.failed", 1)
 	}
-	s.counts[f.state]--
-	s.counts[st]++
-	f.state = st
-	s.seq++
-	f.upd = s.seq
-	s.cond.Broadcast()
+	s.transitionLocked(f, st)
 	s.mu.Unlock()
 	close(f.done)
 }
@@ -609,17 +577,6 @@ func (s *Server) Idle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counts[jobQueued] == 0 && s.counts[jobRunning] == 0
-}
-
-// WriteMetrics renders the service metrics registry — service counters
-// plus every simulated run's merged observation metrics — in the sorted,
-// byte-stable obs text format.
-func (s *Server) WriteMetrics(w io.Writer) error {
-	// WriteText only reads the registry; holding mu keeps it consistent
-	// while racing workers merge their per-run metrics.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metrics.WriteText(w)
 }
 
 // CounterValue returns one service metrics counter (for tests and smoke

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 func TestProcBasicTiming(t *testing.T) {
@@ -229,12 +230,42 @@ func TestProcStepMatchesRun(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has stopped
+// falling, waiting at most a second: a goroutine an earlier test ended
+// may still be exiting, and counting it would hide a leak of one.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+	return n
+}
+
+// checkGoroutinesExit fails t if the goroutine count stays above before
+// for five seconds. An exiting goroutine may still be unwinding after its
+// final send, so the count is polled until it falls back.
+func checkGoroutinesExit(t *testing.T, before int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %s, %d before", n, after, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestProcGoroutinesExit checks that a drained engine leaves no process
 // goroutine behind: processes that finish, are killed while parked, and
 // are killed while waiting all end their goroutines once they have passed
 // control on.
 func TestProcGoroutinesExit(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEngine()
 	procs := []*Proc{
 		e.Go("finishes", func(p *Proc) { p.Delay(3) }),
@@ -252,16 +283,7 @@ func TestProcGoroutinesExit(t *testing.T) {
 			t.Fatalf("%s not done", p.Name())
 		}
 	}
-	// An exiting goroutine may still be unwinding after its final send;
-	// give it bounded chances to run.
-	n := runtime.NumGoroutine()
-	for i := 0; i < 10000 && n > before; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
-	}
-	if n != before {
-		t.Fatalf("%d goroutines after Run, %d before", n, before)
-	}
+	checkGoroutinesExit(t, before, "after Run")
 }
 
 // waitThenScript builds an engine with two processes that issue the same
@@ -353,7 +375,7 @@ func TestProcWaitThenMatchesWaitUntil(t *testing.T) {
 // time unwinds at that time without running op, and that its goroutine
 // exits.
 func TestProcWaitThenKilled(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEngine()
 	ran := false
 	victim := e.Go("victim", func(p *Proc) {
@@ -378,14 +400,7 @@ func TestProcWaitThenKilled(t *testing.T) {
 	if ran {
 		t.Fatal("op ran for a killed process")
 	}
-	n := runtime.NumGoroutine()
-	for i := 0; i < 10000 && n > before; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
-	}
-	if n != before {
-		t.Fatalf("%d goroutines after Run, %d before", n, before)
-	}
+	checkGoroutinesExit(t, before, "after Run")
 }
 
 // TestProcWaitThenResumesInSameEvent checks that an op returning a time no

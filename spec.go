@@ -18,6 +18,9 @@ import (
 // 1, a zero Machine becomes DefaultMachine(CMPs). Call Normalize to apply
 // the defaults explicitly, e.g. before comparing or hashing specs from
 // different sources.
+//
+// RunSpec.Run simulates the spec. Unlike the package-level Run, it reports
+// a numeric verification failure as an error, not in Result.VerifyErr.
 type RunSpec = runspec.RunSpec
 
 // Execute simulates each spec on a bounded worker pool, deduplicating
@@ -36,7 +39,7 @@ type RunSpec = runspec.RunSpec
 // parallel runner.
 func Execute(ctx context.Context, specs []RunSpec, workers int) ([]*Result, error) {
 	ex := &runspec.Executor{Workers: workers}
-	results, _, err := ex.Execute(ctx, specs)
+	results, err := ex.Execute(ctx, specs)
 	if err != nil {
 		return nil, err
 	}
