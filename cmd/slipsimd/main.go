@@ -1,11 +1,9 @@
 // Command slipsimd serves simulations over HTTP: it accepts RunSpec
-// batches, admits them into bounded per-tier job queues with
-// backpressure and batch-tier load shedding, coalesces identical
-// in-flight requests into one simulation, answers repeats from an
-// in-memory memo and the shared persistent run cache, serves that cache
-// to peer daemons over the content-addressed /v1/cache/ protocol, and
-// drains gracefully on SIGTERM — finishing accepted jobs while rejecting
-// new ones.
+// batches, admits them into one bounded job queue with backpressure,
+// coalesces identical in-flight requests into one simulation, answers
+// repeats from an in-memory memo and the persistent run cache it shares
+// with the CLIs, and drains gracefully on SIGTERM — finishing accepted
+// jobs while rejecting new ones.
 //
 // Usage:
 //
@@ -13,8 +11,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/run     {"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","arsync":"L1","cmps":2}],"priority":"batch"}
-//	GET  /v1/cache/  content-addressed cache peer protocol (GET/PUT entries)
+//	POST /v1/run     {"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","arsync":"L1","cmps":2}],"timeout_ms":60000}
 //	GET  /healthz    liveness, drain state, job counts
 //	GET  /metrics    deterministic text metrics
 //	GET  /runs       job table as NDJSON (?watch=1 streams changes)
@@ -49,17 +46,14 @@ import (
 	"slipstream/internal/core"
 	"slipstream/internal/runcache"
 	"slipstream/internal/service"
-	"slipstream/internal/service/api"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8056", "listen address")
 		workers    = flag.Int("j", 0, "max concurrent simulations (0: NumCPU)")
-		queue      = flag.Int("queue", service.DefaultQueueDepth, "max queued (not yet running) interactive jobs; beyond this, submissions get 429")
-		batchQueue = flag.Int("batch-queue", 0, "max queued batch-tier jobs (0: same as -queue); batch work is also shed while the interactive queue is congested")
+		queue      = flag.Int("queue", service.DefaultQueueDepth, "max queued (not yet running) jobs; beyond this, submissions get 429")
 		cacheAt    = flag.String("cache", runcache.DefaultDir(), "persistent run cache directory (shared with the CLIs)")
-		cachePeer  = flag.String("cache-peer", "", "read/write the run cache of the slipsimd at this base URL instead of a local directory (content-addressed /v1/cache/ protocol)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache (in-memory memo still applies)")
 		auditRuns  = flag.Bool("audit", false, "cross-check every simulation against conservation and coherence invariants")
 		timeout    = flag.Duration("timeout", 0, "default per-job deadline when a request names none (0: none)")
@@ -79,19 +73,13 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		BatchQueueDepth: *batchQueue,
-		Audit:           *auditRuns,
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		Audit:          *auditRuns,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
 	}
-	switch {
-	case *cachePeer != "":
-		base := strings.TrimRight(*cachePeer, "/") + strings.TrimSuffix(api.PathCache, "/")
-		cfg.Cache = runcache.NewPeer(base, core.SimVersion)
-		fmt.Fprintf(os.Stderr, "slipsimd: run cache via peer %s\n", base)
-	case !*noCache:
+	if !*noCache {
 		cache, err := runcache.Open(*cacheAt, core.SimVersion)
 		if err != nil {
 			// A broken cache directory degrades to fresh simulation, as in

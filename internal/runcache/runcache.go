@@ -5,18 +5,18 @@
 // together with the simulator semantics version, so a cache never serves
 // results the current simulator would not reproduce.
 //
-// The package exposes one seam, the Store interface, with two backends:
+// The package exposes one seam, the Store interface, and one backend,
+// Cache: a local atomic directory (JSON files written via temp file +
+// rename, safe for concurrent writers within and across processes;
+// opening prunes entries left by other simulator versions and quarantines
+// unreadable ones as .bad files). Tests substitute their own Stores.
 //
-//   - Cache, the local atomic directory backend (JSON files written via
-//     temp file + rename, safe for concurrent writers within and across
-//     processes; opening prunes entries left by other simulator versions
-//     and quarantines unreadable ones as .bad files).
-//   - Peer, an HTTP client of another daemon's cache speaking the
-//     content-addressed GET/PUT peer protocol served by PeerHandler.
-//
-// Entries are self-describing {version, spec, result} JSON on disk and on
-// the wire, so every backend can verify an entry against the key and spec
-// it claims to answer before serving it.
+// Entries are self-describing {version, spec, result} JSON, so a load can
+// verify an entry against the key and spec it claims to answer before
+// serving it. Entries reach the directory only through Store, called by
+// the process that simulated them: verification proves which spec an
+// entry answers, not that its result was simulated, so no entry is ever
+// accepted from the network.
 package runcache
 
 import (
@@ -36,13 +36,12 @@ import (
 
 // Store is the content-addressed result store seam: the serving layer,
 // the harness, and the CLIs depend on this interface rather than on a
-// concrete backend, so a daemon can read through a local directory or a
-// remote peer interchangeably. Implementations must be safe for
-// concurrent use.
+// concrete backend, so tests can count or block the calls a daemon makes.
+// Implementations must be safe for concurrent use.
 type Store interface {
 	// Key returns the content hash naming sp's entry: a pure function of
-	// the simulator version and the normalized spec, identical across
-	// every backend and every process.
+	// the simulator version and the normalized spec, identical in every
+	// process.
 	Key(sp runspec.RunSpec) (string, error)
 
 	// Load returns the stored result for sp, if present and valid. A
@@ -106,9 +105,9 @@ func (c *Cache) Dir() string { return c.dir }
 // silently deleting them. The files stay in the directory for inspection.
 func (c *Cache) Quarantined() int64 { return c.quarantined.Load() }
 
-// entry is the self-describing storage and wire format. Version and Spec
-// are stored alongside the result so entries are verifiable independent
-// of their filename or URL.
+// entry is the self-describing storage format. Version and Spec are
+// stored alongside the result so entries are verifiable independent of
+// their filename.
 type entry struct {
 	Version string          `json:"version"`
 	Spec    runspec.RunSpec `json:"spec"`
@@ -118,8 +117,7 @@ type entry struct {
 // verify checks that e is servable as the entry named key for spec want
 // under version: the version matches, the entry's spec is the one asked
 // for, the key re-derives from the entry's own content, and the result is
-// present and verified. It is the one gate every backend applies before
-// serving or accepting an entry.
+// present and verified. Load applies it before serving an entry.
 func (e *entry) verify(version, key string, want runspec.RunSpec) error {
 	switch {
 	case e.Version != version:
@@ -143,9 +141,8 @@ func (e *entry) verify(version, key string, want runspec.RunSpec) error {
 
 // KeyFor returns the content hash naming sp's cache entry under the given
 // simulator version: SHA-256 over the version and the canonical JSON of
-// the normalized spec. Every Store backend and the gateway's consistent
-// hashing use this one function, so placement and lookup agree
-// everywhere.
+// the normalized spec. The Cache and the gateway's consistent hashing
+// use this one function, so placement and lookup agree everywhere.
 func KeyFor(version string, sp runspec.RunSpec) (string, error) {
 	b, err := json.Marshal(struct {
 		Version string          `json:"version"`

@@ -1,15 +1,19 @@
-// Package api is version 1 of the slipsimd wire protocol: the request,
-// response, status, error, and header types exchanged by the serving
-// daemon and the gateway (internal/service), the typed client
-// (internal/service/client), and the CI smoke jobs. Server and client
-// both consume this one package, so the wire format cannot drift between
-// them.
+// Package api is version 1 of the slipsimd wire protocol: the paths and
+// the request, response, status, error, and header types exchanged by the
+// serving daemon and the gateway (internal/service) and the typed client
+// (internal/service/client). Server and client both consume this one
+// package, so the wire format cannot drift between them. The protocol
+// carries run requests and their answers only: no endpoint accepts a
+// result or a cache entry.
 //
 // Compatibility contract: within protocol version 1 (the /v1 path
 // prefix), changes are additive only — new optional fields, new error
-// codes, new header values. RunSpec and Result keep their symbolic JSON
-// encodings (mode, policy, and size names), so requests are hand-writable
-// and responses byte-identical to local `slipsim` output.
+// codes, new header values — except that a field or path no client uses
+// may be removed. A request naming a removed field gets 400 and one to a
+// removed path gets 404, so it is refused, never misread. RunSpec and
+// Result keep their symbolic JSON encodings (mode, policy, and size
+// names), so requests are hand-writable and responses byte-identical to
+// local `slipsim` output.
 package api
 
 import (
@@ -23,9 +27,6 @@ import (
 const (
 	// PathRun accepts POST RunRequest batches.
 	PathRun = "/v1/run"
-	// PathCache is the content-addressed cache peer protocol prefix
-	// (see runcache.PeerHandler); entries live at PathCache + <key>.
-	PathCache = "/v1/cache/"
 	// PathHealthz serves liveness, drain state, and job counts.
 	PathHealthz = "/healthz"
 	// PathMetrics serves the deterministic text metrics registry.
@@ -34,30 +35,17 @@ const (
 	PathRuns = "/runs"
 )
 
-// Priority tiers of RunRequest. Interactive work is queued ahead of batch
-// work and is the last to be shed under load.
-const (
-	// TierInteractive is the default: user-facing, latency-sensitive.
-	TierInteractive = "interactive"
-	// TierBatch marks throughput work (sweeps, prefetch, backfill); it
-	// is admitted only while interactive queues have headroom and is the
-	// first tier shed under load.
-	TierBatch = "batch"
-)
-
 // RunRequest is the body of POST /v1/run: a batch of specs, optionally
-// with a per-job deadline and a priority tier. Specs equal after
-// normalization share one job — per daemon, and through the gateway's
-// consistent hashing one job across the whole cluster.
+// with a per-job deadline. Specs equal after normalization share one job
+// — per daemon, and through the gateway's consistent hashing one job
+// across the whole cluster. A body with any other field is rejected with
+// CodeBadRequest.
 type RunRequest struct {
 	Specs []runspec.RunSpec `json:"specs"`
 	// TimeoutMS bounds each fresh simulation this batch enqueues; zero
 	// selects the server default. Coalesced joins inherit the deadline of
 	// the flight they join.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Priority is the admission tier: TierInteractive (default when
-	// empty) or TierBatch.
-	Priority string `json:"priority,omitempty"`
 }
 
 // Timeout returns the request's per-job deadline as a duration (zero:
@@ -86,9 +74,6 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeQueueFull: admission backpressure; retry after Retry-After.
 	CodeQueueFull = "queue_full"
-	// CodeShed: batch-tier work shed under load; retry after Retry-After
-	// or resubmit as interactive.
-	CodeShed = "shed"
 	// CodeDraining: the daemon is shutting down; submit elsewhere.
 	CodeDraining = "draining"
 	// CodeDeadline: the job's deadline expired before completion.
@@ -117,7 +102,6 @@ type JobStatus struct {
 	ID      int64           `json:"id"`
 	Spec    runspec.RunSpec `json:"spec"`
 	State   string          `json:"state"`
-	Tier    string          `json:"tier,omitempty"`
 	Cached  bool            `json:"cached,omitempty"`
 	Waiters int64           `json:"waiters,omitempty"`
 	Error   string          `json:"error,omitempty"`

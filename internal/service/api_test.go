@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -182,8 +183,9 @@ func TestBatchDispositions(t *testing.T) {
 }
 
 // TestRunsAndHealth covers the status surfaces: /runs lists jobs in id
-// order with terminal states, /healthz reports counts and the semantics
-// version.
+// order with terminal states, ?watch=0 answers the same snapshot and
+// closes, a watch value that is not a boolean is refused, and /healthz
+// reports counts and the semantics version.
 func TestRunsAndHealth(t *testing.T) {
 	_, c := newServed(t, service.Config{Workers: 2})
 	ctx := context.Background()
@@ -208,6 +210,29 @@ func TestRunsAndHealth(t *testing.T) {
 		if js.Spec.Kernel != "SOR" {
 			t.Errorf("jobs[%d].Spec.Kernel = %q, want SOR", i, js.Spec.Kernel)
 		}
+	}
+
+	// A client timeout turns a stream that never ends into a failure.
+	hc := &http.Client{Timeout: 5 * time.Second}
+	getRuns := func(query string) (int, []byte) {
+		t.Helper()
+		resp, err := hc.Get(c.Base + api.PathRuns + query)
+		if err != nil {
+			t.Fatalf("GET /runs%s: %v", query, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET /runs%s: reading body: %v", query, err)
+		}
+		return resp.StatusCode, body
+	}
+	_, snapshot := getRuns("")
+	if code, body := getRuns("?watch=0"); code != http.StatusOK || !bytes.Equal(body, snapshot) {
+		t.Errorf("/runs?watch=0: HTTP %d %q, want 200 and the snapshot %q", code, body, snapshot)
+	}
+	if code, _ := getRuns("?watch=maybe"); code != http.StatusBadRequest {
+		t.Errorf("/runs?watch=maybe: HTTP %d, want 400", code)
 	}
 
 	h, err := c.Health(ctx)
@@ -282,5 +307,88 @@ scan:
 	}
 	if !sawDone {
 		t.Errorf("watch stream never reported the job done")
+	}
+}
+
+// TestForgedCacheWriteRefused pins that a daemon takes no cache entry from
+// the network. A well-formed entry claiming 42 cycles for a spec passes
+// every check an entry can be given, since only a simulation can tell its
+// result is wrong. Its PUT gets 404; the next run of the spec simulates
+// and answers the real cycles, which are what the store then holds.
+func TestForgedCacheWriteRefused(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newServed(t, service.Config{Workers: 1, Cache: cache})
+	spec := specTL(2)
+	key, err := cache.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := json.Marshal(map[string]any{
+		"version": core.SimVersion,
+		"spec":    spec.Normalize(),
+		"result":  &core.Result{Kernel: spec.Kernel, Mode: spec.Mode, CMPs: spec.CMPs, Cycles: 42},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, c.Base+"/v1/cache/"+key, bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("forged PUT: HTTP %d, want 404", resp.StatusCode)
+	}
+
+	want, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, cached, err := c.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached || got.Cycles != want.Cycles {
+		t.Errorf("run after forged PUT: %d cycles, cached=%t; want %d, not cached", got.Cycles, cached, want.Cycles)
+	}
+	if n := s.CounterValue("run.count"); n != 1 {
+		t.Errorf("run.count = %d, want 1", n)
+	}
+	stored, ok, err := cache.Load(spec)
+	if !ok || err != nil || stored.Cycles != want.Cycles {
+		t.Errorf("store after the run: ok=%t err=%v result=%+v, want %d cycles", ok, err, stored, want.Cycles)
+	}
+}
+
+// TestPriorityFieldRejected pins that a run request has no priority: the
+// daemon and the gateway share one decoder, which refuses the unknown
+// field with 400 bad_request before anything is admitted.
+func TestPriorityFieldRejected(t *testing.T) {
+	cl := newCluster(t, 1, func(int) service.Config { return service.Config{Workers: 1} })
+	body := `{"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","cmps":2}],"priority":"batch"}`
+	for _, base := range []string{cl.backends[0].URL, cl.front.URL} {
+		resp, err := http.Post(base+api.PathRun, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Code != api.CodeBadRequest {
+			t.Errorf("%s: HTTP %d code %q, want 400 %q", base, resp.StatusCode, er.Code, api.CodeBadRequest)
+		}
+	}
+	if n := cl.servers[0].CounterValue("service.submissions"); n != 0 {
+		t.Errorf("service.submissions = %d, want 0", n)
 	}
 }

@@ -1,8 +1,8 @@
 // Package client is the typed Go client of the slipsimd HTTP API
 // (wire types: internal/service/api). It is used by the service tests,
-// the CI smoke jobs, the gateway's replica fan-out, and `slipsim
-// -server`, which round-trips a CLI run through a daemon and prints the
-// byte-identical result.
+// the gateway's replica fan-out, perfbench's serving workload, and
+// `slipsim -server`, which round-trips a CLI run through a daemon and
+// prints the byte-identical result.
 package client
 
 import (
@@ -29,7 +29,7 @@ type Client struct {
 	// HTTPClient overrides the transport; nil selects http.DefaultClient.
 	HTTPClient *http.Client
 	// MaxAttempts bounds how many times Submit tries a temporary
-	// rejection (429 queue-full/shed backpressure, 504 deadline) before
+	// rejection (429 queue-full backpressure, 504 deadline) before
 	// giving up, honoring the server's Retry-After hint between tries
 	// (with a small floor when the server sent none). Zero or one means a
 	// single attempt. Non-temporary errors (validation, simulation
@@ -64,8 +64,8 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("slipsimd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
-// Temporary reports whether retrying later may succeed: queue-full and
-// shed backpressure and gateway timeouts are temporary; validation and
+// Temporary reports whether retrying later may succeed: queue-full
+// backpressure and gateway timeouts are temporary; validation and
 // simulation failures (and drain) are not.
 func (e *APIError) Temporary() bool {
 	return e.StatusCode == http.StatusTooManyRequests ||
@@ -151,10 +151,9 @@ func (c *Client) submitOnce(ctx context.Context, req api.RunRequest) (*api.RunRe
 	return &resp, httpResp.Header.Get(api.CacheHeader), nil
 }
 
-// RunBatch submits a spec batch on the default (interactive) tier and
-// waits for every result. The returned response aligns with specs; cache
-// is the response's X-Slipsim-Cache disposition ("hit", "miss", or
-// "partial").
+// RunBatch submits a spec batch and waits for every result. The returned
+// response aligns with specs; cache is the response's X-Slipsim-Cache
+// disposition ("hit", "miss", or "partial").
 func (c *Client) RunBatch(ctx context.Context, specs []runspec.RunSpec, timeout time.Duration) (*api.RunResponse, string, error) {
 	return c.Submit(ctx, api.RunRequest{Specs: specs, TimeoutMS: timeout.Milliseconds()})
 }

@@ -68,7 +68,7 @@ func TestClientRetryBudgetExhausts(t *testing.T) {
 		w.Header().Set("Retry-After", "0")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(api.ErrorResponse{Error: "overloaded", Code: api.CodeShed})
+		json.NewEncoder(w).Encode(api.ErrorResponse{Error: "overloaded", Code: api.CodeQueueFull})
 	}))
 	t.Cleanup(ts.Close)
 
@@ -79,8 +79,8 @@ func TestClientRetryBudgetExhausts(t *testing.T) {
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want APIError", err)
 	}
-	if apiErr.StatusCode != http.StatusTooManyRequests || apiErr.Code != api.CodeShed {
-		t.Errorf("final error = HTTP %d code %q, want 429 %q", apiErr.StatusCode, apiErr.Code, api.CodeShed)
+	if apiErr.StatusCode != http.StatusTooManyRequests || apiErr.Code != api.CodeQueueFull {
+		t.Errorf("final error = HTTP %d code %q, want 429 %q", apiErr.StatusCode, apiErr.Code, api.CodeQueueFull)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Errorf("attempts = %d, want 3", got)

@@ -187,7 +187,6 @@ func (g *Gateway) fanOut(r *http.Request, req api.RunRequest, specs []runspec.Ru
 		sub := api.RunRequest{
 			Specs:     make([]runspec.RunSpec, len(idxs)),
 			TimeoutMS: req.TimeoutMS,
-			Priority:  req.Priority,
 		}
 		for j, i := range idxs {
 			sub.Specs[j] = specs[i]
@@ -225,7 +224,7 @@ func replicaDown(err error) bool {
 }
 
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, _, err := decodeRunRequest(w, r)
+	req, err := decodeRunRequest(w, r)
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return

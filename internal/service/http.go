@@ -13,7 +13,6 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/obs"
-	"slipstream/internal/runcache"
 	"slipstream/internal/service/api"
 )
 
@@ -27,55 +26,44 @@ const maxRequestBytes = 1 << 20
 //	GET  /healthz     liveness, drain state, job counts
 //	GET  /metrics     deterministic text metrics (obs registry)
 //	GET  /runs        job table as NDJSON; ?watch=1 streams state changes
-//	     /v1/cache/*  content-addressed cache peer protocol, when the
-//	                  daemon's store is a local directory cache
+//
+// It serves no other path: a request to write a cache entry gets 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.PathRun, s.handleRun)
 	mux.HandleFunc("GET "+api.PathHealthz, s.handleHealth)
 	mux.HandleFunc("GET "+api.PathMetrics, s.handleMetrics)
 	mux.HandleFunc("GET "+api.PathRuns, s.handleRuns)
-	// Peer daemons read through this daemon's cache only when it is the
-	// local-directory backend; a daemon that is itself a peer client
-	// must not be proxied through (one hop keeps failure modes simple).
-	if lc, ok := s.cfg.Cache.(*runcache.Cache); ok && lc != nil {
-		mux.Handle(api.PathCache,
-			http.StripPrefix(strings.TrimSuffix(api.PathCache, "/"), runcache.PeerHandler(lc)))
-	}
 	return mux
 }
 
 // decodeRunRequest reads a POST /v1/run body for the daemon and the
-// gateway alike: JSON of at most maxRequestBytes with no unknown fields,
-// at least one spec, and a known priority tier. An error is the
-// request's 400 answer.
-func decodeRunRequest(w http.ResponseWriter, r *http.Request) (api.RunRequest, tier, error) {
+// gateway alike: JSON of at most maxRequestBytes with no unknown fields
+// and at least one spec. An error is the request's 400 answer.
+func decodeRunRequest(w http.ResponseWriter, r *http.Request) (api.RunRequest, error) {
 	var req api.RunRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return req, 0, fmt.Errorf("decoding request: %w", err)
+		return req, fmt.Errorf("decoding request: %w", err)
 	}
 	if len(req.Specs) == 0 {
-		return req, 0, fmt.Errorf("service: empty batch")
+		return req, fmt.Errorf("service: empty batch")
 	}
-	tr, err := parseTier(req.Priority)
-	return req, tr, err
+	return req, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, tr, err := decodeRunRequest(w, r)
+	req, err := decodeRunRequest(w, r)
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return
 	}
-	attaches, err := s.submit(req.Specs, req.Timeout(), tr)
+	attaches, err := s.submit(req.Specs, req.Timeout())
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			writeAPIError(w, http.StatusTooManyRequests, api.CodeQueueFull, err, 1)
-		case errors.Is(err, ErrShed):
-			writeAPIError(w, http.StatusTooManyRequests, api.CodeShed, err, 5)
 		case errors.Is(err, ErrDraining):
 			writeAPIError(w, http.StatusServiceUnavailable, api.CodeDraining, err, 0)
 		default:
@@ -191,7 +179,6 @@ func statusLocked(f *flight) api.JobStatus {
 		ID:      f.id,
 		Spec:    f.spec,
 		State:   f.state.String(),
-		Tier:    tierNames[f.tier],
 		Cached:  f.cached,
 		Waiters: f.waiters,
 	}
@@ -202,10 +189,18 @@ func statusLocked(f *flight) api.JobStatus {
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
+	watch := false
+	if v := r.URL.Query().Get("watch"); v != "" {
+		var err error
+		if watch, err = strconv.ParseBool(v); err != nil {
+			writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest,
+				fmt.Errorf("service: watch=%q is not a boolean", v), 0)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(api.VersionHeader, core.SimVersion)
 	enc := json.NewEncoder(w)
-	watch := r.URL.Query().Get("watch") != ""
 
 	// Wake the cond loop when the client disconnects so a watch never
 	// outlives its request.

@@ -21,7 +21,7 @@ import (
 )
 
 // blockingStore is a Store whose Load parks until unblock is closed,
-// standing in for a hung cache peer.
+// standing in for a cache whose storage hangs.
 type blockingStore struct {
 	unblock chan struct{}
 	loads   atomic.Int64
@@ -42,7 +42,7 @@ func (b *blockingStore) Store(sp runspec.RunSpec, res *core.Result) error { retu
 func (b *blockingStore) Len() int { return 0 }
 
 // TestStoreProbeReleasesMutex pins the deadlock fix: a Store backend that
-// hangs mid-Load (a dead peer over timeout-less HTTP) must not stall the
+// hangs mid-Load (a stalled disk or network mount) must not stall the
 // server mutex — health checks, metrics, and worker transitions all take
 // it, so a probe under the lock froze the whole daemon.
 func TestStoreProbeReleasesMutex(t *testing.T) {
@@ -52,7 +52,7 @@ func TestStoreProbeReleasesMutex(t *testing.T) {
 	submitted := make(chan struct{})
 	go func() {
 		defer close(submitted)
-		if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0, tierInteractive); err != nil {
+		if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0); err != nil {
 			t.Errorf("submit: %v", err)
 		}
 	}()
@@ -116,7 +116,7 @@ func TestColdSpecProbesStoreOnce(t *testing.T) {
 	}()
 
 	for i, wantHit := range []bool{false, true} {
-		att, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0, tierInteractive)
+		att, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package service is the serving core of slipsimd: a long-lived server
-// that accepts RunSpec batches, admits them into bounded per-tier job
-// queues, and simulates each admitted spec on a fixed worker pool —
+// that accepts RunSpec batches, admits them into one bounded job queue,
+// and simulates each admitted spec on a fixed worker pool —
 // turning the deterministic one-shot simulator into an always-on service
 // with queueing, caching, backpressure, and graceful drain. The same
 // package provides Gateway, which consistent-hashes specs across a static
@@ -16,21 +16,17 @@
 //   - In-memory memoization: completed flights stay in the flight table
 //     for the daemon's lifetime, so a spec ever simulated (or ever failed —
 //     failures are deterministic too) is answered without re-running.
-//   - Read-through persistent caching: admission probes the shared
+//   - Read-through persistent caching: admission probes the
 //     runcache.Store before queueing — the only probe a spec gets — and
-//     fresh results are stored back, so daemon restarts, peer daemons, and
-//     CLI runs share one result store.
+//     fresh results are stored back, so daemon restarts and CLI runs
+//     sharing the directory share one result store.
 //
-// Admission control is strict, cache-aware, and tiered: cached and
-// coalesced submissions are always admitted (they consume no queue slot),
-// while a batch needing N fresh simulations is admitted only if all N fit
-// in its tier's queue — otherwise the whole batch is rejected with
-// ErrQueueFull so a client never blocks half-admitted. Two priority tiers
-// share the worker pool: interactive work is always dequeued first, and
-// batch-tier work is load-shed (ErrShed) whenever the interactive queue
-// is under pressure, so throughput work can never crowd out latency-
-// sensitive work. A draining server rejects every new submission with
-// ErrDraining but finishes all accepted jobs.
+// Admission control is strict and cache-aware: cached and coalesced
+// submissions are always admitted (they consume no queue slot), while a
+// batch needing N fresh simulations is admitted only if all N fit in the
+// queue — otherwise the whole batch is rejected with ErrQueueFull so a
+// client never blocks half-admitted. A draining server rejects every new
+// submission with ErrDraining but finishes all accepted jobs.
 //
 // The server is not simulation code: it may use goroutines, channels, and
 // wall-clock deadlines freely (simlint's nondeterminism rules scope to the
@@ -51,7 +47,6 @@ import (
 	"slipstream/internal/obs"
 	"slipstream/internal/runcache"
 	"slipstream/internal/runspec"
-	"slipstream/internal/service/api"
 )
 
 // Config parameterizes a Server.
@@ -60,22 +55,15 @@ type Config struct {
 	// runtime.NumCPU().
 	Workers int
 
-	// QueueDepth bounds interactive-tier jobs accepted but not yet
-	// running. Zero or negative selects DefaultQueueDepth. Submissions
-	// needing more fresh simulations than the tier's queue has free slots
-	// are rejected with ErrQueueFull.
+	// QueueDepth bounds jobs accepted but not yet running. Zero or
+	// negative selects DefaultQueueDepth. Submissions needing more fresh
+	// simulations than the queue has free slots are rejected with
+	// ErrQueueFull.
 	QueueDepth int
 
-	// BatchQueueDepth bounds batch-tier jobs accepted but not yet
-	// running. Zero or negative selects QueueDepth. Batch work is
-	// additionally shed (ErrShed) while the interactive queue is more
-	// than half full, regardless of batch-queue headroom.
-	BatchQueueDepth int
-
 	// Cache, when set, is probed read-through at admission and receives
-	// every freshly simulated result. It is the Store seam: a local
-	// directory cache shares results with the CLIs, a runcache.Peer
-	// shares them with a remote daemon fleet-wide.
+	// every freshly simulated result. A runcache.Cache directory shares
+	// results with the CLIs.
 	Cache runcache.Store
 
 	// Audit enables the runtime invariant auditor on every simulation.
@@ -92,42 +80,15 @@ type Config struct {
 // DefaultQueueDepth is the job-queue bound when Config.QueueDepth is unset.
 const DefaultQueueDepth = 64
 
-// Admission errors. The HTTP layer maps these to 429 (ErrQueueFull,
-// ErrShed) and 503 (ErrDraining).
+// Admission errors. The HTTP layer maps these to 429 (ErrQueueFull) and
+// 503 (ErrDraining).
 var (
-	// ErrQueueFull reports that the tier's job queue lacks room for every
-	// fresh simulation a submission needs.
+	// ErrQueueFull reports that the job queue lacks room for every fresh
+	// simulation a submission needs.
 	ErrQueueFull = errors.New("service: job queue full")
-	// ErrShed reports that batch-tier work was shed because interactive
-	// work is under pressure; retry later or resubmit as interactive.
-	ErrShed = errors.New("service: overloaded, batch-tier work shed")
 	// ErrDraining reports that the server has stopped admitting work.
 	ErrDraining = errors.New("service: draining, not admitting new jobs")
 )
-
-// tier is an admission priority class (the wire names them via
-// api.TierInteractive / api.TierBatch).
-type tier uint8
-
-const (
-	tierInteractive tier = iota
-	tierBatch
-	numTiers
-)
-
-var tierNames = [numTiers]string{api.TierInteractive, api.TierBatch}
-
-// parseTier maps a wire priority string to a tier; empty selects
-// interactive.
-func parseTier(s string) (tier, error) {
-	switch s {
-	case "", api.TierInteractive:
-		return tierInteractive, nil
-	case api.TierBatch:
-		return tierBatch, nil
-	}
-	return 0, fmt.Errorf("service: unknown priority tier %q", s)
-}
 
 // jobState is a flight's lifecycle position.
 type jobState uint8
@@ -150,12 +111,10 @@ func (s jobState) terminal() bool { return s >= jobDone }
 
 // flight is one admitted unit of work: a unique normalized spec moving
 // through queued → running → {done, failed, canceled}. All submissions of
-// an equal spec share one flight, whichever tier they arrived on (the
-// flight keeps the tier it was admitted under).
+// an equal spec share one flight.
 type flight struct {
 	id   int64
 	spec runspec.RunSpec
-	tier tier
 	// ctx carries the per-job deadline, counted from admission (queue wait
 	// is part of the job's latency budget); cancel releases its timer.
 	ctx    context.Context
@@ -190,7 +149,7 @@ type attach struct {
 	hit bool
 }
 
-// Server owns the queues, the worker pool, the flight table, and the
+// Server owns the queue, the worker pool, the flight table, and the
 // service metrics registry.
 type Server struct {
 	cfg      Config
@@ -201,7 +160,7 @@ type Server struct {
 	cond     *sync.Cond // broadcast on every flight state change
 	flights  map[runspec.RunSpec]*flight
 	jobs     []*flight // id order; retained for /runs history
-	queues   [numTiers]chan *flight
+	queue    chan *flight
 	draining bool
 	seq      int64
 	nextID   int64
@@ -229,19 +188,15 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.BatchQueueDepth <= 0 {
-		cfg.BatchQueueDepth = cfg.QueueDepth
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
 		baseCtx:  ctx,
 		hardStop: cancel,
 		flights:  make(map[runspec.RunSpec]*flight),
+		queue:    make(chan *flight, cfg.QueueDepth),
 		nextID:   1,
 	}
-	s.queues[tierInteractive] = make(chan *flight, cfg.QueueDepth)
-	s.queues[tierBatch] = make(chan *flight, cfg.BatchQueueDepth)
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -276,17 +231,17 @@ func (s *Server) probeCandidates(norm []runspec.RunSpec) (probe []runspec.RunSpe
 	return probe, false
 }
 
-// submit validates and admits a batch on the given tier. On success every
-// spec has an attach; the caller waits on each flight's done channel.
-// Validation errors are reported before any admission, so a bad batch
-// never occupies queue slots.
+// submit validates and admits a batch. On success every spec has an
+// attach; the caller waits on each flight's done channel. Validation
+// errors are reported before any admission, so a bad batch never
+// occupies queue slots.
 //
 // The store probe here is the only one a spec gets: a worker simulates a
 // queued flight without probing again. It runs with s.mu released:
-// Store.Load may be a disk read or a peer HTTP round-trip, and holding
-// the server mutex across it would serialize every endpoint, worker
-// transition, and drain on one submission's I/O.
-func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier) ([]attach, error) {
+// Store.Load is a disk read, and holding the server mutex across it would
+// serialize every endpoint, worker transition, and drain on one
+// submission's I/O.
+func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attach, error) {
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d (%v): %w", i, sp, err)
@@ -358,7 +313,7 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier)
 			attaches[i] = attach{f: f, hit: hit}
 			continue
 		}
-		f := &flight{id: s.nextID, spec: sp, tier: tr, waiters: 1, done: make(chan struct{})}
+		f := &flight{id: s.nextID, spec: sp, waiters: 1, done: make(chan struct{})}
 		f.ctx, f.cancel = s.baseCtx, func() {}
 		if timeout > 0 {
 			f.ctx, f.cancel = context.WithTimeout(s.baseCtx, timeout)
@@ -381,36 +336,22 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration, tr tier)
 		attaches[i] = attach{f: f}
 	}
 
-	// Admission: the whole batch or none of it, against the tier's own
-	// queue. Batch-tier work is additionally shed while the interactive
-	// queue is under pressure — latency-sensitive work owns the headroom.
-	// len(queue) is stable here (only workers shrink it), so the
-	// non-blocking sends below cannot fail after these checks pass.
-	q := s.queues[tr]
-	if len(fresh) > 0 {
-		qi := s.queues[tierInteractive]
-		if tr == tierBatch && len(qi) > cap(qi)/2 {
-			s.metrics.Count("service.shed.batch", 1)
-			for _, f := range fresh {
-				f.cancel()
-			}
-			return nil, ErrShed
+	// Admission: the whole batch or none of it. Every send holds s.mu and
+	// only workers receive, so the queue's free space can only grow while
+	// s.mu is held: the sends below cannot block once this check passes.
+	if len(fresh) > cap(s.queue)-len(s.queue) {
+		s.metrics.Count("service.rejected.queue", 1)
+		for _, f := range fresh { // unadmitted: release deadline timers
+			f.cancel()
 		}
-		if len(fresh) > cap(q)-len(q) {
-			s.metrics.Count("service.rejected.queue", 1)
-			for _, f := range fresh { // unadmitted: release deadline timers
-				f.cancel()
-			}
-			return nil, ErrQueueFull
-		}
+		return nil, ErrQueueFull
 	}
 	for _, f := range fresh {
 		s.transitionLocked(f, jobQueued)
-		q <- f
+		s.queue <- f
 	}
 	s.metrics.Count("service.submissions", 1)
 	s.metrics.Count("service.specs", int64(len(specs)))
-	s.metrics.Count("service.tier."+tierNames[tr], 1)
 	return attaches, nil
 }
 
@@ -432,42 +373,11 @@ func (s *Server) transitionLocked(f *flight, st jobState) {
 	s.cond.Broadcast()
 }
 
-// worker drains the job queues until both are closed (drain) and empty.
-// Interactive flights are always preferred: a worker only takes batch
-// work when no interactive work is waiting.
+// worker runs queued flights until the queue is closed (drain) and empty.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	qi, qb := s.queues[tierInteractive], s.queues[tierBatch]
-	for qi != nil || qb != nil {
-		if qi != nil {
-			// Non-blocking probe of the interactive queue first, so a
-			// waiting batch flight can never win a race against waiting
-			// interactive work.
-			select {
-			case f, ok := <-qi:
-				if !ok {
-					qi = nil
-					continue
-				}
-				s.runFlight(f)
-				continue
-			default:
-			}
-		}
-		select {
-		case f, ok := <-qi: // nil after close: blocks, leaving qb to win
-			if !ok {
-				qi = nil
-				continue
-			}
-			s.runFlight(f)
-		case f, ok := <-qb:
-			if !ok {
-				qb = nil
-				continue
-			}
-			s.runFlight(f)
-		}
+	for f := range s.queue {
+		s.runFlight(f)
 	}
 }
 
@@ -543,9 +453,7 @@ func (s *Server) StartDrain() {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		for _, q := range s.queues {
-			close(q) // workers exit once the accepted backlog drains
-		}
+		close(s.queue) // workers exit once the accepted backlog drains
 		s.seq++
 		s.cond.Broadcast()
 	}

@@ -143,17 +143,17 @@ func TestAdmissionBackpressure(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	attA, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0, tierInteractive)
+	attA, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // A running; queue empty again
 
-	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0, tierInteractive); err != nil {
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0); err != nil {
 		t.Fatalf("second submission should queue: %v", err)
 	}
 	// Queue full: a fresh spec is rejected...
-	if _, err := s.submit([]runspec.RunSpec{tinySpec(4)}, 0, tierInteractive); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(4)}, 0); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submission err = %v, want ErrQueueFull", err)
 	}
 	// ...and over HTTP that is 429 with a Retry-After hint.
@@ -167,7 +167,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	resp.Body.Close()
 
 	// A join of the running spec needs no queue slot and is admitted.
-	attJoin, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0, tierInteractive)
+	attJoin, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0)
 	if err != nil {
 		t.Fatalf("coalescing join rejected: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 	}()
 
 	sp := tinySpec(1)
-	att1, err := s.submit([]runspec.RunSpec{sp}, 20*time.Millisecond, tierInteractive)
+	att1, err := s.submit([]runspec.RunSpec{sp}, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 	<-firstRunning
 	<-f1.ctx.Done() // the held flight's deadline expires
 
-	att2, err := s.submit([]runspec.RunSpec{sp}, 0, tierInteractive)
+	att2, err := s.submit([]runspec.RunSpec{sp}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 	}
 
 	// A third submission memo-hits the completed replacement.
-	att3, err := s.submit([]runspec.RunSpec{sp}, 0, tierInteractive)
+	att3, err := s.submit([]runspec.RunSpec{sp}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
