@@ -157,7 +157,8 @@ func (c *Ctx) access(kind memsys.AccessKind, addr memsys.Addr) {
 
 // miss performs the blocking access left in c.missReq at the current
 // global time and returns its completion time, at which the task resumes.
-// It runs on whichever goroutine holds control.
+// It runs wherever the event loop is running: in whichever process, or
+// the caller of the engine, holds control.
 func (c *Ctx) miss() int64 {
 	sys := c.run.sys
 	req := &c.missReq

@@ -54,8 +54,8 @@ func TestMismatchedBarriersAreDetected(t *testing.T) {
 
 // TestNegativeSyncOccIsAnError checks that Run rejects a negative
 // synchronization occupancy with ErrSyncOcc. Simulated, it would schedule a
-// barrier release in the past, a panic on a process goroutine that the
-// caller cannot recover.
+// barrier release in the past, a panic that Run could report only as a
+// panicked run.
 func TestNegativeSyncOccIsAnError(t *testing.T) {
 	_, err := Run(Options{Mode: ModeSingle, CMPs: 2, SyncOcc: -5000}, &sumKernel{n: 64})
 	if !errors.Is(err, ErrSyncOcc) {
@@ -109,7 +109,7 @@ func settledGoroutines() int {
 
 // checkGoroutinesExit fails t if the goroutine count stays above before
 // for five seconds. An exiting goroutine may still be unwinding after its
-// final send, so the count is polled until it falls back.
+// final switch, so the count is polled until it falls back.
 func checkGoroutinesExit(t *testing.T, before int, after string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 
 	"slipstream/internal/audit"
@@ -46,8 +47,8 @@ type Runner struct {
 
 // Run simulates the kernel under the given options and returns the
 // measured result. A non-nil error reports configuration problems or a
-// simulation that deadlocked or exceeded its cycle budget; numeric
-// verification failures are reported in Result.VerifyErr.
+// simulation that deadlocked, exceeded its cycle budget or panicked;
+// numeric verification failures are reported in Result.VerifyErr.
 func Run(opts Options, k Kernel) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
@@ -95,10 +96,11 @@ func Run(opts Options, k Kernel) (*Result, error) {
 	r.prog = &Program{mem: sys.Mem, numTasks: numTasks}
 	r.barrier.n = numTasks
 
-	k.Setup(r.prog)
-	r.spawnTasks()
-
-	if !eng.RunUntil(opts.MaxCycles) {
+	drained, err := r.simulate()
+	if err != nil {
+		return nil, err
+	}
+	if !drained {
 		r.abort()
 		return nil, fmt.Errorf("core: %s/%s on %d CMPs exceeded %d cycles",
 			k.Name(), opts.Mode, opts.CMPs, opts.MaxCycles)
@@ -139,10 +141,34 @@ func Run(opts Options, k Kernel) (*Result, error) {
 	return res, nil
 }
 
+// simulate sets the kernel up, spawns its tasks and runs the engine up to
+// the cycle budget, reporting whether the queue drained. A panic on the
+// way, in Setup, in a task or in an event, does not reach the caller:
+// simulate aborts the run and returns an error that names it and wraps
+// the panic as a *sim.Panic, stack included.
+func (r *Runner) simulate() (drained bool, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			sp, ok := v.(*sim.Panic)
+			if !ok {
+				// Not from a process: the stack here is still the one
+				// that panicked.
+				sp = &sim.Panic{Value: v, Stack: debug.Stack()}
+			}
+			r.abort()
+			err = fmt.Errorf("core: %s/%s on %d CMPs panicked: %w",
+				r.kernel.Name(), r.opts.Mode, r.opts.CMPs, sp)
+		}
+	}()
+	r.kernel.Setup(r.prog)
+	r.spawnTasks()
+	return r.eng.RunUntil(r.opts.MaxCycles), nil
+}
+
 // abort ends a failed run without leaking its processes. It detaches the
 // bus and the engine monitor, so neither the caller's observers nor the
 // auditor see anything after the failure, kills every unfinished process,
-// and runs the engine until each has unwound and its goroutine exited.
+// and runs the engine until each has unwound and its coroutine ended.
 // Then nothing can touch a cache, and the memory system is released.
 func (r *Runner) abort() {
 	r.bus = nil

@@ -106,7 +106,7 @@ func pingPong(stop *int64) *sim.Engine {
 
 // benchProcHandoff measures one process switch: two processes alternating
 // Delay(1) under Engine.Run, so each op is a dispatch that hands control
-// from one process goroutine to the other. Steady state must be zero-alloc
+// from one process coroutine to the other. Steady state must be zero-alloc
 // (asserted by TestProcHandoffZeroAlloc).
 func benchProcHandoff(b *testing.B) {
 	b.ReportAllocs()

@@ -150,7 +150,7 @@ func TestEngineStepZeroAlloc(t *testing.T) {
 
 // TestProcHandoffZeroAlloc asserts a process switch allocates nothing at
 // steady state: dispatch reuses each process's bound dispatch closure and
-// control moves over the processes' own channels.
+// control moves through the processes' own coroutines.
 func TestProcHandoffZeroAlloc(t *testing.T) {
 	stop := int64(math.MaxInt64)
 	eng := pingPong(&stop)

@@ -13,11 +13,12 @@
 //
 // Determinism rules:
 //
-//   - Events are delivered synchronously, in simulation order, on the
-//     simulating goroutine. Because every simulation is single-threaded and
-//     a pure function of its RunSpec, the event stream is too: equal specs
-//     produce byte-identical streams regardless of how many runs execute
-//     in parallel around them.
+//   - Events are delivered synchronously, in simulation order, by the
+//     process or caller holding the engine's control. Because every
+//     simulation runs one of them at a time and is a pure function of
+//     its RunSpec, the event stream is too: equal specs produce
+//     byte-identical streams regardless of how many runs execute in
+//     parallel around them.
 //   - Event.Time is the emitting task's local clock, which may run ahead of
 //     the engine clock on private L1 hits (bounded clock-skew batching), so
 //     times are not globally monotone across tasks. Exporters needing a

@@ -1,11 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock and an event queue ordered by
-// (time, insertion sequence). Simulated processes (Proc) are goroutines
-// driven by direct handoff: exactly one goroutine holds control at any
+// (time, insertion sequence). Simulated processes (Proc) are coroutines
+// driven by direct handoff: exactly one party holds control at any
 // moment — the caller of Run, RunUntil or Step, or a single process — and
-// that goroutine runs the event loop itself, so simulations are fully
-// deterministic and free of data races without locks.
+// whichever holds it runs the event loop itself, so simulations are fully
+// deterministic and free of data races without locks. A process that
+// blocks with another process's dispatch next suspends to the caller,
+// which resumes that process.
 package sim
 
 import (
@@ -37,12 +39,10 @@ type Engine struct {
 
 	// limit is the latest event time the current Run, RunUntil or Step
 	// call may still execute; later events stay queued. next is the
-	// process that the event just executed dispatched, if any. caller
-	// carries control back to the goroutine blocked in the call once no
-	// event up to limit is left.
-	limit  int64
-	next   *Proc
-	caller chan struct{}
+	// process that control passes to next: the one the event just
+	// executed dispatched, or the one a process suspended to switch to.
+	limit int64
+	next  *Proc
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling through
@@ -51,10 +51,7 @@ func NewEngine() *Engine { return newEngine(newCalQueue()) }
 
 // newEngine returns an engine scheduling through q. Tests pass the heap
 // oracle here to check the calendar queue's order at engine level.
-func newEngine(q eventQueue) *Engine {
-	//simlint:ignore nondeterminism direct handoff: caller returns control from exactly one goroutine to the one blocked in Run, RunUntil or Step
-	return &Engine{events: q, caller: make(chan struct{})}
-}
+func newEngine(q eventQueue) *Engine { return &Engine{events: q} }
 
 // Now returns the current simulated time in cycles.
 func (e *Engine) Now() int64 { return e.now }
@@ -121,17 +118,23 @@ func (e *Engine) RunUntil(deadline int64) bool {
 }
 
 // handTo gives control to process p on behalf of the caller of Run,
-// RunUntil or Step. Control travels from process to process as they block,
-// and comes back here once no event up to the call's limit is left.
+// RunUntil or Step. Each process it resumes runs until it suspends, having
+// named the process to switch to, or ends, after which handTo runs the
+// event loop on to the next dispatch. It returns once no event up to the
+// call's limit is left.
 func (e *Engine) handTo(p *Proc) {
-	e.pass(p)
-	<-e.caller //simlint:ignore nondeterminism direct handoff: blocks until the goroutine holding control ends the call
+	for p != nil {
+		if _, live := p.resume(); !live {
+			e.next = e.advance()
+		}
+		p, e.next = e.next, nil
+	}
 }
 
-// advance executes events on the goroutine holding control until one
-// dispatches a process, and returns that process. It returns nil when no
-// event up to the current call's limit is left, and control belongs back
-// with the caller of Run, RunUntil or Step.
+// advance executes events, wherever control is, until one dispatches a
+// process, and returns that process. It returns nil when no event up to
+// the current call's limit is left, and control belongs back with the
+// caller of Run, RunUntil or Step.
 //
 //simlint:hotpath engine inner loop: every event of a Run or RunUntil call passes through here
 func (e *Engine) advance() *Proc {
@@ -152,17 +155,6 @@ func (e *Engine) advance() *Proc {
 			return p
 		}
 	}
-}
-
-// pass hands control to process p, or back to the caller of Run, RunUntil
-// or Step when p is nil. The calling goroutine must hold control and gives
-// it up: it may only block or exit afterwards.
-func (e *Engine) pass(p *Proc) {
-	if p == nil {
-		e.caller <- struct{}{} //simlint:ignore nondeterminism direct handoff: control returns to the goroutine blocked in Run, RunUntil or Step
-		return
-	}
-	p.resume <- struct{}{} //simlint:ignore nondeterminism direct handoff: control moves to the one dispatched process
 }
 
 // Pending returns the number of queued events.

@@ -1,22 +1,48 @@
+//go:build go1.23
+
 package sim
 
-// killedError is the panic value that unwinds a killed process's goroutine.
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
+
+// killedError is the panic value that unwinds a killed process.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed" }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Panic is what a panic in a process becomes when it reaches the caller
+// of Run, RunUntil or Step. The coroutine that panicked is gone by then,
+// so Panic carries its stack, captured where the panic was recovered.
+type Panic struct {
+	Proc  string // the name given to Go; empty for a panic outside any process
+	Value any    // the value the process panicked with
+	Stack []byte // the stack at the panic, as debug.Stack formats it
+}
+
+func (p *Panic) Error() string {
+	if p.Proc == "" {
+		return fmt.Sprint(p.Value)
+	}
+	return fmt.Sprintf("process %s: %v", p.Proc, p.Value)
+}
+
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with simulated time under direct handoff. All Proc methods except Kill
-// and Wake must be called from the process's own goroutine.
+// and Wake must be called from the process itself.
 type Proc struct {
 	eng *Engine
-	// resume gives this process control: the goroutine holding control
-	// sends on it after executing a dispatch of this process.
-	resume chan struct{}
-	name   string
-	done   bool
-	parked bool
-	killed bool
+	// resume runs p's coroutine until p suspends or ends; only the caller
+	// of Run, RunUntil or Step calls it. suspend, bound when the coroutine
+	// starts, gives control back to that caller.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	name    string
+	done    bool
+	parked  bool
+	killed  bool
 
 	// dispatchFn is the bound dispatch method, created once at Go so the
 	// wait/wake hot paths (WaitUntil, WaitThen, Wake, Kill) schedule it
@@ -30,48 +56,49 @@ type Proc struct {
 
 // Go starts a new simulated process running fn. The process begins at the
 // current simulated time, after already-queued events at this time.
-// The goroutine-and-channel machinery below is the one sanctioned use of
-// concurrency in simulation code: under direct handoff exactly one
-// goroutine — the caller of Run, RunUntil or Step, or a single process —
-// holds control at any moment, and the interleaving is fully determined by
-// the event queue.
+// Each process is an iter.Pull coroutine. The caller of Run, RunUntil or
+// Step resumes it, and it suspends back to that caller, so exactly one
+// party holds control at any moment and the interleaving is fully
+// determined by the event queue. A process that never ends stays
+// suspended; Kill ends one.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	//simlint:ignore nondeterminism direct handoff: resume carries control to exactly this process's goroutine
-	//simlint:ignore hotpathalloc one process record and resume channel per spawned task, amortized over its simulated lifetime
-	p := &Proc{eng: e, resume: make(chan struct{}), name: name}
+	//simlint:ignore hotpathalloc one process record per spawned task, amortized over its simulated lifetime
+	p := &Proc{eng: e, name: name}
 	p.dispatchFn = p.dispatch
+	//simlint:ignore hotpathalloc one coroutine per spawned task, amortized over its simulated lifetime
+	p.resume, _ = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		p.run(fn)
+	})
 	//simlint:ignore hotpathalloc process table is bounded by the spawned task count
 	e.procs = append(e.procs, p)
-	//simlint:ignore nondeterminism direct handoff: the new goroutine blocks on resume until its first dispatch
-	go p.run(fn)
 	e.At(e.now, p.dispatchFn)
 	return p
 }
 
-// run is the body of p's goroutine. Control reaches it through the resume
-// channel rather than a call from the event loop, so it is a hot-path root
-// of its own.
+// run is the body of p's coroutine. Control reaches it through the
+// coroutine's first resume rather than a call from the event loop, so it
+// is a hot-path root of its own.
 //
 //simlint:hotpath process bodies: every simulated task operation runs under here, between handoffs
 func (p *Proc) run(fn func(p *Proc)) {
 	defer p.exit()
-	<-p.resume //simlint:ignore nondeterminism direct handoff: blocks until the first dispatch of this process
 	p.checkKilled()
 	fn(p)
 }
 
-// exit ends p's goroutine once fn has returned or unwound: it marks p done,
-// re-raises any panic other than a kill, and passes control on. The
-// goroutine then ends, so finished and killed processes leave none behind.
+// exit ends p's coroutine once fn has returned or unwound, and marks p
+// done. A panic other than a kill goes on to the caller of Run, RunUntil
+// or Step as a *Panic; otherwise the coroutine ends, and that caller runs
+// the event loop on to the next process.
 func (p *Proc) exit() {
 	p.done = true
 	p.parked = false
 	if r := recover(); r != nil {
 		if _, ok := r.(killedError); !ok {
-			panic(r)
+			panic(&Panic{Proc: p.name, Value: r, Stack: debug.Stack()})
 		}
 	}
-	p.eng.pass(p.eng.advance())
 }
 
 // Name returns the process name given to Go.
@@ -83,11 +110,12 @@ func (p *Proc) Done() bool { return p.done }
 // Killed reports whether Kill was called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
-// dispatch is the event that resumes p: it names p as the process the
-// goroutine running the event loop hands control to next. If WaitThen left
-// an operation, dispatch runs it first on the goroutine holding control,
-// and resumes p only if the time the operation returns has already come;
-// otherwise it schedules p's dispatch at that time.
+// dispatch is the event that resumes p: it names p as the process that
+// control passes to next. If WaitThen left an operation, dispatch runs it
+// first, wherever the event loop is running, and resumes p only if the
+// time the operation returns has already come; otherwise it schedules p's
+// dispatch at that time. p counts as parked while the operation runs: if
+// it panics, no dispatch of p is left, and Kill must schedule one.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
@@ -95,7 +123,10 @@ func (p *Proc) dispatch() {
 	if op := p.then; op != nil {
 		p.then = nil
 		if !p.killed {
-			if t := op(); t > p.eng.now {
+			p.parked = true
+			t := op()
+			p.parked = false
+			if t > p.eng.now {
 				p.eng.At(t, p.dispatchFn)
 				return
 			}
@@ -106,13 +137,14 @@ func (p *Proc) dispatch() {
 }
 
 // yield gives up control at a blocking point and returns when p is
-// dispatched again. p's goroutine runs the event loop itself: if p's own
-// dispatch is the next to run, p continues without a goroutine switch;
-// otherwise it passes control on and blocks until resumed.
+// dispatched again. p runs the event loop itself: if p's own dispatch is
+// the next to run, p continues without a switch; otherwise it records the
+// process to switch to and suspends to the caller of Run, RunUntil or
+// Step, which resumes that process.
 func (p *Proc) yield() {
 	if q := p.eng.advance(); q != p {
-		p.eng.pass(q)
-		<-p.resume //simlint:ignore nondeterminism direct handoff: blocks until the next dispatch of this process
+		p.eng.next = q
+		p.suspend(struct{}{})
 	}
 	p.checkKilled()
 }
@@ -138,9 +170,9 @@ func (p *Proc) WaitUntil(t int64) {
 // t, and blocks it further until the time op returns. It behaves exactly
 // as WaitUntil(t) followed by WaitUntil(op()) — the same events with the
 // same sequence numbers — except that op runs as part of p's dispatch
-// event at t, on whichever goroutine holds control, so p is not resumed in
+// event at t, wherever the event loop is running, so p is not resumed in
 // between. A process killed before t unwinds at t without running op. For
-// t not after now, op runs at once on p's own goroutine.
+// t not after now, op runs at once in p itself.
 func (p *Proc) WaitThen(t int64, op func() int64) {
 	if t <= p.eng.now {
 		p.checkKilled()
@@ -169,7 +201,7 @@ func (p *Proc) Wake(t int64) {
 }
 
 // Kill marks the process as killed and, if it is parked, wakes it so that
-// it unwinds. The process's goroutine exits at its next blocking point.
+// it unwinds. The process's coroutine ends at its next blocking point.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -248,7 +249,7 @@ func settledGoroutines() int {
 
 // checkGoroutinesExit fails t if the goroutine count stays above before
 // for five seconds. An exiting goroutine may still be unwinding after its
-// final send, so the count is polled until it falls back.
+// final switch, so the count is polled until it falls back.
 func checkGoroutinesExit(t *testing.T, before int, after string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -262,8 +263,8 @@ func checkGoroutinesExit(t *testing.T, before int, after string) {
 
 // TestProcGoroutinesExit checks that a drained engine leaves no process
 // goroutine behind: processes that finish, are killed while parked, and
-// are killed while waiting all end their goroutines once they have passed
-// control on.
+// are killed while waiting all end their coroutines, each of which runs
+// on a goroutine of its own.
 func TestProcGoroutinesExit(t *testing.T) {
 	before := settledGoroutines()
 	e := NewEngine()
@@ -284,6 +285,77 @@ func TestProcGoroutinesExit(t *testing.T) {
 		}
 	}
 	checkGoroutinesExit(t, before, "after Run")
+}
+
+// TestProcPanicReachesCaller checks that a process's panic reaches a
+// recover in the caller of Run as a *Panic naming the process, with the
+// stack it panicked on, and that the engine then still drains: a parked
+// peer can be killed and unwinds, and no goroutine is left behind.
+func TestProcPanicReachesCaller(t *testing.T) {
+	before := settledGoroutines()
+	e := NewEngine()
+	peer := e.Go("peer", func(p *Proc) {
+		p.Park()
+		t.Error("killed peer returned from Park")
+	})
+	e.Go("bad", func(p *Proc) {
+		p.Delay(5)
+		panic("boom")
+	})
+	got := runRecovered(e)
+	pv, ok := got.(*Panic)
+	if !ok {
+		t.Fatalf("Run panicked with %#v, want a *Panic", got)
+	}
+	if pv.Proc != "bad" || pv.Value != "boom" {
+		t.Errorf("panic from process %q with %v, want bad and boom", pv.Proc, pv.Value)
+	}
+	if !strings.Contains(string(pv.Stack), "TestProcPanicReachesCaller") {
+		t.Errorf("panic stack does not reach the process body:\n%s", pv.Stack)
+	}
+	if e.Now() != 5 {
+		t.Errorf("panic surfaced at %d, want 5", e.Now())
+	}
+	peer.Kill()
+	e.Run()
+	if !peer.Done() {
+		t.Fatal("killed peer not done after the drain")
+	}
+	checkGoroutinesExit(t, before, "after the drain")
+}
+
+// TestProcPanicInOpKillable checks that a process whose WaitThen op
+// panics can still be killed: the op runs in whichever process holds
+// control, which reports the panic, and the process whose dispatch the op
+// was has no dispatch left, so Kill must schedule one.
+func TestProcPanicInOpKillable(t *testing.T) {
+	before := settledGoroutines()
+	e := NewEngine()
+	victim := e.Go("victim", func(p *Proc) {
+		p.WaitThen(10, func() int64 { panic("op") })
+		t.Error("killed victim returned from WaitThen")
+	})
+	e.Go("runner", func(p *Proc) { p.Delay(20) })
+	if pv, ok := runRecovered(e).(*Panic); !ok || pv.Proc != "runner" || pv.Value != "op" {
+		t.Fatalf("Run panicked with %#v, want a *Panic from runner with op", pv)
+	}
+	if victim.Done() {
+		t.Fatal("victim done before it was killed")
+	}
+	victim.Kill()
+	e.Run()
+	if !victim.Done() {
+		t.Fatal("killed victim not done after the drain")
+	}
+	checkGoroutinesExit(t, before, "after the drain")
+}
+
+// runRecovered runs e to the end and returns the value it panicked with,
+// or nil.
+func runRecovered(e *Engine) (v any) {
+	defer func() { v = recover() }()
+	e.Run()
+	return nil
 }
 
 // waitThenScript builds an engine with two processes that issue the same

@@ -18,7 +18,8 @@ func eventLess(a, b event) bool {
 
 // eventQueue is the engine's scheduler: a priority queue of events ordered
 // by (at, seq). Implementations are not safe for concurrent use; under the
-// engine's direct handoff only the goroutine holding control touches them.
+// engine's direct handoff only the process or caller holding control
+// touches them.
 type eventQueue interface {
 	// push inserts an event. The engine guarantees at >= the time of the
 	// most recently popped event.
