@@ -158,6 +158,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Nothing when zero, so a run over a sound cache prints no extra line.
+	if n := s.CacheCorrupt(); n > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: %d run cache entries were corrupt or unreadable; their runs were simulated again\n", n)
+	}
 	if !*quiet {
 		simulated, cacheHits := s.Stats()
 		fmt.Fprintf(os.Stderr, "experiments: %d runs simulated, %d served from cache\n",

@@ -14,7 +14,8 @@
 //	POST /v1/run     {"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","arsync":"L1","cmps":2}],"timeout_ms":60000}
 //	GET  /healthz    liveness, drain state, job counts
 //	GET  /metrics    deterministic text metrics
-//	GET  /runs       job table as NDJSON (?watch=1 streams changes)
+//
+// The daemon keeps no job history; /healthz counts its jobs by state.
 //
 // Results are bit-identical to local `slipsim` runs of the same spec: the
 // daemon multiplexes clients over the same deterministic core. Submit from

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -42,5 +44,52 @@ func TestWarmCacheRerunSimulatesNothing(t *testing.T) {
 	}
 	if cold != warm {
 		t.Error("warm rerun changed rendered output")
+	}
+}
+
+// TestCorruptCacheEntryIsResimulated pins how a session meets a cache
+// entry that went bad after the cache was opened: a truncated entry is a
+// miss, so its run is simulated again, CacheCorrupt counts it, and the
+// output does not change.
+func TestCorruptCacheEntryIsResimulated(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (string, *Session) {
+		var out strings.Builder
+		s := NewSession(Config{Size: kernels.Tiny, CMPCounts: []int{2}, Out: &out, Workers: 2, Cache: cache})
+		if err := s.RunFigures("fig1"); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), s
+	}
+	cold, s1 := run()
+	sim1, _ := s1.Stats()
+	entries, err := filepath.Glob(filepath.Join(cache.Dir(), "v*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim1 < 2 || len(entries) != sim1 {
+		t.Fatalf("cold run: simulated %d, cached %d entries; want at least 2, all cached", sim1, len(entries))
+	}
+	fi, err := os.Stat(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(entries[0], fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, s2 := run()
+	sim2, hits2 := s2.Stats()
+	if sim2 != 1 || hits2 != sim1-1 {
+		t.Errorf("after truncating one entry: simulated %d, cache hits %d; want 1 and %d", sim2, hits2, sim1-1)
+	}
+	if n := s2.CacheCorrupt(); n != 1 {
+		t.Errorf("CacheCorrupt = %d, want 1", n)
+	}
+	if warm != cold {
+		t.Error("re-simulating the corrupt entry changed rendered output")
 	}
 }

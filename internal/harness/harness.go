@@ -44,9 +44,9 @@ type Config struct {
 	// Workers bounds concurrent simulations. Zero selects
 	// runtime.NumCPU().
 	Workers int
-	// Cache, when set, persists completed runs across sessions. Any
-	// runcache.Store backend works: a local directory cache or a remote
-	// peer daemon.
+	// Cache, when set, persists completed runs across sessions: a
+	// runcache.Cache directory, the one backend. A corrupt entry is a
+	// miss that CacheCorrupt counts.
 	Cache runcache.Store
 	// Audit enables the runtime invariant auditor on every simulated run
 	// (cache and memo hits are not re-audited); an audit violation fails

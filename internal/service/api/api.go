@@ -10,10 +10,12 @@
 // prefix), changes are additive only — new optional fields, new error
 // codes, new header values — except that a field or path no client uses
 // may be removed. A request naming a removed field gets 400 and one to a
-// removed path gets 404, so it is refused, never misread. RunSpec and
-// Result keep their symbolic JSON encodings (mode, policy, and size
-// names), so requests are hand-writable and responses byte-identical to
-// local `slipsim` output.
+// removed path gets 404, so it is refused, never misread. Removed so far:
+// the "priority" request field, the /v1/cache/ entry path, and the /runs
+// job history together with RunResponse's "jobs" array, whose ids only
+// named /runs records. RunSpec and Result keep their symbolic JSON
+// encodings (mode, policy, and size names), so requests are hand-writable
+// and responses byte-identical to local `slipsim` output.
 package api
 
 import (
@@ -31,8 +33,6 @@ const (
 	PathHealthz = "/healthz"
 	// PathMetrics serves the deterministic text metrics registry.
 	PathMetrics = "/metrics"
-	// PathRuns serves the job table as NDJSON (?watch=1 streams).
-	PathRuns = "/runs"
 )
 
 // RunRequest is the body of POST /v1/run: a batch of specs, optionally
@@ -55,15 +55,11 @@ func (r *RunRequest) Timeout() time.Duration {
 }
 
 // RunResponse is the success body of POST /v1/run. Results align with the
-// request's specs, as do Cached (served without simulating: memo or
-// persistent cache) and Jobs (the job id serving each spec; duplicates
-// and coalesced submissions share ids). Through the gateway, job ids are
-// replica-local: two entries only name the same flight if the specs also
-// hashed to the same replica.
+// request's specs, as does Cached (served without simulating: memo or
+// persistent cache).
 type RunResponse struct {
 	Results []*core.Result `json:"results"`
 	Cached  []bool         `json:"cached"`
-	Jobs    []int64        `json:"jobs"`
 }
 
 // Error codes carried by ErrorResponse.Code: machine-readable failure
@@ -97,16 +93,6 @@ type ErrorResponse struct {
 	Code string `json:"code,omitempty"`
 }
 
-// JobStatus is one line of GET /runs: a job's spec and lifecycle state.
-type JobStatus struct {
-	ID      int64           `json:"id"`
-	Spec    runspec.RunSpec `json:"spec"`
-	State   string          `json:"state"`
-	Cached  bool            `json:"cached,omitempty"`
-	Waiters int64           `json:"waiters,omitempty"`
-	Error   string          `json:"error,omitempty"`
-}
-
 // Health is the body of GET /healthz. A gateway reports Status
 // "degraded" when some replicas are unreachable and lists them in
 // Replicas; a replica daemon leaves Replicas empty.
@@ -119,7 +105,8 @@ type Health struct {
 	Replicas   []ReplicaHealth `json:"replicas,omitempty"`
 }
 
-// Counts breaks the job table down by state.
+// Counts breaks the daemon's jobs down by state: those queued or running
+// now, and how many have ever finished done, failed, or canceled.
 type Counts struct {
 	Queued   int64 `json:"queued"`
 	Running  int64 `json:"running"`

@@ -1,17 +1,15 @@
 package service_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
@@ -151,22 +149,22 @@ func TestServerMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestBatchDispositions pins the cache header across hit/miss mixes and
-// job-id sharing for duplicate specs in one batch.
+// TestBatchDispositions pins the cache header across hit/miss mixes, and
+// that duplicate specs in one batch make one simulation.
 func TestBatchDispositions(t *testing.T) {
-	_, c := newServed(t, service.Config{Workers: 2})
+	s, c := newServed(t, service.Config{Workers: 2})
 	a, b := specTL(1), specTL(2)
 	ctx := context.Background()
 
-	resp, disp, err := c.RunBatch(ctx, []runspec.RunSpec{a, a}, 0)
+	_, disp, err := c.RunBatch(ctx, []runspec.RunSpec{a, a}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disp != api.CacheMiss {
 		t.Errorf("fresh duplicate batch disposition = %q, want %q", disp, api.CacheMiss)
 	}
-	if resp.Jobs[0] != resp.Jobs[1] {
-		t.Errorf("duplicate specs got distinct jobs %v", resp.Jobs)
+	if got := s.CounterValue("service.sim.count"); got != 1 {
+		t.Errorf("service.sim.count = %d after a batch of two equal specs, want 1", got)
 	}
 
 	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}, 0); err != nil {
@@ -182,57 +180,42 @@ func TestBatchDispositions(t *testing.T) {
 	}
 }
 
-// TestRunsAndHealth covers the status surfaces: /runs lists jobs in id
-// order with terminal states, ?watch=0 answers the same snapshot and
-// closes, a watch value that is not a boolean is refused, and /healthz
-// reports counts and the semantics version.
+// TestRunsAndHealth covers the status surface: /healthz reports counts
+// and the semantics version, and the daemon keeps no job history, so a
+// run answer names no jobs and GET /runs gets 404.
 func TestRunsAndHealth(t *testing.T) {
 	_, c := newServed(t, service.Config{Workers: 2})
 	ctx := context.Background()
-	if _, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(1), specTL(2)}, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	jobs, err := c.Runs(ctx)
+	body, err := json.Marshal(api.RunRequest{Specs: []runspec.RunSpec{specTL(1), specTL(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 2 {
-		t.Fatalf("len(jobs) = %d, want 2", len(jobs))
+	resp, err := http.Post(c.Base+api.PathRun, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, js := range jobs {
-		if js.ID != int64(i+1) {
-			t.Errorf("jobs[%d].ID = %d, want %d (id order)", i, js.ID, i+1)
-		}
-		if js.State != "done" {
-			t.Errorf("jobs[%d].State = %q, want done", i, js.State)
-		}
-		if js.Spec.Kernel != "SOR" {
-			t.Errorf("jobs[%d].Spec.Kernel = %q, want SOR", i, js.Spec.Kernel)
-		}
+	var answer map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&answer)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	for name := range answer {
+		fields = append(fields, name)
+	}
+	sort.Strings(fields)
+	if got := strings.Join(fields, ","); got != "cached,results" {
+		t.Errorf("run answer has fields %s, want cached,results", got)
 	}
 
-	// A client timeout turns a stream that never ends into a failure.
-	hc := &http.Client{Timeout: 5 * time.Second}
-	getRuns := func(query string) (int, []byte) {
-		t.Helper()
-		resp, err := hc.Get(c.Base + api.PathRuns + query)
-		if err != nil {
-			t.Fatalf("GET /runs%s: %v", query, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET /runs%s: reading body: %v", query, err)
-		}
-		return resp.StatusCode, body
+	resp, err = http.Get(c.Base + "/runs")
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, snapshot := getRuns("")
-	if code, body := getRuns("?watch=0"); code != http.StatusOK || !bytes.Equal(body, snapshot) {
-		t.Errorf("/runs?watch=0: HTTP %d %q, want 200 and the snapshot %q", code, body, snapshot)
-	}
-	if code, _ := getRuns("?watch=maybe"); code != http.StatusBadRequest {
-		t.Errorf("/runs?watch=maybe: HTTP %d, want 400", code)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /runs: HTTP %d, want 404", resp.StatusCode)
 	}
 
 	h, err := c.Health(ctx)
@@ -247,66 +230,6 @@ func TestRunsAndHealth(t *testing.T) {
 	}
 	if h.Counts.Done != 2 {
 		t.Errorf("health.Counts.Done = %d, want 2", h.Counts.Done)
-	}
-}
-
-// TestRunsWatchStreams exercises the streaming mode of /runs: a watcher
-// sees the job reach a terminal state and the stream ends when the server
-// drains.
-func TestRunsWatchStreams(t *testing.T) {
-	s := service.New(service.Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := client.New(ts.URL)
-
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/runs?watch=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	if _, _, err := c.RunBatch(context.Background(), []runspec.RunSpec{specTL(1)}, 0); err != nil {
-		t.Fatal(err)
-	}
-	s.StartDrain()
-	s.Wait()
-
-	// The watch stream ends at drain; its lines must include the job's
-	// terminal state.
-	sawDone := false
-	scan := bufio.NewScanner(resp.Body)
-	deadline := time.After(10 * time.Second)
-	lines := make(chan string)
-	go func() {
-		defer close(lines)
-		for scan.Scan() {
-			lines <- scan.Text()
-		}
-	}()
-scan:
-	for {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				break scan
-			}
-			var js api.JobStatus
-			if err := json.Unmarshal([]byte(line), &js); err != nil {
-				t.Fatalf("bad watch line %q: %v", line, err)
-			}
-			if js.State == "done" {
-				sawDone = true
-			}
-		case <-deadline:
-			t.Fatal("watch stream did not end after drain")
-		}
-	}
-	if !sawDone {
-		t.Errorf("watch stream never reported the job done")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,21 +27,7 @@ type Client struct {
 	Base string
 	// HTTPClient overrides the transport; nil selects http.DefaultClient.
 	HTTPClient *http.Client
-	// MaxAttempts bounds how many times Submit tries a temporary
-	// rejection (429 queue-full backpressure, 504 deadline) before
-	// giving up, honoring the server's Retry-After hint between tries
-	// (with a small floor when the server sent none). Zero or one means a
-	// single attempt. Non-temporary errors (validation, simulation
-	// failure, drain) never retry.
-	MaxAttempts int
-	// RetryWaitCap bounds one Retry-After sleep; zero selects 2s.
-	RetryWaitCap time.Duration
 }
-
-// minRetryWait is the backoff floor between retry attempts when the
-// server's rejection carried no Retry-After hint. RetryWaitCap still
-// caps it, so tests can keep retries fast.
-const minRetryWait = 100 * time.Millisecond
 
 // New returns a client for the daemon at base (trailing slash optional).
 func New(base string) *Client {
@@ -64,14 +49,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("slipsimd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
-// Temporary reports whether retrying later may succeed: queue-full
-// backpressure and gateway timeouts are temporary; validation and
-// simulation failures (and drain) are not.
-func (e *APIError) Temporary() bool {
-	return e.StatusCode == http.StatusTooManyRequests ||
-		e.StatusCode == http.StatusGatewayTimeout
-}
-
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
@@ -79,47 +56,12 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Submit posts one RunRequest and waits for every result, retrying
-// temporary rejections up to MaxAttempts with the server's Retry-After
-// hint. The returned response aligns with the request's specs; the
-// string is the response's X-Slipsim-Cache disposition.
+// Submit posts one RunRequest and waits for every result. It makes one
+// attempt: a rejection, backpressure included, is returned as an
+// *APIError carrying the server's Retry-After hint for the caller to act
+// on. The returned response aligns with the request's specs; the string
+// is the response's X-Slipsim-Cache disposition.
 func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunResponse, string, error) {
-	attempts := c.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for try := 1; ; try++ {
-		resp, disp, err := c.submitOnce(ctx, req)
-		var apiErr *APIError
-		if err == nil || try >= attempts || !errors.As(err, &apiErr) || !apiErr.Temporary() {
-			return resp, disp, err
-		}
-		wait := time.Duration(apiErr.RetryAfter) * time.Second
-		if wait <= 0 {
-			// No Retry-After hint (504 deadline rejections carry none):
-			// without a floor the loop would burn every attempt back-to-
-			// back against a server that just proved it is slow.
-			wait = minRetryWait
-		}
-		if lim := c.retryWaitCap(); wait > lim {
-			wait = lim
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		}
-	}
-}
-
-func (c *Client) retryWaitCap() time.Duration {
-	if c.RetryWaitCap > 0 {
-		return c.RetryWaitCap
-	}
-	return 2 * time.Second
-}
-
-func (c *Client) submitOnce(ctx context.Context, req api.RunRequest) (*api.RunResponse, string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, "", fmt.Errorf("client: encoding request: %w", err)
@@ -141,12 +83,12 @@ func (c *Client) submitOnce(ctx context.Context, req api.RunRequest) (*api.RunRe
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		return nil, "", fmt.Errorf("client: decoding response: %w", err)
 	}
-	// All three arrays must align with the request: callers (the gateway
+	// Both arrays must align with the request: callers (the gateway
 	// fan-in above all) index them positionally, so a short array from a
 	// misbehaving server must be an error here, not a panic there.
-	if len(resp.Results) != len(req.Specs) || len(resp.Cached) != len(req.Specs) || len(resp.Jobs) != len(req.Specs) {
-		return nil, "", fmt.Errorf("client: misaligned response: %d results, %d cached, %d jobs for %d specs",
-			len(resp.Results), len(resp.Cached), len(resp.Jobs), len(req.Specs))
+	if len(resp.Results) != len(req.Specs) || len(resp.Cached) != len(req.Specs) {
+		return nil, "", fmt.Errorf("client: misaligned response: %d results, %d cached for %d specs",
+			len(resp.Results), len(resp.Cached), len(req.Specs))
 	}
 	return &resp, httpResp.Header.Get(api.CacheHeader), nil
 }
@@ -197,32 +139,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// Runs fetches the daemon's job table, in job-id order.
-func (c *Client) Runs(ctx context.Context) ([]api.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+api.PathRuns, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
-	var jobs []api.JobStatus
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var js api.JobStatus
-		if err := dec.Decode(&js); err != nil {
-			return nil, fmt.Errorf("client: decoding job status: %w", err)
-		}
-		jobs = append(jobs, js)
-	}
-	return jobs, nil
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, v any) error {

@@ -255,7 +255,6 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	results := make([]*core.Result, len(specs))
 	cached := make([]bool, len(specs))
-	jobs := make([]int64, len(specs))
 	// rejections collects replica answers that fail the batch; index is
 	// the smallest request index the answer covers, for deterministic
 	// precedence.
@@ -280,7 +279,6 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 				for j, i := range oc.indices {
 					results[i] = oc.resp.Results[j]
 					cached[i] = oc.resp.Cached[j]
-					jobs[i] = oc.resp.Jobs[j]
 				}
 			case replicaDown(oc.err):
 				g.markDown(rep)
@@ -361,7 +359,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set(api.CacheHeader, disposition(hits, len(specs)))
-	writeJSON(w, http.StatusOK, api.RunResponse{Results: results, Cached: cached, Jobs: jobs})
+	writeJSON(w, http.StatusOK, api.RunResponse{Results: results, Cached: cached})
 }
 
 // handleHealth aggregates replica health: the gateway is "ok" when every

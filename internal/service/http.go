@@ -25,15 +25,14 @@ const maxRequestBytes = 1 << 20
 //	POST /v1/run      submit a RunSpec batch, wait for results
 //	GET  /healthz     liveness, drain state, job counts
 //	GET  /metrics     deterministic text metrics (obs registry)
-//	GET  /runs        job table as NDJSON; ?watch=1 streams state changes
 //
-// It serves no other path: a request to write a cache entry gets 404.
+// It serves no other path: a request to write a cache entry or to list
+// past jobs gets 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.PathRun, s.handleRun)
 	mux.HandleFunc("GET "+api.PathHealthz, s.handleHealth)
 	mux.HandleFunc("GET "+api.PathMetrics, s.handleMetrics)
-	mux.HandleFunc("GET "+api.PathRuns, s.handleRuns)
 	return mux
 }
 
@@ -75,7 +74,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	resp := api.RunResponse{
 		Results: make([]*core.Result, len(attaches)),
 		Cached:  make([]bool, len(attaches)),
-		Jobs:    make([]int64, len(attaches)),
 	}
 	hits := 0
 	for i, a := range attaches {
@@ -88,12 +86,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		if a.f.err != nil {
 			status, code := flightErrStatus(a.f.err)
-			writeAPIError(w, status, code, fmt.Errorf("job %d (%v): %w", a.f.id, a.f.spec, a.f.err), 0)
+			writeAPIError(w, status, code, a.f.err, 0)
 			return
 		}
 		resp.Results[i] = a.f.res
 		resp.Cached[i] = a.hit
-		resp.Jobs[i] = a.f.id
 		if a.hit {
 			hits++
 		}
@@ -171,89 +168,6 @@ func writeMetrics(w http.ResponseWriter, mu *sync.Mutex, m *obs.Metrics) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set(api.VersionHeader, core.SimVersion)
 	w.Write(buf.Bytes())
-}
-
-// statusLocked materializes a flight's JobStatus. Callers hold mu.
-func statusLocked(f *flight) api.JobStatus {
-	js := api.JobStatus{
-		ID:      f.id,
-		Spec:    f.spec,
-		State:   f.state.String(),
-		Cached:  f.cached,
-		Waiters: f.waiters,
-	}
-	if f.err != nil {
-		js.Error = f.err.Error()
-	}
-	return js
-}
-
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	watch := false
-	if v := r.URL.Query().Get("watch"); v != "" {
-		var err error
-		if watch, err = strconv.ParseBool(v); err != nil {
-			writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Errorf("service: watch=%q is not a boolean", v), 0)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set(api.VersionHeader, core.SimVersion)
-	enc := json.NewEncoder(w)
-
-	// Wake the cond loop when the client disconnects so a watch never
-	// outlives its request.
-	stop := context.AfterFunc(r.Context(), func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-
-	flusher, _ := w.(http.Flusher)
-	if watch {
-		// Commit the response immediately: a watcher on an idle server
-		// would otherwise see no headers until the first state change.
-		w.WriteHeader(http.StatusOK)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	var last int64
-	for {
-		s.mu.Lock()
-		if watch {
-			for s.seq <= last && r.Context().Err() == nil &&
-				!(s.draining && s.counts[jobQueued] == 0 && s.counts[jobRunning] == 0) {
-				s.cond.Wait()
-			}
-		}
-		var batch []api.JobStatus
-		for _, f := range s.jobs { // id order: deterministic snapshot
-			if f.upd > last {
-				batch = append(batch, statusLocked(f))
-			}
-		}
-		last = s.seq
-		drained := s.draining && s.counts[jobQueued] == 0 && s.counts[jobRunning] == 0
-		s.mu.Unlock()
-
-		if r.Context().Err() != nil {
-			return
-		}
-		for _, js := range batch {
-			if err := enc.Encode(js); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if !watch || drained {
-			return
-		}
-	}
 }
 
 // writeAPIError writes a JSON error body with the protocol error code and

@@ -102,31 +102,25 @@ const (
 	numJobStates
 )
 
-var jobStateNames = [numJobStates]string{"queued", "running", "done", "failed", "canceled"}
-
-func (s jobState) String() string { return jobStateNames[s] }
-
 // terminal reports whether a flight in this state will never change again.
 func (s jobState) terminal() bool { return s >= jobDone }
 
 // flight is one admitted unit of work: a unique normalized spec moving
-// through queued → running → {done, failed, canceled}. All submissions of
-// an equal spec share one flight.
+// through queued → running → {done, failed, canceled}, or admitted done
+// when the store probe answered it. All submissions of an equal spec
+// share one flight.
 type flight struct {
-	id   int64
 	spec runspec.RunSpec
-	// ctx carries the per-job deadline, counted from admission (queue wait
-	// is part of the job's latency budget); cancel releases its timer.
+	// ctx carries the per-job deadline of a queued flight, counted from
+	// admission (queue wait is part of the job's latency budget); cancel
+	// releases its timer. A flight admitted done has neither.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	// Guarded by Server.mu.
-	state   jobState
-	cached  bool  // answered by the store probe at admission
-	waiters int64 // submissions that attached to this flight
-	upd     int64 // Server.seq value at the last state change; 0 before it
-	res     *core.Result
-	err     error
+	state jobState
+	res   *core.Result
+	err   error
 
 	done chan struct{} // closed on reaching a terminal state
 }
@@ -157,13 +151,9 @@ type Server struct {
 	hardStop context.CancelFunc
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on every flight state change
 	flights  map[runspec.RunSpec]*flight
-	jobs     []*flight // id order; retained for /runs history
 	queue    chan *flight
 	draining bool
-	seq      int64
-	nextID   int64
 	counts   [numJobStates]int64
 	metrics  obs.Metrics
 
@@ -195,9 +185,7 @@ func New(cfg Config) *Server {
 		hardStop: cancel,
 		flights:  make(map[runspec.RunSpec]*flight),
 		queue:    make(chan *flight, cfg.QueueDepth),
-		nextID:   1,
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -291,11 +279,10 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attac
 	// spec resolves to a memo hit, a coalesce join, a probed cache hit, or
 	// a fresh flight. Fresh flights are admitted all-or-nothing.
 	attaches := make([]attach, len(specs))
-	var fresh []*flight
-	newFlights := make(map[runspec.RunSpec]*flight)
+	batch := make(map[runspec.RunSpec]*flight) // nil for a fresh spec until it is admitted
+	var fresh []runspec.RunSpec
 	for i, sp := range norm {
-		if f, ok := newFlights[sp]; ok { // duplicate within this batch
-			f.waiters++
+		if f, ok := batch[sp]; ok { // duplicate within this batch
 			attaches[i] = attach{f: f}
 			continue
 		}
@@ -303,7 +290,6 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attac
 		// doomed flight removes itself from the table when it publishes
 		// (identity-checked, so it cannot evict the replacement).
 		if f, ok := s.flights[sp]; ok && f.answers() {
-			f.waiters++
 			hit := f.state.terminal()
 			if hit {
 				s.metrics.Count("service.memo.hit", 1)
@@ -313,27 +299,18 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attac
 			attaches[i] = attach{f: f, hit: hit}
 			continue
 		}
-		f := &flight{id: s.nextID, spec: sp, waiters: 1, done: make(chan struct{})}
-		f.ctx, f.cancel = s.baseCtx, func() {}
-		if timeout > 0 {
-			f.ctx, f.cancel = context.WithTimeout(s.baseCtx, timeout)
-		}
-		s.nextID++
 		if res, ok := probed[sp]; ok {
 			s.metrics.Count("service.cache.hit", 1)
-			f.cancel() // no simulation: release the deadline timer
+			f := s.admitLocked(sp, jobDone)
 			f.res = res
-			f.cached = true
-			s.transitionLocked(f, jobDone)
 			close(f.done)
 			attaches[i] = attach{f: f, hit: true}
-			newFlights[sp] = f
+			batch[sp] = f
 			continue
 		}
 		s.metrics.Count("service.cache.miss", 1)
-		fresh = append(fresh, f)
-		newFlights[sp] = f
-		attaches[i] = attach{f: f}
+		fresh = append(fresh, sp)
+		batch[sp] = nil
 	}
 
 	// Admission: the whole batch or none of it. Every send holds s.mu and
@@ -341,36 +318,43 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attac
 	// s.mu is held: the sends below cannot block once this check passes.
 	if len(fresh) > cap(s.queue)-len(s.queue) {
 		s.metrics.Count("service.rejected.queue", 1)
-		for _, f := range fresh { // unadmitted: release deadline timers
-			f.cancel()
-		}
 		return nil, ErrQueueFull
 	}
-	for _, f := range fresh {
-		s.transitionLocked(f, jobQueued)
+	for _, sp := range fresh {
+		f := s.admitLocked(sp, jobQueued)
+		f.ctx, f.cancel = s.baseCtx, func() {}
+		if timeout > 0 {
+			f.ctx, f.cancel = context.WithTimeout(s.baseCtx, timeout)
+		}
 		s.queue <- f
+		batch[sp] = f
+	}
+	for i, sp := range norm {
+		if attaches[i].f == nil { // a fresh spec or its duplicate
+			attaches[i].f = batch[sp]
+		}
 	}
 	s.metrics.Count("service.submissions", 1)
 	s.metrics.Count("service.specs", int64(len(specs)))
 	return attaches, nil
 }
 
-// transitionLocked moves f to state st, keeping the per-state counts,
-// bumps the /runs sequence, and wakes its watchers. A flight's first
-// transition (upd still 0) also enters it in the flight table and the
-// history. Callers hold mu.
+// admitLocked creates the flight for sp in state st and enters it in the
+// flight table and the per-state counts: the one place a flight is made.
+// Callers hold mu.
+func (s *Server) admitLocked(sp runspec.RunSpec, st jobState) *flight {
+	f := &flight{spec: sp, state: st, done: make(chan struct{})}
+	s.flights[sp] = f
+	s.counts[st]++
+	return f
+}
+
+// transitionLocked moves f to state st, keeping the per-state counts.
+// Callers hold mu.
 func (s *Server) transitionLocked(f *flight, st jobState) {
-	if f.upd == 0 {
-		s.flights[f.spec] = f
-		s.jobs = append(s.jobs, f)
-	} else {
-		s.counts[f.state]--
-	}
+	s.counts[f.state]--
 	s.counts[st]++
 	f.state = st
-	s.seq++
-	f.upd = s.seq
-	s.cond.Broadcast()
 }
 
 // worker runs queued flights until the queue is closed (drain) and empty.
@@ -412,8 +396,7 @@ func (s *Server) runFlight(f *flight) {
 
 	// Publish the terminal state in one critical section: result fields,
 	// metrics, and the state transition become visible together, and the
-	// done channel closes after, so both waiters and status readers see a
-	// complete flight.
+	// done channel closes after, so waiters see a complete flight.
 	s.mu.Lock()
 	s.metrics.Merge(m)
 	if storeFailed {
@@ -427,13 +410,16 @@ func (s *Server) runFlight(f *flight) {
 		s.metrics.Count("service.jobs.done", 1)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Drain hard-stop or per-job deadline: environmental, retryable.
+		// A run error already names the spec; a context error does not.
 		st = jobCanceled
-		f.err = err
+		f.err = fmt.Errorf("%v: %w", f.spec, err)
 		s.metrics.Count("service.jobs.canceled", 1)
 		// Leave the coalesce table so the next identical spec starts a
 		// fresh flight rather than finding this dead one. The identity
 		// check protects a replacement flight admitted after this one's
-		// deadline expired.
+		// deadline expired. Nothing else keeps the flight: once its
+		// waiters have their answer it is garbage, so a stream of expired
+		// submissions holds no memory.
 		if s.flights[f.spec] == f {
 			delete(s.flights, f.spec)
 		}
@@ -454,8 +440,6 @@ func (s *Server) StartDrain() {
 	if !s.draining {
 		s.draining = true
 		close(s.queue) // workers exit once the accepted backlog drains
-		s.seq++
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 }

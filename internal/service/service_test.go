@@ -7,8 +7,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,5 +355,54 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 	}
 	if got := s.CounterValue("service.sim.count"); got != 1 {
 		t.Errorf("service.sim.count = %d, want 1 (only the replacement simulated)", got)
+	}
+}
+
+// TestExpiredFlightsAreNotRetained pins that the daemon keeps nothing of
+// a flight that ended canceled once its waiters have their answer: it
+// leaves the flight table when it publishes, and no history holds it, so
+// a stream of submissions whose deadline expires cannot grow the heap.
+// Each of 200 submissions of one spec is held past its 1 ms deadline;
+// every one of their flights must be collected.
+func TestExpiredFlightsAreNotRetained(t *testing.T) {
+	s := New(Config{Workers: 1})
+	s.runStarted = func(sp runspec.RunSpec) {
+		// Wait for the deadline itself: a fixed sleep can end before a
+		// late timer marks the context expired.
+		s.mu.Lock()
+		f := s.flights[sp]
+		s.mu.Unlock()
+		<-f.ctx.Done()
+	}
+	defer func() {
+		s.StartDrain()
+		s.Wait()
+	}()
+
+	const n = 200
+	var collected atomic.Int64
+	for i := 0; i < n; i++ {
+		att, err := s.submit([]runspec.RunSpec{tinySpec(1)}, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := att[0].f
+		<-f.done
+		if !errors.Is(f.err, context.DeadlineExceeded) {
+			t.Fatalf("submission %d: err = %v, want context.DeadlineExceeded", i+1, f.err)
+		}
+		runtime.SetFinalizer(f, func(*flight) { collected.Add(1) })
+	}
+	if got := s.CounterValue("service.jobs.canceled"); got != n {
+		t.Fatalf("service.jobs.canceled = %d, want %d", got, n)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for collected.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d canceled flights collected; the daemon still references the rest", collected.Load(), n)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -80,7 +80,6 @@ func TestSoakZipfCluster(t *testing.T) {
 	}
 
 	c := cl.client()
-	c.MaxAttempts = 4 // ride out transient 429s under the stampede
 	errs := make([]error, clients)
 	mismatch := make([]bool, clients)
 	var wg sync.WaitGroup

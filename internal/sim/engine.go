@@ -13,6 +13,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 )
 
 // Monitor observes engine progress. It exists for runtime auditing
@@ -43,6 +44,10 @@ type Engine struct {
 	// executed dispatched, or the one a process suspended to switch to.
 	limit int64
 	next  *Proc
+
+	// inOp is the process whose WaitThen operation is running, or nil. It
+	// stays set if the operation panics, until the panic is named after it.
+	inOp *Proc
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling through
@@ -81,6 +86,7 @@ func (e *Engine) SetMonitor(m Monitor) { e.monitor = m }
 //
 //simlint:hotpath single-step driver: benchmarks and step-wise callers run every event through here
 func (e *Engine) Step() bool {
+	defer e.recoverOp()
 	// The event runs here rather than through advance so the single-event
 	// path makes one queue call, not a peek and a pop.
 	ev, ok := e.events.pop()
@@ -109,12 +115,24 @@ func (e *Engine) Run() { e.RunUntil(math.MaxInt64) }
 // RunUntil executes events with time <= deadline. It reports whether the
 // queue drained (true) or the deadline was hit with events pending (false).
 func (e *Engine) RunUntil(deadline int64) bool {
+	defer e.recoverOp()
 	e.limit = deadline
 	if p := e.advance(); p != nil {
 		e.handTo(p)
 	}
 	_, pending := e.events.peekTime()
 	return !pending
+}
+
+// recoverOp turns a panic in a WaitThen operation that the caller of
+// RunUntil or Step ran into a *Panic naming the operation's process. It
+// recovers only while inOp is set, so any other panic passes through
+// untouched.
+func (e *Engine) recoverOp() {
+	if p := e.inOp; p != nil {
+		e.inOp = nil
+		panic(&Panic{Proc: p.name, Value: recover(), Stack: debug.Stack()})
+	}
 }
 
 // handTo gives control to process p on behalf of the caller of Run,

@@ -14,8 +14,10 @@ type killedError struct{}
 func (killedError) Error() string { return "sim: process killed" }
 
 // Panic is what a panic in a process becomes when it reaches the caller
-// of Run, RunUntil or Step. The coroutine that panicked is gone by then,
-// so Panic carries its stack, captured where the panic was recovered.
+// of Run, RunUntil or Step. A panic in an operation WaitThen left is the
+// operation's process's, whichever process or caller ran it. The
+// coroutine that panicked may be gone by then, so Panic carries its
+// stack, captured where the panic was recovered.
 type Panic struct {
 	Proc  string // the name given to Go; empty for a panic outside any process
 	Value any    // the value the process panicked with
@@ -89,14 +91,20 @@ func (p *Proc) run(fn func(p *Proc)) {
 
 // exit ends p's coroutine once fn has returned or unwound, and marks p
 // done. A panic other than a kill goes on to the caller of Run, RunUntil
-// or Step as a *Panic; otherwise the coroutine ends, and that caller runs
+// or Step as a *Panic, naming p unless it came from a WaitThen op p ran
+// for another process; otherwise the coroutine ends, and that caller runs
 // the event loop on to the next process.
 func (p *Proc) exit() {
 	p.done = true
 	p.parked = false
 	if r := recover(); r != nil {
 		if _, ok := r.(killedError); !ok {
-			panic(&Panic{Proc: p.name, Value: r, Stack: debug.Stack()})
+			name := p.name
+			if q := p.eng.inOp; q != nil {
+				p.eng.inOp = nil
+				name = q.name
+			}
+			panic(&Panic{Proc: name, Value: r, Stack: debug.Stack()})
 		}
 	}
 }
@@ -115,7 +123,8 @@ func (p *Proc) Killed() bool { return p.killed }
 // first, wherever the event loop is running, and resumes p only if the
 // time the operation returns has already come; otherwise it schedules p's
 // dispatch at that time. p counts as parked while the operation runs: if
-// it panics, no dispatch of p is left, and Kill must schedule one.
+// it panics, no dispatch of p is left, and Kill must schedule one. The
+// engine's inOp names p meanwhile, so that the panic names p too.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
@@ -124,7 +133,9 @@ func (p *Proc) dispatch() {
 		p.then = nil
 		if !p.killed {
 			p.parked = true
+			p.eng.inOp = p
 			t := op()
+			p.eng.inOp = nil
 			p.parked = false
 			if t > p.eng.now {
 				p.eng.At(t, p.dispatchFn)

@@ -324,30 +324,53 @@ func TestProcPanicReachesCaller(t *testing.T) {
 	checkGoroutinesExit(t, before, "after the drain")
 }
 
-// TestProcPanicInOpKillable checks that a process whose WaitThen op
-// panics can still be killed: the op runs in whichever process holds
-// control, which reports the panic, and the process whose dispatch the op
-// was has no dispatch left, so Kill must schedule one.
+// TestProcPanicInOpKillable checks that a panic in a WaitThen op names
+// the op's process, with the stack at the op, whichever party runs the
+// op: another process, the caller of Run once that process has ended, or
+// the caller of Step. The process can still be killed: its dispatch was
+// the op, so no dispatch of it is left, and Kill must schedule one.
 func TestProcPanicInOpKillable(t *testing.T) {
-	before := settledGoroutines()
-	e := NewEngine()
-	victim := e.Go("victim", func(p *Proc) {
-		p.WaitThen(10, func() int64 { panic("op") })
-		t.Error("killed victim returned from WaitThen")
-	})
-	e.Go("runner", func(p *Proc) { p.Delay(20) })
-	if pv, ok := runRecovered(e).(*Panic); !ok || pv.Proc != "runner" || pv.Value != "op" {
-		t.Fatalf("Run panicked with %#v, want a *Panic from runner with op", pv)
+	for _, tc := range []struct {
+		name  string
+		other int64 // when the other process ends; past 10, it runs the op
+		step  bool  // drive the engine with Step rather than Run
+	}{
+		{"process runs op", 20, false},
+		{"caller of Run runs op", 5, false},
+		{"caller of Step runs op", 20, true},
+	} {
+		before := settledGoroutines()
+		e := NewEngine()
+		victim := e.Go("victim", func(p *Proc) {
+			p.WaitThen(10, func() int64 { panic("op") })
+			t.Error("killed victim returned from WaitThen")
+		})
+		e.Go("other", func(p *Proc) { p.Delay(tc.other) })
+		drive := runRecovered
+		if tc.step {
+			drive = stepRecovered
+		}
+		got := drive(e)
+		pv, ok := got.(*Panic)
+		if !ok || pv.Proc != "victim" || pv.Value != "op" {
+			t.Fatalf("%s: panicked with %T %v, want a *Panic from victim with op", tc.name, got, got)
+		}
+		if !strings.Contains(string(pv.Stack), "TestProcPanicInOpKillable") {
+			t.Errorf("%s: panic stack does not reach the op:\n%s", tc.name, pv.Stack)
+		}
+		if e.Now() != 10 {
+			t.Errorf("%s: panic surfaced at %d, want 10", tc.name, e.Now())
+		}
+		if victim.Done() {
+			t.Fatalf("%s: victim done before it was killed", tc.name)
+		}
+		victim.Kill()
+		e.Run()
+		if !victim.Done() {
+			t.Fatalf("%s: killed victim not done after the drain", tc.name)
+		}
+		checkGoroutinesExit(t, before, tc.name+": after the drain")
 	}
-	if victim.Done() {
-		t.Fatal("victim done before it was killed")
-	}
-	victim.Kill()
-	e.Run()
-	if !victim.Done() {
-		t.Fatal("killed victim not done after the drain")
-	}
-	checkGoroutinesExit(t, before, "after the drain")
 }
 
 // runRecovered runs e to the end and returns the value it panicked with,
@@ -355,6 +378,15 @@ func TestProcPanicInOpKillable(t *testing.T) {
 func runRecovered(e *Engine) (v any) {
 	defer func() { v = recover() }()
 	e.Run()
+	return nil
+}
+
+// stepRecovered steps e to the end and returns the value it panicked
+// with, or nil.
+func stepRecovered(e *Engine) (v any) {
+	defer func() { v = recover() }()
+	for e.Step() {
+	}
 	return nil
 }
 
