@@ -91,12 +91,16 @@ func main() {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
+	// quarantined counts the entries Open found corrupt, before any session
+	// could meet them; those found later are the session's CacheCorrupt.
+	var quarantined int64
 	if !*noCache {
 		cache, err := runcache.Open(*cacheAt, core.SimVersion)
 		if err != nil {
 			// A broken cache directory degrades to fresh simulation.
 			fmt.Fprintf(os.Stderr, "experiments: run cache unavailable (%v); continuing without it\n", err)
 		} else {
+			quarantined = cache.Quarantined()
 			cfg.Cache = cache
 		}
 	}
@@ -159,7 +163,7 @@ func main() {
 		os.Exit(2)
 	}
 	// Nothing when zero, so a run over a sound cache prints no extra line.
-	if n := s.CacheCorrupt(); n > 0 {
+	if n := int64(s.CacheCorrupt()) + quarantined; n > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d run cache entries were corrupt or unreadable; their runs were simulated again\n", n)
 	}
 	if !*quiet {

@@ -1,9 +1,12 @@
 // Command slipsimd serves simulations over HTTP: it accepts RunSpec
 // batches, admits them into one bounded job queue with backpressure,
 // coalesces identical in-flight requests into one simulation, answers
-// repeats from an in-memory memo and the persistent run cache it shares
-// with the CLIs, and drains gracefully on SIGTERM — finishing accepted
-// jobs while rejecting new ones.
+// repeats from the persistent run cache it shares with the CLIs (and the
+// hottest of them from a bounded in-memory cache of what that store
+// answered), and drains gracefully on SIGTERM — finishing accepted jobs
+// while rejecting new ones. With -no-cache there is no store and so no
+// result memory at all: a repeat simulates again, while duplicates of a
+// queued or running spec still coalesce.
 //
 // Usage:
 //
@@ -15,7 +18,9 @@
 //	GET  /healthz    liveness, drain state, job counts
 //	GET  /metrics    deterministic text metrics
 //
-// The daemon keeps no job history; /healthz counts its jobs by state.
+// The daemon keeps no job history, and its flight table holds only queued
+// and running jobs; /healthz counts jobs by state. A store or cache hit
+// makes no job.
 //
 // Results are bit-identical to local `slipsim` runs of the same spec: the
 // daemon multiplexes clients over the same deterministic core. Submit from
@@ -29,6 +34,9 @@
 // consistent-hashes each spec's cache key across the replica list, so all
 // submissions of a spec — through any gateway — coalesce on one replica's
 // flight table, and the fleet simulates each distinct spec exactly once.
+// It answers hot specs itself, from a bounded cache of replica answers
+// that were cached, and forwards the rest, passing replica results on as
+// the bytes the replica sent.
 package main
 
 import (
@@ -55,7 +63,7 @@ func main() {
 		workers    = flag.Int("j", 0, "max concurrent simulations (0: NumCPU)")
 		queue      = flag.Int("queue", service.DefaultQueueDepth, "max queued (not yet running) jobs; beyond this, submissions get 429")
 		cacheAt    = flag.String("cache", runcache.DefaultDir(), "persistent run cache directory (shared with the CLIs)")
-		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache (in-memory memo still applies)")
+		noCache    = flag.Bool("no-cache", false, "serve without the persistent run cache: no result is remembered, so repeats simulate again (in-flight duplicates still coalesce)")
 		auditRuns  = flag.Bool("audit", false, "cross-check every simulation against conservation and coherence invariants")
 		timeout    = flag.Duration("timeout", 0, "default per-job deadline when a request names none (0: none)")
 		maxTimeout = flag.Duration("max-timeout", 0, "cap on request-supplied per-job deadlines (0: uncapped)")

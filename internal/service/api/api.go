@@ -19,6 +19,7 @@
 package api
 
 import (
+	"encoding/json"
 	"time"
 
 	"slipstream/internal/core"
@@ -38,7 +39,8 @@ const (
 // RunRequest is the body of POST /v1/run: a batch of specs, optionally
 // with a per-job deadline. Specs equal after normalization share one job
 // — per daemon, and through the gateway's consistent hashing one job
-// across the whole cluster. A body with any other field is rejected with
+// across the whole cluster. A body with any other field, or with
+// anything but white space after its object, is rejected with
 // CodeBadRequest.
 type RunRequest struct {
 	Specs []runspec.RunSpec `json:"specs"`
@@ -55,11 +57,23 @@ func (r *RunRequest) Timeout() time.Duration {
 }
 
 // RunResponse is the success body of POST /v1/run. Results align with the
-// request's specs, as does Cached (served without simulating: memo or
-// persistent cache).
+// request's specs, as does Cached.
 type RunResponse struct {
 	Results []*core.Result `json:"results"`
-	Cached  []bool         `json:"cached"`
+	// Cached reports, per spec, that the answer was served without
+	// simulating: from a daemon's persistent store, its cache of results
+	// the store answered, or a gateway's cache of replica answers that
+	// were themselves cached. A fresh simulation, or a join of one
+	// already queued or running, reads false.
+	Cached []bool `json:"cached"`
+}
+
+// RawRunResponse is a RunResponse with each result left as the JSON its
+// server sent: the gateway forwards replica results without decoding
+// them.
+type RawRunResponse struct {
+	Results []json.RawMessage `json:"results"`
+	Cached  []bool            `json:"cached"`
 }
 
 // Error codes carried by ErrorResponse.Code: machine-readable failure
@@ -106,7 +120,9 @@ type Health struct {
 }
 
 // Counts breaks the daemon's jobs down by state: those queued or running
-// now, and how many have ever finished done, failed, or canceled.
+// now, and how many have ever finished done, failed, or canceled. A job
+// is a simulation; a spec answered from the store or the cache makes
+// none.
 type Counts struct {
 	Queued   int64 `json:"queued"`
 	Running  int64 `json:"running"`
@@ -127,7 +143,8 @@ const (
 	// CacheHeader names the response header carrying the batch's cache
 	// disposition.
 	CacheHeader = "X-Slipsim-Cache"
-	// CacheHit: every spec was served from memo or persistent cache.
+	// CacheHit: every spec was served without simulating (see
+	// RunResponse.Cached).
 	CacheHit = "hit"
 	// CacheMiss: no spec was served from cache.
 	CacheMiss = "miss"

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
@@ -32,21 +33,43 @@ func newServed(t *testing.T, cfg service.Config) (*service.Server, *client.Clien
 	return s, client.New(ts.URL)
 }
 
+// holdForJoins returns a runStarted hook that holds a flight running
+// until the servers have counted want coalesced joins between them, or
+// for at most ten seconds, so a test's duplicates all arrive while the
+// flight is in the table.
+func holdForJoins(want int64, servers ...*service.Server) func(runspec.RunSpec) {
+	return func(runspec.RunSpec) {
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			var joins int64
+			for _, s := range servers {
+				joins += s.CounterValue("service.coalesced")
+			}
+			if joins >= want {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func specTL(cmps int) runspec.RunSpec {
 	return runspec.RunSpec{Kernel: "SOR", Size: kernels.Tiny, Mode: core.ModeSlipstream,
 		CMPs: cmps, TransparentLoads: true}
 }
 
 // TestCoalescingManyIdentical is the satellite coverage for in-flight
-// request coalescing: 32 goroutines submit the same spec and exactly one
-// simulation executes — pinned by the observation-bus run counter the
-// daemon merges into /metrics — while every caller receives a deep-equal
-// Result.
+// request coalescing: 32 goroutines submit the same spec while its flight
+// is held running, and exactly one simulation executes — pinned by the
+// observation-bus run counter the daemon merges into /metrics — while
+// every caller receives a deep-equal Result. The daemon has no store, so
+// only coalescing can answer the duplicates.
 func TestCoalescingManyIdentical(t *testing.T) {
+	const callers = 32
 	s, c := newServed(t, service.Config{Workers: 2})
+	s.SetRunStarted(holdForJoins(callers-1, s))
 	spec := specTL(2)
 
-	const callers = 32
 	results := make([]*core.Result, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -150,9 +173,14 @@ func TestServerMatchesLocal(t *testing.T) {
 }
 
 // TestBatchDispositions pins the cache header across hit/miss mixes, and
-// that duplicate specs in one batch make one simulation.
+// that duplicate specs in one batch make one simulation. The store
+// answers the first repeat of a spec and the cache the later ones.
 func TestBatchDispositions(t *testing.T) {
-	s, c := newServed(t, service.Config{Workers: 2})
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newServed(t, service.Config{Workers: 2, Cache: cache})
 	a, b := specTL(1), specTL(2)
 	ctx := context.Background()
 
@@ -170,13 +198,16 @@ func TestBatchDispositions(t *testing.T) {
 	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}, 0); err != nil {
 		t.Fatal(err)
 	} else if disp != api.CachePartial {
-		t.Errorf("memoized+fresh batch disposition = %q, want %q", disp, api.CachePartial)
+		t.Errorf("stored+fresh batch disposition = %q, want %q", disp, api.CachePartial)
 	}
 
 	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}, 0); err != nil {
 		t.Fatal(err)
 	} else if disp != api.CacheHit {
-		t.Errorf("fully memoized batch disposition = %q, want %q", disp, api.CacheHit)
+		t.Errorf("cached+stored batch disposition = %q, want %q", disp, api.CacheHit)
+	}
+	if got := s.CounterValue("service.sim.count"); got != 2 {
+		t.Errorf("service.sim.count = %d after three batches over two specs, want 2", got)
 	}
 }
 

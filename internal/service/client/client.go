@@ -62,35 +62,75 @@ func (c *Client) httpClient() *http.Client {
 // on. The returned response aligns with the request's specs; the string
 // is the response's X-Slipsim-Cache disposition.
 func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunResponse, string, error) {
+	var resp api.RunResponse
+	disp, err := c.post(ctx, req, &resp)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := aligned(len(resp.Results), len(resp.Cached), len(req.Specs)); err != nil {
+		return nil, "", err
+	}
+	return &resp, disp, nil
+}
+
+// SubmitRaw is Submit with each result left as the JSON the server sent,
+// for a caller that passes results on rather than reading them (the
+// gateway). Each result must be a JSON object; a response with any other
+// result is an error.
+func (c *Client) SubmitRaw(ctx context.Context, req api.RunRequest) (*api.RawRunResponse, string, error) {
+	var resp api.RawRunResponse
+	disp, err := c.post(ctx, req, &resp)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := aligned(len(resp.Results), len(resp.Cached), len(req.Specs)); err != nil {
+		return nil, "", err
+	}
+	for i, res := range resp.Results {
+		if len(res) == 0 || res[0] != '{' {
+			return nil, "", fmt.Errorf("client: result %d is not a JSON object", i)
+		}
+	}
+	return &resp, disp, nil
+}
+
+// post sends req to the run endpoint and decodes a 200 answer into resp,
+// returning its X-Slipsim-Cache disposition. Any other status is an
+// *APIError.
+func (c *Client) post(ctx context.Context, req api.RunRequest, resp any) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, "", fmt.Errorf("client: encoding request: %w", err)
+		return "", fmt.Errorf("client: encoding request: %w", err)
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+api.PathRun, bytes.NewReader(body))
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	httpResp, err := c.httpClient().Do(httpReq)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
-		return nil, "", decodeAPIError(httpResp)
+		return "", decodeAPIError(httpResp)
 	}
-	var resp api.RunResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, "", fmt.Errorf("client: decoding response: %w", err)
+	if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
+		return "", fmt.Errorf("client: decoding response: %w", err)
 	}
-	// Both arrays must align with the request: callers (the gateway
-	// fan-in above all) index them positionally, so a short array from a
-	// misbehaving server must be an error here, not a panic there.
-	if len(resp.Results) != len(req.Specs) || len(resp.Cached) != len(req.Specs) {
-		return nil, "", fmt.Errorf("client: misaligned response: %d results, %d cached for %d specs",
-			len(resp.Results), len(resp.Cached), len(req.Specs))
+	return httpResp.Header.Get(api.CacheHeader), nil
+}
+
+// aligned checks that a response's arrays align with the request's
+// specs: callers (the gateway fan-in above all) index them positionally,
+// so a short array from a misbehaving server must be an error here, not a
+// panic there.
+func aligned(results, cached, specs int) error {
+	if results != specs || cached != specs {
+		return fmt.Errorf("client: misaligned response: %d results, %d cached for %d specs",
+			results, cached, specs)
 	}
-	return &resp, httpResp.Header.Get(api.CacheHeader), nil
+	return nil
 }
 
 // RunBatch submits a spec batch and waits for every result. The returned
@@ -100,9 +140,9 @@ func (c *Client) RunBatch(ctx context.Context, specs []runspec.RunSpec, timeout 
 	return c.Submit(ctx, api.RunRequest{Specs: specs, TimeoutMS: timeout.Milliseconds()})
 }
 
-// Run submits one spec and returns its result, plus whether the daemon
-// served it from cache (memo or persistent) rather than a fresh or
-// coalesced simulation.
+// Run submits one spec and returns its result, plus whether it was
+// served without simulating (api.RunResponse.Cached) rather than by a
+// fresh or coalesced simulation.
 func (c *Client) Run(ctx context.Context, spec runspec.RunSpec) (*core.Result, bool, error) {
 	resp, _, err := c.RunBatch(ctx, []runspec.RunSpec{spec}, 0)
 	if err != nil {

@@ -3,23 +3,31 @@
 // cache key onto a static replica list and fans batches out over the
 // replicas' /v1/run API, so each spec has exactly one home replica — and
 // therefore exactly one flight table entry — cluster-wide. In-flight
-// coalescing, memoization, and read-through caching all keep working at
-// fleet scale: N gateways in front of M replicas still simulate each
-// distinct spec once.
+// coalescing and read-through caching both keep working at fleet scale: N
+// gateways in front of M replicas still simulate each distinct spec once.
 //
-// Failure policy: a replica that cannot be reached (or reports draining)
-// is marked down for a short TTL and the affected specs are rehashed to
-// the next replica on the ring, with a single retry. The rehash target is
-// a pure function of the key and the down set, so concurrent submissions
-// of a spec keep coalescing on the fallback replica during an outage.
-// Admission rejections are propagated, not absorbed: any replica
-// answering 429 fails the whole gateway batch with 429 and the largest
-// Retry-After seen, preserving the all-or-nothing contract.
+// Hot specs never leave the gateway: it keeps a resultCache of replica
+// answers flagged cached, and a batch that cache fully answers makes no
+// fan-out, while a partly cached one fans out only its misses. Replica
+// results pass through as the bytes the replica encoded; the gateway
+// never decodes a core.Result. A replica answer that is not a JSON object
+// per spec counts as a failed replica.
+//
+// Failure policy: a replica that cannot be reached, answers malformed
+// JSON, or reports draining is marked down for a short TTL and the
+// affected specs are rehashed to the next replica on the ring, with a
+// single retry. The rehash target is a pure function of the key and the
+// down set, so concurrent submissions of a spec keep coalescing on the
+// fallback replica during an outage. Admission rejections are propagated,
+// not absorbed: any replica answering 429 fails the whole gateway batch
+// with 429 and the largest Retry-After seen, preserving the
+// all-or-nothing contract. A batch that fails caches nothing.
 
 package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -52,14 +60,16 @@ type GatewayConfig struct {
 const downTTL = 2 * time.Second
 
 // Gateway shards /v1/run batches across slipsimd replicas by consistent
-// hashing. It is stateless apart from the transient down-replica marks
-// and its metrics registry, so gateways scale horizontally themselves.
+// hashing. It keeps only its result cache, the transient down-replica
+// marks and its metrics registry, so gateways scale horizontally
+// themselves.
 // Placement keys are the replicas' cache keys at core.SimVersion, so a
 // fleet runs one simulator version.
 type Gateway struct {
 	replicas []string
 	clients  []*client.Client
 	ring     *hashRing
+	cache    *resultCache
 
 	mu        sync.Mutex
 	downUntil []time.Time
@@ -75,6 +85,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		replicas:  make([]string, len(cfg.Replicas)),
 		clients:   make([]*client.Client, len(cfg.Replicas)),
 		downUntil: make([]time.Time, len(cfg.Replicas)),
+		cache:     newResultCache(cacheBytes),
 	}
 	seen := make(map[string]bool)
 	for i, r := range cfg.Replicas {
@@ -169,14 +180,14 @@ func (g *Gateway) Handler() http.Handler {
 // subOutcome is one replica sub-batch's result within a fan-out round.
 type subOutcome struct {
 	indices []int // request spec indices served by this replica
-	resp    *api.RunResponse
+	resp    *api.RawRunResponse
 	err     error
 }
 
 // fanOut submits one sub-batch per replica concurrently. groups is
 // indexed by replica; the returned slice too, so iteration order stays
 // deterministic.
-func (g *Gateway) fanOut(r *http.Request, req api.RunRequest, specs []runspec.RunSpec, groups [][]int) []subOutcome {
+func (g *Gateway) fanOut(r *http.Request, timeoutMS int64, specs []runspec.RunSpec, groups [][]int) []subOutcome {
 	out := make([]subOutcome, len(g.replicas))
 	var wg sync.WaitGroup
 	for rep, idxs := range groups {
@@ -186,7 +197,7 @@ func (g *Gateway) fanOut(r *http.Request, req api.RunRequest, specs []runspec.Ru
 		out[rep].indices = idxs
 		sub := api.RunRequest{
 			Specs:     make([]runspec.RunSpec, len(idxs)),
-			TimeoutMS: req.TimeoutMS,
+			TimeoutMS: timeoutMS,
 		}
 		for j, i := range idxs {
 			sub.Specs[j] = specs[i]
@@ -194,7 +205,7 @@ func (g *Gateway) fanOut(r *http.Request, req api.RunRequest, specs []runspec.Ru
 		wg.Add(1)
 		go func(rep int, sub api.RunRequest) {
 			defer wg.Done()
-			resp, _, err := g.clients[rep].Submit(r.Context(), sub)
+			resp, _, err := g.clients[rep].SubmitRaw(r.Context(), sub)
 			out[rep].resp, out[rep].err = resp, err
 		}(rep, sub)
 		g.count("gateway.fanout", 1)
@@ -204,11 +215,12 @@ func (g *Gateway) fanOut(r *http.Request, req api.RunRequest, specs []runspec.Ru
 }
 
 // replicaDown classifies an error from a replica call as "the replica is
-// gone, rehash": transport failures and draining daemons. Admission
-// rejections and job failures are replica answers, not absence — and so
-// is the caller's own context ending (client disconnect mid-fan-out,
-// request deadline), which says nothing about the replica's health and
-// must not poison the down set for unrelated requests.
+// gone, rehash": transport failures, malformed answers and draining
+// daemons. Admission rejections and job failures are replica answers,
+// not absence — and so is the caller's own context ending (client
+// disconnect mid-fan-out, request deadline), which says nothing about the
+// replica's health and must not poison the down set for unrelated
+// requests.
 func replicaDown(err error) bool {
 	if err == nil {
 		return false
@@ -230,11 +242,9 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Validate and place every spec before any replica sees the batch:
-	// like a daemon's admission, a bad batch is rejected whole.
+	// Validate every spec before any is answered: like a daemon's
+	// admission, a bad batch is rejected whole.
 	specs := make([]runspec.RunSpec, len(req.Specs))
-	keys := make([]string, len(req.Specs))
-	placed := make([]int, len(req.Specs))
 	for i, sp := range req.Specs {
 		if err := sp.Validate(); err != nil {
 			writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest,
@@ -242,19 +252,61 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		specs[i] = sp.Normalize()
+	}
+
+	// The cache answers what it can; only the misses fan out.
+	results := make([]json.RawMessage, len(specs))
+	cached := make([]bool, len(specs))
+	var misses []int
+	for i, sp := range specs {
+		if res, ok := g.cache.get(sp); ok {
+			results[i], cached[i] = res, true
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	g.mu.Lock()
+	g.metrics.Count("gateway.requests", 1)
+	g.metrics.Count("gateway.specs", int64(len(specs)))
+	if hits := len(specs) - len(misses); hits > 0 {
+		g.metrics.Count("gateway.cache.hit", int64(hits))
+	}
+	g.mu.Unlock()
+
+	if len(misses) > 0 {
+		if apiErr := g.forward(r, req.TimeoutMS, specs, misses, results, cached); apiErr != nil {
+			writeAPIError(w, apiErr.StatusCode, apiErr.Code, errors.New(apiErr.Message), apiErr.RetryAfter)
+			return
+		}
+		// Only a whole answer is cached, and of it only what a replica
+		// answered without simulating.
+		for _, i := range misses {
+			if cached[i] {
+				g.cache.add(specs[i], results[i])
+			}
+		}
+	}
+	writeResults(w, results, cached)
+}
+
+// forward answers the specs at indices misses from their home replicas,
+// filling results and cached, or returns the error that fails the whole
+// batch.
+func (g *Gateway) forward(r *http.Request, timeoutMS int64, specs []runspec.RunSpec, misses []int,
+	results []json.RawMessage, cached []bool) *client.APIError {
+	keys := make([]string, len(specs))
+	placed := make([]int, len(specs))
+	groups := make([][]int, len(g.replicas))
+	for _, i := range misses {
 		key, err := runcache.KeyFor(core.SimVersion, specs[i])
 		if err != nil {
-			writeAPIError(w, http.StatusInternalServerError, api.CodeInternal, err, 0)
-			return
+			return &client.APIError{StatusCode: http.StatusInternalServerError, Code: api.CodeInternal, Message: err.Error()}
 		}
 		keys[i] = key
 		placed[i] = g.pick(key, -1)
+		groups[placed[i]] = append(groups[placed[i]], i)
 	}
-	g.count("gateway.requests", 1)
-	g.count("gateway.specs", int64(len(specs)))
 
-	results := make([]*core.Result, len(specs))
-	cached := make([]bool, len(specs))
 	// rejections collects replica answers that fail the batch; index is
 	// the smallest request index the answer covers, for deterministic
 	// precedence.
@@ -264,13 +316,8 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var rejections []rejection
 	var downSpecs []int
-
-	groups := make([][]int, len(g.replicas))
-	for i, rep := range placed {
-		groups[rep] = append(groups[rep], i)
-	}
 	for round := 0; round < 2; round++ {
-		outcomes := g.fanOut(r, req, specs, groups)
+		outcomes := g.fanOut(r, timeoutMS, specs, groups)
 		var retry []int
 		for rep, oc := range outcomes { // replica order: deterministic
 			switch {
@@ -337,29 +384,28 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case backpressure != nil:
 		g.count("gateway.rejected.backpressure", 1)
-		writeAPIError(w, http.StatusTooManyRequests, backpressure.err.Code,
-			fmt.Errorf("replica backpressure: %s", backpressure.err.Message),
-			max(backpressure.err.RetryAfter, 1))
-		return
+		return &client.APIError{
+			StatusCode: http.StatusTooManyRequests,
+			Code:       backpressure.err.Code,
+			Message:    "replica backpressure: " + backpressure.err.Message,
+			RetryAfter: max(backpressure.err.RetryAfter, 1),
+		}
 	case firstErr != nil:
-		writeAPIError(w, firstErr.err.StatusCode, firstErr.err.Code,
-			fmt.Errorf("replica: %s", firstErr.err.Message), firstErr.err.RetryAfter)
-		return
+		return &client.APIError{
+			StatusCode: firstErr.err.StatusCode,
+			Code:       firstErr.err.Code,
+			Message:    "replica: " + firstErr.err.Message,
+			RetryAfter: firstErr.err.RetryAfter,
+		}
 	case len(downSpecs) > 0:
 		g.count("gateway.rejected.upstream", 1)
-		writeAPIError(w, http.StatusBadGateway, api.CodeUpstreamDown,
-			fmt.Errorf("no live replica for %d spec(s) after rehash", len(downSpecs)), 0)
-		return
-	}
-
-	hits := 0
-	for _, h := range cached {
-		if h {
-			hits++
+		return &client.APIError{
+			StatusCode: http.StatusBadGateway,
+			Code:       api.CodeUpstreamDown,
+			Message:    fmt.Sprintf("no live replica for %d spec(s) after rehash", len(downSpecs)),
 		}
 	}
-	w.Header().Set(api.CacheHeader, disposition(hits, len(specs)))
-	writeJSON(w, http.StatusOK, api.RunResponse{Results: results, Cached: cached})
+	return nil
 }
 
 // handleHealth aggregates replica health: the gateway is "ok" when every

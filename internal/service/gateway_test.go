@@ -5,14 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"slipstream/internal/core"
 	"slipstream/internal/memsys"
+	"slipstream/internal/runcache"
 	"slipstream/internal/runspec"
 	"slipstream/internal/service"
 	"slipstream/internal/service/api"
@@ -31,6 +35,13 @@ type cluster struct {
 // over them. Everything is torn down with the test.
 func newCluster(t *testing.T, n int, cfg func(i int) service.Config) *cluster {
 	t.Helper()
+	return newClusterVia(t, n, cfg, nil)
+}
+
+// newClusterVia is newCluster with the gateway calling its replicas
+// through hc (nil: http.DefaultClient).
+func newClusterVia(t *testing.T, n int, cfg func(i int) service.Config, hc *http.Client) *cluster {
+	t.Helper()
 	cl := &cluster{}
 	replicas := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -45,7 +56,7 @@ func newCluster(t *testing.T, n int, cfg func(i int) service.Config) *cluster {
 			s.Wait()
 		})
 	}
-	g, err := service.NewGateway(service.GatewayConfig{Replicas: replicas})
+	g, err := service.NewGateway(service.GatewayConfig{Replicas: replicas, HTTPClient: hc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +93,15 @@ func (cl *cluster) replicaIndex(t *testing.T, url string) int {
 // TestGatewayClusterWideCoalescing pins the tentpole property: identical
 // specs submitted concurrently through the gateway land on one replica's
 // flight table, so the whole fleet simulates the spec exactly once, and
-// every caller gets a byte-identical result.
+// every caller gets a byte-identical result. The flight is held running
+// until every duplicate has joined it: the replicas have no store, so
+// nothing else could answer them.
 func TestGatewayClusterWideCoalescing(t *testing.T) {
+	const callers = 24
 	cl := newCluster(t, 3, func(int) service.Config { return service.Config{Workers: 2} })
+	for _, s := range cl.servers {
+		s.SetRunStarted(holdForJoins(callers-1, cl.servers...))
+	}
 	c := cl.client()
 	spec := specTL(2)
 
@@ -97,7 +114,6 @@ func TestGatewayClusterWideCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const callers = 24
 	results := make([]*core.Result, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -135,7 +151,9 @@ func TestGatewayClusterWideCoalescing(t *testing.T) {
 // distinct specs simulate exactly once each fleet-wide even when
 // resubmitted through the gateway.
 func TestGatewayShardsDistinctSpecs(t *testing.T) {
-	cl := newCluster(t, 3, func(int) service.Config { return service.Config{Workers: 2} })
+	cl := newCluster(t, 3, func(int) service.Config {
+		return service.Config{Workers: 2, Cache: openStore(t)}
+	})
 	c := cl.client()
 	specs := []runspec.RunSpec{specTL(1), specTL(2), specTL(4), specTL(8)}
 
@@ -158,7 +176,7 @@ func TestGatewayShardsDistinctSpecs(t *testing.T) {
 		t.Errorf("fleet run.count = %d, want %d", got, len(specs))
 	}
 
-	// Resubmitting the batch is answered from the replicas' memos: no new
+	// Resubmitting the batch is answered from the replicas' stores: no new
 	// simulations anywhere, and the gateway reports the hit disposition.
 	_, disp, err := c.RunBatch(context.Background(), specs, 0)
 	if err != nil {
@@ -323,5 +341,141 @@ func TestGatewayRejectsBadBatchWhole(t *testing.T) {
 		if n := s.CounterValue("service.submissions"); n != 0 {
 			t.Errorf("replica %d admitted %d submissions from a rejected batch", i, n)
 		}
+	}
+}
+
+// openStore opens a run cache in a directory removed with the test.
+func openStore(t *testing.T) *runcache.Cache {
+	t.Helper()
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
+}
+
+// tripCounter is an http.RoundTripper that counts the gateway's replica
+// round trips.
+type tripCounter struct{ n atomic.Int64 }
+
+func (c *tripCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestGatewayAnswersHotSpecs pins the gateway's cache. A spec's first
+// submission simulates and its second is a replica store hit; from the
+// third on, the gateway answers it with no replica round trip, in a body
+// byte-identical to the answer envelope around json.Marshal of a local
+// core.Run. A batch of that spec and a fresh one fans out only the fresh
+// one.
+func TestGatewayAnswersHotSpecs(t *testing.T) {
+	trips := &tripCounter{}
+	cl := newClusterVia(t, 2, func(int) service.Config {
+		return service.Config{Workers: 1, Cache: openStore(t)}
+	}, &http.Client{Transport: trips})
+	spec := specTL(2)
+	local, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(api.RunRequest{Specs: []runspec.RunSpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		cached bool
+		trips  int64
+	}{{false, 1}, {true, 2}, {true, 2}, {true, 2}} {
+		resp, err := http.Post(cl.front.URL+api.PathRun, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBody := fmt.Sprintf(`{"results":[%s],"cached":[%t]}`+"\n", enc, want.cached)
+		if resp.StatusCode != http.StatusOK || string(got) != wantBody {
+			t.Fatalf("submission %d: HTTP %d body\n%s\nwant\n%s", i+1, resp.StatusCode, got, wantBody)
+		}
+		if n := trips.n.Load(); n != want.trips {
+			t.Errorf("after submission %d: %d replica round trips, want %d", i+1, n, want.trips)
+		}
+	}
+	if n := cl.gateway.CounterValue("gateway.cache.hit"); n != 2 {
+		t.Errorf("gateway.cache.hit = %d, want 2", n)
+	}
+
+	specs := []runspec.RunSpec{spec, specTL(4)}
+	resp, disp, err := cl.client().RunBatch(context.Background(), specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disp != api.CachePartial || !resp.Cached[0] || resp.Cached[1] {
+		t.Errorf("hot+fresh batch: disposition %q, cached %v; want %q, [true false]", disp, resp.Cached, api.CachePartial)
+	}
+	var replicaSpecs int64
+	for _, s := range cl.servers {
+		replicaSpecs += s.CounterValue("service.specs")
+	}
+	if trips.n.Load() != 3 || replicaSpecs != 3 {
+		t.Errorf("hot+fresh batch: %d round trips in all carrying %d specs, want 3 and 3", trips.n.Load(), replicaSpecs)
+	}
+	if got := cl.simCount(); got != 2 {
+		t.Errorf("fleet run.count = %d, want 2", got)
+	}
+}
+
+// TestGatewayRejectsMalformedReplicaAnswers pins that the gateway checks
+// the shape of what it forwards without decoding it: a replica answering
+// a result that is not a JSON object, or arrays that do not align with
+// the specs, gets the batch a 502, and the gateway caches nothing of it,
+// although every answer claims to be cached. Each bad answer is asked for
+// twice, and both times reaches the replica.
+func TestGatewayRejectsMalformedReplicaAnswers(t *testing.T) {
+	var answer atomic.Value
+	var calls atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, answer.Load().(string))
+	}))
+	t.Cleanup(replica.Close)
+	g, err := service.NewGateway(service.GatewayConfig{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g.Handler())
+	t.Cleanup(front.Close)
+
+	var made int64
+	for _, bad := range []string{
+		`{"results":[null],"cached":[true]}`,
+		`{"results":[42],"cached":[true]}`,
+		`{"results":["x"],"cached":[true]}`,
+		`{"results":[{}],"cached":[]}`,
+		`{"results":[{},{}],"cached":[true,true]}`,
+	} {
+		answer.Store(bad)
+		for try := 1; try <= 2; try++ {
+			_, _, err := client.New(front.URL).Run(context.Background(), specTL(2))
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadGateway {
+				t.Fatalf("replica answering %s, try %d: err = %v, want a 502 APIError", bad, try, err)
+			}
+			made++
+			if n := calls.Load(); n != made {
+				t.Fatalf("replica answering %s, try %d: %d replica calls, want %d", bad, try, n, made)
+			}
+		}
+	}
+	if n := g.CounterValue("gateway.cache.hit"); n != 0 {
+		t.Errorf("gateway.cache.hit = %d, want 0", n)
 	}
 }

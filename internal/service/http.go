@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -37,14 +38,18 @@ func (s *Server) Handler() http.Handler {
 }
 
 // decodeRunRequest reads a POST /v1/run body for the daemon and the
-// gateway alike: JSON of at most maxRequestBytes with no unknown fields
-// and at least one spec. An error is the request's 400 answer.
+// gateway alike: one JSON object of at most maxRequestBytes, with no
+// unknown field, nothing after it but white space, and at least one
+// spec. An error is the request's 400 answer.
 func decodeRunRequest(w http.ResponseWriter, r *http.Request) (api.RunRequest, error) {
 	var req api.RunRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("decoding request: data after the request object")
 	}
 	if len(req.Specs) == 0 {
 		return req, fmt.Errorf("service: empty batch")
@@ -58,7 +63,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return
 	}
-	attaches, err := s.submit(req.Specs, req.Timeout())
+	answers, err := s.submit(req.Specs, req.Timeout())
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -71,32 +76,63 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := api.RunResponse{
-		Results: make([]*core.Result, len(attaches)),
-		Cached:  make([]bool, len(attaches)),
+	results := make([]json.RawMessage, len(answers))
+	cached := make([]bool, len(answers))
+	for i, a := range answers {
+		if f := a.f; f != nil {
+			select {
+			case <-f.done:
+			case <-r.Context().Done():
+				// The client went away; accepted flights keep running for
+				// any other waiters and for the store.
+				return
+			}
+			if f.err != nil {
+				status, code := flightErrStatus(f.err)
+				writeAPIError(w, status, code, f.err, 0)
+				return
+			}
+			a.res = f.res
+		}
+		results[i], cached[i] = a.res, a.hit
 	}
+	writeResults(w, results, cached)
+}
+
+// writeResults answers POST /v1/run for the daemon and the gateway: the
+// body that encoding an api.RunResponse would give, assembled from
+// results that are already encoded, so no JSON pass touches them, and
+// the batch's cache disposition header.
+func writeResults(w http.ResponseWriter, results []json.RawMessage, cached []bool) {
+	n := len(`{"results":[],"cached":[]}`+"\n") + 6*len(cached)
+	for _, res := range results {
+		n += len(res) + 1
+	}
+	body := append(make([]byte, 0, n), `{"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, res...)
+	}
+	body = append(body, `],"cached":[`...)
 	hits := 0
-	for i, a := range attaches {
-		select {
-		case <-a.f.done:
-		case <-r.Context().Done():
-			// The client went away; accepted flights keep running for any
-			// other waiters and for the memo.
-			return
+	for i, hit := range cached {
+		if i > 0 {
+			body = append(body, ',')
 		}
-		if a.f.err != nil {
-			status, code := flightErrStatus(a.f.err)
-			writeAPIError(w, status, code, a.f.err, 0)
-			return
-		}
-		resp.Results[i] = a.f.res
-		resp.Cached[i] = a.hit
-		if a.hit {
+		body = strconv.AppendBool(body, hit)
+		if hit {
 			hits++
 		}
 	}
-	w.Header().Set(api.CacheHeader, disposition(hits, len(attaches)))
-	writeJSON(w, http.StatusOK, resp)
+	body = append(body, "]}\n"...)
+	h := w.Header()
+	h.Set(api.CacheHeader, disposition(hits, len(cached)))
+	h.Set("Content-Type", "application/json")
+	h.Set(api.VersionHeader, core.SimVersion)
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // disposition maps a batch's hit count to the X-Slipsim-Cache value.

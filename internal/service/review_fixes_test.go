@@ -1,11 +1,12 @@
 package service
 
 // Regression tests for review findings on the distributed serving layer:
-// the admission store probe must not hold the server mutex and is a
-// spec's only probe, and gateway down-marking must not be poisoned by the
-// caller's own context.
+// the admission store probe must not hold the server mutex, is the only
+// probe a submission makes unless a racing store has overtaken it, and
+// gateway down-marking must not be poisoned by the caller's own context.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/url"
@@ -101,8 +102,10 @@ func (c *countingStore) Store(sp runspec.RunSpec, res *core.Result) error {
 }
 
 // TestColdSpecProbesStoreOnce pins that admission makes the only store
-// probe a spec gets: a cold submission loads once, simulates once and
-// stores once, and a repeat is a memo hit that never reaches the store.
+// probe a submission gets: a cold submission loads once, simulates once
+// and stores once. The flight leaves no memory behind, so the first
+// repeat probes once more and the store answers it; that answer enters
+// the cache, and later repeats never reach the store.
 func TestColdSpecProbesStoreOnce(t *testing.T) {
 	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
 	if err != nil {
@@ -115,20 +118,22 @@ func TestColdSpecProbesStoreOnce(t *testing.T) {
 		s.Wait()
 	}()
 
-	for i, wantHit := range []bool{false, true} {
+	for i, want := range []struct {
+		hit   bool
+		loads int64
+	}{{false, 1}, {true, 2}, {true, 2}} {
 		att, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-att[0].f.done
-		if f := att[0].f; f.err != nil || f.res == nil {
-			t.Fatalf("submission %d: err=%v res=%v, want a result", i+1, f.err, f.res)
+		if res, err := await(att[0]); err != nil || res == nil {
+			t.Fatalf("submission %d: err=%v res=%q, want a result", i+1, err, res)
 		}
-		if att[0].hit != wantHit {
-			t.Errorf("submission %d: hit=%t, want %t", i+1, att[0].hit, wantHit)
+		if att[0].hit != want.hit {
+			t.Errorf("submission %d: hit=%t, want %t", i+1, att[0].hit, want.hit)
 		}
-		if got := cs.loads.Load(); got != 1 {
-			t.Errorf("after submission %d: %d store loads, want 1", i+1, got)
+		if got := cs.loads.Load(); got != want.loads {
+			t.Errorf("after submission %d: %d store loads, want %d", i+1, got, want.loads)
 		}
 		if got := cs.stores.Load(); got != 1 {
 			t.Errorf("after submission %d: %d store writes, want 1", i+1, got)
@@ -137,8 +142,85 @@ func TestColdSpecProbesStoreOnce(t *testing.T) {
 			t.Errorf("after submission %d: run.count = %d, want 1", i+1, got)
 		}
 	}
-	if got := s.CounterValue("service.memo.hit"); got != 1 {
-		t.Errorf("service.memo.hit = %d, want 1", got)
+	for name, want := range map[string]int64{"service.cache.miss": 1, "service.cache.hit": 1, "service.memo.hit": 1} {
+		if got := s.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// heldStore is a local directory cache whose first Load, once it has its
+// verdict, parks until release is closed: a probe that misses, then stays
+// in flight while the rest of the daemon moves on.
+type heldStore struct {
+	*runcache.Cache
+	loads         atomic.Int64
+	held, release chan struct{}
+}
+
+func (h *heldStore) Load(sp runspec.RunSpec) (*core.Result, bool, error) {
+	res, ok, err := h.Cache.Load(sp)
+	if h.loads.Add(1) == 1 {
+		close(h.held)
+		<-h.release
+	}
+	return res, ok, err
+}
+
+// TestProbeRacingAStoreIsNotResimulated pins what keeps a spec simulated
+// once now that a flight leaves the table when it publishes. Submission
+// B's probe misses and is held; meanwhile submission A of the same spec
+// probes, simulates, stores and publishes, so when B plans again the
+// spec is in neither the table nor the cache, and B's probe is stale. B
+// must probe again and take A's stored result, not simulate a second
+// time.
+func TestProbeRacingAStoreIsNotResimulated(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &heldStore{Cache: cache, held: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{Workers: 1, Cache: hs})
+	defer func() {
+		s.StartDrain()
+		s.Wait()
+	}()
+	sp := tinySpec(2)
+
+	answered := make(chan []answer, 1)
+	go func() {
+		att, err := s.submit([]runspec.RunSpec{sp}, 0)
+		if err != nil {
+			t.Errorf("submission B: %v", err)
+		}
+		answered <- att
+	}()
+	<-hs.held // B's probe has missed
+
+	attA, err := s.submit([]runspec.RunSpec{sp}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := await(attA[0]); err != nil || res == nil || attA[0].hit {
+		t.Fatalf("submission A: err=%v res=%q hit=%t, want a fresh result", err, res, attA[0].hit)
+	}
+	close(hs.release)
+	attB := <-answered
+	if attB == nil {
+		return
+	}
+	res, err := await(attB[0])
+	if err != nil || !bytes.Equal(res, attA[0].f.res) {
+		t.Fatalf("submission B: err=%v, result equal to A's: %t", err, bytes.Equal(res, attA[0].f.res))
+	}
+	if !attB[0].hit {
+		t.Errorf("submission B was not answered by the store")
+	}
+	if got := s.CounterValue("run.count"); got != 1 {
+		t.Errorf("run.count = %d, want 1", got)
+	}
+	if got := hs.loads.Load(); got != 3 {
+		t.Errorf("%d store loads, want 3: B, A, and B again", got)
 	}
 }
 

@@ -12,20 +12,33 @@
 //
 //   - In-flight request coalescing: submissions of a spec equal to one
 //     already queued or running attach to that flight instead of enqueuing
-//     new work; when it finishes, every waiter receives the same *Result.
-//   - In-memory memoization: completed flights stay in the flight table
-//     for the daemon's lifetime, so a spec ever simulated (or ever failed —
-//     failures are deterministic too) is answered without re-running.
+//     new work; when it finishes, every waiter receives the same encoded
+//     result. The flight table holds only queued and running flights: a
+//     flight leaves it when it publishes, done, failed or canceled alike.
 //   - Read-through persistent caching: admission probes the
 //     runcache.Store before queueing — the only probe a spec gets — and
 //     fresh results are stored back, so daemon restarts and CLI runs
-//     sharing the directory share one result store.
+//     sharing the directory share one result store. The store is a
+//     daemon's only lasting memory of results; without one, a repeat
+//     simulates again.
+//   - A bounded cache of hot results: a spec the store answered is kept,
+//     encoded, in a resultCache of at most cacheBytes that evicts the
+//     least recently used entry, so its repeats skip the probe and the
+//     encoding. A freshly simulated spec does not enter it, so one-off
+//     specs never push out hot ones, and what a daemon keeps does not grow
+//     with the distinct specs it serves.
+//
+// Each process encodes a result once: a worker when it simulates, the
+// admission probe when the store answers. Waiters, the cache and the
+// gateway pass the bytes on as they are.
 //
 // Admission control is strict and cache-aware: cached and coalesced
 // submissions are always admitted (they consume no queue slot), while a
 // batch needing N fresh simulations is admitted only if all N fit in the
 // queue — otherwise the whole batch is rejected with ErrQueueFull so a
-// client never blocks half-admitted. A draining server rejects every new
+// client never blocks half-admitted, and the rejection changes nothing:
+// no counter but service.rejected.queue moves, and neither the flight
+// table nor the cache gains an entry. A draining server rejects every new
 // submission with ErrDraining but finishes all accepted jobs.
 //
 // The server is not simulation code: it may use goroutines, channels, and
@@ -37,6 +50,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -63,7 +77,9 @@ type Config struct {
 
 	// Cache, when set, is probed read-through at admission and receives
 	// every freshly simulated result. A runcache.Cache directory shares
-	// results with the CLIs.
+	// results with the CLIs. Without it the server keeps no result beyond
+	// its flight: a repeat simulates again, while duplicates of a queued
+	// or running spec still coalesce.
 	Cache runcache.Store
 
 	// Audit enables the runtime invariant auditor on every simulation.
@@ -102,60 +118,57 @@ const (
 	numJobStates
 )
 
-// terminal reports whether a flight in this state will never change again.
-func (s jobState) terminal() bool { return s >= jobDone }
-
-// flight is one admitted unit of work: a unique normalized spec moving
-// through queued → running → {done, failed, canceled}, or admitted done
-// when the store probe answered it. All submissions of an equal spec
-// share one flight.
+// flight is one admitted simulation: a unique normalized spec moving
+// through queued → running → {done, failed, canceled}. Every submission
+// of an equal spec made while it is queued or running shares it. It
+// leaves the flight table when it publishes and is garbage once its
+// waiters have their answer.
 type flight struct {
 	spec runspec.RunSpec
-	// ctx carries the per-job deadline of a queued flight, counted from
-	// admission (queue wait is part of the job's latency budget); cancel
-	// releases its timer. A flight admitted done has neither.
+	// ctx carries the per-job deadline, counted from admission (queue wait
+	// is part of the job's latency budget); cancel releases its timer.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Guarded by Server.mu.
+	// Guarded by Server.mu until done is closed; fixed after.
 	state jobState
-	res   *core.Result
+	res   []byte // the result's JSON, once done
 	err   error
 
 	done chan struct{} // closed on reaching a terminal state
 }
 
-// answers reports whether f, found in the flight table, can answer a new
-// submission of its spec. A done or failed flight memoizes its verdict,
-// since both are deterministic; a queued or running one is joined unless
-// its deadline has passed, which dooms it to a canceled verdict and would
-// time the new waiter out on a result that will never come. A canceled
-// flight leaves the table when it publishes, so the table never offers
-// one. Callers hold Server.mu.
-func (f *flight) answers() bool {
-	return f.state.terminal() || f.ctx.Err() == nil
-}
-
-// attach is one submission's view of one spec: the flight serving it and
-// whether it was a cache/memo hit at attach time.
-type attach struct {
+// answer is one submitted spec's resolution: the encoded result itself
+// for a cache or store hit, or the flight that will publish it.
+type answer struct {
+	res []byte
 	f   *flight
-	hit bool
+	hit bool // answered without simulating
 }
 
-// Server owns the queue, the worker pool, the flight table, and the
-// service metrics registry.
+// recentStored is how many of the latest specs stored by workers a server
+// remembers; see storedSinceLocked.
+const recentStored = 64
+
+// Server owns the queue, the worker pool, the flight table, the result
+// cache, and the service metrics registry.
 type Server struct {
 	cfg      Config
 	baseCtx  context.Context
 	hardStop context.CancelFunc
+	cache    *resultCache
 
 	mu       sync.Mutex
-	flights  map[runspec.RunSpec]*flight
+	flights  map[runspec.RunSpec]*flight // queued and running flights
 	queue    chan *flight
 	draining bool
 	counts   [numJobStates]int64
 	metrics  obs.Metrics
+
+	// stored counts the results workers have written to the store, and
+	// recent holds the latest of their specs, stored%recentStored last.
+	stored uint64
+	recent [recentStored]runspec.RunSpec
 
 	wg sync.WaitGroup
 
@@ -183,6 +196,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		baseCtx:  ctx,
 		hardStop: cancel,
+		cache:    newResultCache(cacheBytes),
 		flights:  make(map[runspec.RunSpec]*flight),
 		queue:    make(chan *flight, cfg.QueueDepth),
 	}
@@ -193,43 +207,41 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// probeCandidates returns, deduplicated and in batch order, the specs
-// (already normalized) that the flight table cannot currently answer and
-// a store probe therefore might. It reports draining so submit can reject
-// before probing. The answer is advisory: submit re-resolves everything
-// under the lock, so a flight admitted by a racing submission between the
-// passes simply wins over this one's probe.
-func (s *Server) probeCandidates(norm []runspec.RunSpec) (probe []runspec.RunSpec, draining bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, true
-	}
-	seen := make(map[runspec.RunSpec]bool, len(norm))
-	for _, sp := range norm {
-		if seen[sp] {
-			continue
-		}
-		seen[sp] = true
-		if f, ok := s.flights[sp]; ok && f.answers() {
-			continue // memo hit or coalesce join: no probe needed
-		}
-		probe = append(probe, sp)
-	}
-	return probe, false
+// plan is a batch resolved under s.mu: an answer for the first
+// submission of each distinct spec, and the distinct specs that need a
+// new flight, that the store answered, or that need a store probe before
+// they can be resolved.
+type plan struct {
+	answers   []answer
+	fresh     []int // first indices of specs that need a new flight
+	storeHits []int // first indices of specs the store answered
+	probe     []runspec.RunSpec
+	joins     int64 // specs joining a queued or running flight
+	cacheHits int64 // specs the cache answered
+}
+
+// probeResult is one store probe's verdict on a spec: its encoded result
+// on a hit, nil on a miss, and the stored count when the probe began.
+type probeResult struct {
+	res    []byte
+	stored uint64
 }
 
 // submit validates and admits a batch. On success every spec has an
-// attach; the caller waits on each flight's done channel. Validation
-// errors are reported before any admission, so a bad batch never
-// occupies queue slots.
+// answer; the caller waits on the done channel of each answer's flight.
+// Validation errors are reported before any admission, so a bad batch
+// never occupies queue slots.
 //
 // The store probe here is the only one a spec gets: a worker simulates a
 // queued flight without probing again. It runs with s.mu released:
 // Store.Load is a disk read, and holding the server mutex across it would
 // serialize every endpoint, worker transition, and drain on one
-// submission's I/O.
-func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attach, error) {
+// submission's I/O. So submit plans the batch under the lock, probes what
+// the plan could not resolve, and plans again, until nothing is left to
+// probe. A flight can publish between two plans and leave the table, so
+// a spec is fresh only if its probe missed and no worker stored its
+// result since the probe began; otherwise it is probed again.
+func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]answer, error) {
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d (%v): %w", i, sp, err)
@@ -242,111 +254,166 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]attac
 		timeout = s.cfg.MaxTimeout
 	}
 
+	// firsts[i] is the index of the first submission of spec i's
+	// normalized spec: duplicates within a batch share its answer.
 	norm := make([]runspec.RunSpec, len(specs))
+	firsts := make([]int, len(specs))
+	seen := make(map[runspec.RunSpec]int, len(specs))
 	for i, sp := range specs {
 		norm[i] = sp.Normalize()
-	}
-
-	// Pass 1 (locked): find the specs the flight table cannot answer.
-	// Pass 2 (unlocked): probe the store for them. A Load error is still a
-	// miss, but it must never be silent — count it as corrupt.
-	probe, draining := s.probeCandidates(norm)
-	probed := make(map[runspec.RunSpec]*core.Result, len(probe))
-	var corrupt int64
-	if s.cfg.Cache != nil && !draining {
-		for _, sp := range probe {
-			res, ok, err := s.cfg.Cache.Load(sp)
-			if err != nil {
-				corrupt++
-			}
-			if ok {
-				probed[sp] = res
-			}
+		first, ok := seen[norm[i]]
+		if !ok {
+			first = i
+			seen[norm[i]] = i
 		}
+		firsts[i] = first
 	}
 
+	probed := make(map[runspec.RunSpec]probeResult)
+	var p plan
 	s.mu.Lock()
+	for {
+		if s.draining {
+			s.metrics.Count("service.rejected.drain", 1)
+			s.mu.Unlock()
+			return nil, ErrDraining
+		}
+		p = s.planLocked(norm, firsts, probed)
+		if len(p.probe) == 0 {
+			break
+		}
+		stored := s.stored
+		s.mu.Unlock()
+		corrupt := s.probeStore(p.probe, stored, probed)
+		s.mu.Lock()
+		if corrupt > 0 {
+			s.metrics.Count("runcache.corrupt", corrupt)
+		}
+	}
 	defer s.mu.Unlock()
-	if corrupt > 0 {
-		s.metrics.Count("runcache.corrupt", corrupt)
-	}
-	if s.draining {
-		s.metrics.Count("service.rejected.drain", 1)
-		return nil, ErrDraining
-	}
-
-	// Pass 3 (locked): plan the batch before touching the queue: every
-	// spec resolves to a memo hit, a coalesce join, a probed cache hit, or
-	// a fresh flight. Fresh flights are admitted all-or-nothing.
-	attaches := make([]attach, len(specs))
-	batch := make(map[runspec.RunSpec]*flight) // nil for a fresh spec until it is admitted
-	var fresh []runspec.RunSpec
-	for i, sp := range norm {
-		if f, ok := batch[sp]; ok { // duplicate within this batch
-			attaches[i] = attach{f: f}
-			continue
-		}
-		// A flight that cannot answer is doomed: admit a replacement. The
-		// doomed flight removes itself from the table when it publishes
-		// (identity-checked, so it cannot evict the replacement).
-		if f, ok := s.flights[sp]; ok && f.answers() {
-			hit := f.state.terminal()
-			if hit {
-				s.metrics.Count("service.memo.hit", 1)
-			} else {
-				s.metrics.Count("service.coalesced", 1)
-			}
-			attaches[i] = attach{f: f, hit: hit}
-			continue
-		}
-		if res, ok := probed[sp]; ok {
-			s.metrics.Count("service.cache.hit", 1)
-			f := s.admitLocked(sp, jobDone)
-			f.res = res
-			close(f.done)
-			attaches[i] = attach{f: f, hit: true}
-			batch[sp] = f
-			continue
-		}
-		s.metrics.Count("service.cache.miss", 1)
-		fresh = append(fresh, sp)
-		batch[sp] = nil
-	}
 
 	// Admission: the whole batch or none of it. Every send holds s.mu and
 	// only workers receive, so the queue's free space can only grow while
 	// s.mu is held: the sends below cannot block once this check passes.
-	if len(fresh) > cap(s.queue)-len(s.queue) {
+	if len(p.fresh) > cap(s.queue)-len(s.queue) {
 		s.metrics.Count("service.rejected.queue", 1)
 		return nil, ErrQueueFull
 	}
-	for _, sp := range fresh {
-		f := s.admitLocked(sp, jobQueued)
-		f.ctx, f.cancel = s.baseCtx, func() {}
-		if timeout > 0 {
-			f.ctx, f.cancel = context.WithTimeout(s.baseCtx, timeout)
-		}
-		s.queue <- f
-		batch[sp] = f
+	s.countLocked("service.coalesced", p.joins)
+	s.countLocked("service.memo.hit", p.cacheHits)
+	s.countLocked("service.cache.hit", int64(len(p.storeHits)))
+	s.countLocked("service.cache.miss", int64(len(p.fresh)))
+	for _, i := range p.storeHits {
+		s.cache.add(norm[i], p.answers[i].res)
 	}
-	for i, sp := range norm {
-		if attaches[i].f == nil { // a fresh spec or its duplicate
-			attaches[i].f = batch[sp]
-		}
+	for _, i := range p.fresh {
+		p.answers[i].f = s.admitLocked(norm[i], timeout)
+	}
+	for i, first := range firsts {
+		p.answers[i] = p.answers[first]
 	}
 	s.metrics.Count("service.submissions", 1)
 	s.metrics.Count("service.specs", int64(len(specs)))
-	return attaches, nil
+	return p.answers, nil
 }
 
-// admitLocked creates the flight for sp in state st and enters it in the
-// flight table and the per-state counts: the one place a flight is made.
-// Callers hold mu.
-func (s *Server) admitLocked(sp runspec.RunSpec, st jobState) *flight {
-	f := &flight{spec: sp, state: st, done: make(chan struct{})}
+// planLocked resolves the first submission of each distinct spec in
+// turn: a join of its queued or running flight, a cache hit, a store hit
+// among probed, a fresh flight, or a probe still to make. A flight whose
+// deadline has passed is doomed to a canceled verdict and would time a
+// new waiter out on a result that will never come, so it is not joined:
+// the spec is resolved as if it had none. Callers hold mu.
+func (s *Server) planLocked(norm []runspec.RunSpec, firsts []int, probed map[runspec.RunSpec]probeResult) plan {
+	p := plan{answers: make([]answer, len(norm))}
+	for i, sp := range norm {
+		if firsts[i] != i {
+			continue
+		}
+		if f, ok := s.flights[sp]; ok && f.ctx.Err() == nil {
+			p.answers[i].f = f
+			p.joins++
+			continue
+		}
+		if res, ok := s.cache.get(sp); ok {
+			p.answers[i] = answer{res: res, hit: true}
+			p.cacheHits++
+			continue
+		}
+		if s.cfg.Cache == nil {
+			p.fresh = append(p.fresh, i)
+			continue
+		}
+		switch pr, ok := probed[sp]; {
+		case ok && pr.res != nil:
+			p.answers[i] = answer{res: pr.res, hit: true}
+			p.storeHits = append(p.storeHits, i)
+		case ok && !s.storedSinceLocked(sp, pr.stored):
+			p.fresh = append(p.fresh, i)
+		default:
+			p.probe = append(p.probe, sp)
+		}
+	}
+	return p
+}
+
+// probeStore loads each spec from the store with s.mu released and
+// records the verdict in probed, stamped with stored, the count of stored
+// results when the probe began. A hit is encoded here: the one encoding
+// its result gets in this process. A Load error is still a miss, but it
+// must never be silent: probeStore returns how many it met, for
+// runcache.corrupt.
+func (s *Server) probeStore(specs []runspec.RunSpec, stored uint64, probed map[runspec.RunSpec]probeResult) (corrupt int64) {
+	for _, sp := range specs {
+		pr := probeResult{stored: stored}
+		res, ok, err := s.cfg.Cache.Load(sp)
+		if ok {
+			pr.res, err = json.Marshal(res)
+		}
+		if err != nil {
+			corrupt++
+		}
+		probed[sp] = pr
+	}
+	return corrupt
+}
+
+// storedSinceLocked reports whether a worker may have stored sp's result
+// after the stored count read n, so that a probe of sp begun then may
+// have missed a result the store now holds. When more than recentStored
+// results were stored since, it cannot tell and says so. Callers hold mu.
+func (s *Server) storedSinceLocked(sp runspec.RunSpec, n uint64) bool {
+	if s.stored-n > recentStored {
+		return true
+	}
+	for i := n; i < s.stored; i++ {
+		if s.recent[i%recentStored] == sp {
+			return true
+		}
+	}
+	return false
+}
+
+// admitLocked makes the flight for sp, enters it in the flight table and
+// the per-state counts, and queues it: the one place a flight is made.
+// Callers hold mu and have checked that the queue has room.
+func (s *Server) admitLocked(sp runspec.RunSpec, timeout time.Duration) *flight {
+	f := &flight{spec: sp, state: jobQueued, done: make(chan struct{})}
+	f.ctx, f.cancel = s.baseCtx, func() {}
+	if timeout > 0 {
+		f.ctx, f.cancel = context.WithTimeout(s.baseCtx, timeout)
+	}
 	s.flights[sp] = f
-	s.counts[st]++
+	s.counts[jobQueued]++
+	s.queue <- f
 	return f
+}
+
+// countLocked adds n to the named counter, leaving a counter that
+// would read 0 out of /metrics. Callers hold mu.
+func (s *Server) countLocked(name string, n int64) {
+	if n > 0 {
+		s.metrics.Count(name, n)
+	}
 }
 
 // transitionLocked moves f to state st, keeping the per-state counts.
@@ -381,31 +448,48 @@ func (s *Server) runFlight(f *flight) {
 	defer f.cancel()
 
 	m := &obs.Metrics{}
-	var res *core.Result
+	var enc []byte
+	var stored, storeFailed bool
 	err := f.ctx.Err()
 	if err == nil {
+		var res *core.Result
 		res, err = f.spec.RunObserved(s.cfg.Audit, m)
 		if ctxErr := f.ctx.Err(); ctxErr != nil {
 			err = ctxErr
 		}
-	}
-	storeFailed := false
-	if err == nil && s.cfg.Cache != nil {
-		storeFailed = s.cfg.Cache.Store(f.spec, res) != nil
+		if err == nil {
+			enc, err = json.Marshal(res) // every waiter shares these bytes
+		}
+		if err == nil && s.cfg.Cache != nil {
+			storeFailed = s.cfg.Cache.Store(f.spec, res) != nil
+			stored = !storeFailed
+		}
 	}
 
 	// Publish the terminal state in one critical section: result fields,
-	// metrics, and the state transition become visible together, and the
-	// done channel closes after, so waiters see a complete flight.
+	// metrics, the state transition and the flight's exit from the table
+	// become visible together, and the done channel closes after, so
+	// waiters see a complete flight.
 	s.mu.Lock()
 	s.metrics.Merge(m)
 	if storeFailed {
 		s.metrics.Count("service.cache.storeerr", 1)
 	}
+	if stored {
+		s.recent[s.stored%recentStored] = f.spec
+		s.stored++
+	}
+	// A flight leaves the table whatever its verdict: the store keeps a
+	// result, and a repeat of a failed or canceled spec simulates again.
+	// The identity check keeps a replacement admitted after this flight's
+	// deadline passed.
+	if s.flights[f.spec] == f {
+		delete(s.flights, f.spec)
+	}
 	st := jobDone
 	switch {
 	case err == nil:
-		f.res = res
+		f.res = enc
 		s.metrics.Count("service.sim.count", 1)
 		s.metrics.Count("service.jobs.done", 1)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -414,15 +498,6 @@ func (s *Server) runFlight(f *flight) {
 		st = jobCanceled
 		f.err = fmt.Errorf("%v: %w", f.spec, err)
 		s.metrics.Count("service.jobs.canceled", 1)
-		// Leave the coalesce table so the next identical spec starts a
-		// fresh flight rather than finding this dead one. The identity
-		// check protects a replacement flight admitted after this one's
-		// deadline expired. Nothing else keeps the flight: once its
-		// waiters have their answer it is garbage, so a stream of expired
-		// submissions holds no memory.
-		if s.flights[f.spec] == f {
-			delete(s.flights, f.spec)
-		}
 	default:
 		st = jobFailed
 		f.err = err

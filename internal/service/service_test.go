@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,6 +37,16 @@ func gate(s *Server) (started chan runspec.RunSpec, release chan struct{}) {
 		<-release
 	}
 	return started, release
+}
+
+// await waits for a's flight, if it has one, and returns the encoded
+// result and the error it was answered with.
+func await(a answer) ([]byte, error) {
+	if a.f == nil {
+		return a.res, nil
+	}
+	<-a.f.done
+	return a.f.res, a.f.err
 }
 
 func postRun(t *testing.T, url string, req api.RunRequest) *http.Response {
@@ -283,23 +293,21 @@ func TestPerJobDeadline(t *testing.T) {
 // TestExpiredFlightDetachesAndReruns pins the flight-table fix for
 // deadline expiry: once a coalesced job's deadline has expired mid-run,
 // (a) a follower submitting the identical spec must get a fresh flight
-// rather than joining the doomed one, (b) the fresh flight completes
-// while the dead one is still in flight, and (c) the dead flight removes
-// itself from the coalesce table without evicting its replacement.
+// rather than joining the doomed one, (b) the fresh flight runs while the
+// dead one is still in flight, and (c) the dead flight publishing leaves
+// its replacement in the flight table. The replacement leaves it in turn
+// when it publishes its result.
 func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
-	firstRunning := make(chan struct{})
-	releaseFirst := make(chan struct{})
-	first := true
-	var mu sync.Mutex
-	s.runStarted = func(runspec.RunSpec) {
-		mu.Lock()
-		hold := first
-		first = false
-		mu.Unlock()
-		if hold {
-			close(firstRunning)
+	started := make(chan runspec.RunSpec, 2)
+	releaseFirst, releaseSecond := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int64
+	s.runStarted = func(sp runspec.RunSpec) {
+		started <- sp
+		if runs.Add(1) == 1 {
 			<-releaseFirst
+		} else {
+			<-releaseSecond
 		}
 	}
 	defer func() {
@@ -313,7 +321,7 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	f1 := att1[0].f
-	<-firstRunning
+	<-started
 	<-f1.ctx.Done() // the held flight's deadline expires
 
 	att2, err := s.submit([]runspec.RunSpec{sp}, 0)
@@ -327,20 +335,7 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 	if got := s.CounterValue("service.coalesced"); got != 0 {
 		t.Fatalf("service.coalesced = %d, want 0", got)
 	}
-
-	<-f2.done // the replacement completes while the dead flight is held
-	if f2.err != nil || f2.res == nil {
-		t.Fatalf("replacement flight: err=%v res=%v, want a complete result", f2.err, f2.res)
-	}
-
-	// A third submission memo-hits the completed replacement.
-	att3, err := s.submit([]runspec.RunSpec{sp}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if att3[0].f != f2 || !att3[0].hit {
-		t.Fatalf("third submission: f==f2=%t hit=%t, want memo hit on the replacement", att3[0].f == f2, att3[0].hit)
-	}
+	<-started // the replacement runs while the dead flight is held
 
 	close(releaseFirst)
 	<-f1.done // the dead flight publishes its canceled verdict
@@ -348,10 +343,21 @@ func TestExpiredFlightDetachesAndReruns(t *testing.T) {
 		t.Fatalf("dead flight err = %v, want context.DeadlineExceeded", f1.err)
 	}
 	s.mu.Lock()
-	cur := s.flights[f2.spec]
+	cur := s.flights[sp.Normalize()]
 	s.mu.Unlock()
 	if cur != f2 {
-		t.Fatalf("coalesce table holds %p after cancel, want the replacement %p", cur, f2)
+		t.Fatalf("flight table holds %p after cancel, want the replacement %p", cur, f2)
+	}
+
+	close(releaseSecond)
+	if res, err := await(att2[0]); err != nil || res == nil {
+		t.Fatalf("replacement flight: err=%v res=%q, want a complete result", err, res)
+	}
+	s.mu.Lock()
+	left := len(s.flights)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("flight table holds %d flights after both published, want 0", left)
 	}
 	if got := s.CounterValue("service.sim.count"); got != 1 {
 		t.Errorf("service.sim.count = %d, want 1 (only the replacement simulated)", got)
@@ -401,6 +407,136 @@ func TestExpiredFlightsAreNotRetained(t *testing.T) {
 	for collected.Load() < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d canceled flights collected; the daemon still references the rest", collected.Load(), n)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRejectedBatchChangesNothing pins the all-or-nothing contract of
+// admission: a batch answered 429 moves no counter but
+// service.rejected.queue, and enters nothing in the flight table or the
+// cache. With the worker held and the one queue slot taken, a batch of
+// one store hit and one fresh spec is rejected whole.
+func TestRejectedBatchChangesNothing(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := tinySpec(8)
+	res, err := stored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Store(stored, res); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, QueueDepth: 1, Cache: cache})
+	started, release := gate(s)
+	defer func() {
+		close(release)
+		s.StartDrain()
+		s.Wait()
+	}()
+
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the worker holds spec 1
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	metrics := func() string {
+		var b strings.Builder
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.metrics.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := metrics()
+	if _, err := s.submit([]runspec.RunSpec{stored, tinySpec(4)}, 0); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission over a full queue: err = %v, want ErrQueueFull", err)
+	}
+	after := metrics()
+	want := strings.Replace(before, "counter service.specs", "counter service.rejected.queue 1\ncounter service.specs", 1)
+	if after != want {
+		t.Errorf("metrics after a rejected batch:\n%s\nwant:\n%s", after, want)
+	}
+	if got := s.CounterValue("service.cache.miss"); got != 2 {
+		t.Errorf("service.cache.miss = %d for 2 admitted flights, want 2", got)
+	}
+	s.mu.Lock()
+	flights := len(s.flights)
+	s.mu.Unlock()
+	if flights != 2 {
+		t.Errorf("flight table holds %d flights, want the 2 admitted", flights)
+	}
+	if n, size := cacheStats(s.cache); n != 0 || size != 0 {
+		t.Errorf("cache holds %d results (%d bytes) after the rejection, want none", n, size)
+	}
+}
+
+// TestServedSpecsAreNotRetained pins that what a daemon keeps does not
+// grow with the distinct specs it serves: 2000 distinct tiny SYNTH specs,
+// each simulated once and stored, leave an empty flight table and an
+// empty cache, and every flight is collected once its waiter has the
+// answer. The store alone remembers them.
+func TestServedSpecsAreNotRetained(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 2, Cache: cache})
+	defer func() {
+		s.StartDrain()
+		s.Wait()
+	}()
+
+	const n, batch = 2000, 50
+	var collected atomic.Int64
+	for i := 0; i < n; i += batch {
+		specs := make([]runspec.RunSpec, batch)
+		for j := range specs {
+			specs[j] = runspec.RunSpec{Kernel: "SYNTH", Params: kernels.Params(fmt.Sprintf("seed=%d", i+j)),
+				Size: kernels.Tiny, Mode: core.ModeSingle, CMPs: 2}
+		}
+		att, err := s.submit(specs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, a := range att {
+			if a.f == nil {
+				t.Fatalf("spec %d was answered without a flight", i+j)
+			}
+			if res, err := await(a); err != nil || res == nil {
+				t.Fatalf("spec %d: err=%v res=%q, want a result", i+j, err, res)
+			}
+			runtime.SetFinalizer(a.f, func(*flight) { collected.Add(1) })
+		}
+	}
+	if got := s.CounterValue("run.count"); got != n {
+		t.Fatalf("run.count = %d, want %d", got, n)
+	}
+	if got := cache.Len(); got != n {
+		t.Fatalf("store holds %d entries, want %d", got, n)
+	}
+	s.mu.Lock()
+	flights := len(s.flights)
+	s.mu.Unlock()
+	if flights != 0 {
+		t.Errorf("flight table holds %d flights after every spec was served, want 0", flights)
+	}
+	if entries, size := cacheStats(s.cache); entries != 0 || size != 0 {
+		t.Errorf("cache holds %d results (%d bytes) of specs served once, want none", entries, size)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for collected.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d served flights collected; the daemon still references the rest", collected.Load(), n)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
