@@ -14,7 +14,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/run     {"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","arsync":"L1","cmps":2}],"timeout_ms":60000}
+//	POST /v1/run     {"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","arsync":"L1","cmps":2}]}
 //	GET  /healthz    liveness, drain state, job counts
 //	GET  /metrics    deterministic text metrics
 //
@@ -59,16 +59,14 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8056", "listen address")
-		workers    = flag.Int("j", 0, "max concurrent simulations (0: NumCPU)")
-		queue      = flag.Int("queue", service.DefaultQueueDepth, "max queued (not yet running) jobs; beyond this, submissions get 429")
-		cacheAt    = flag.String("cache", runcache.DefaultDir(), "persistent run cache directory (shared with the CLIs)")
-		noCache    = flag.Bool("no-cache", false, "serve without the persistent run cache: no result is remembered, so repeats simulate again (in-flight duplicates still coalesce)")
-		auditRuns  = flag.Bool("audit", false, "cross-check every simulation against conservation and coherence invariants")
-		timeout    = flag.Duration("timeout", 0, "default per-job deadline when a request names none (0: none)")
-		maxTimeout = flag.Duration("max-timeout", 0, "cap on request-supplied per-job deadlines (0: uncapped)")
-		gateway    = flag.String("gateway", "", "serve as a sharding gateway over this comma-separated replica URL list instead of simulating locally")
-		version    = flag.Bool("version", false, "print version and exit")
+		addr      = flag.String("addr", "127.0.0.1:8056", "listen address")
+		workers   = flag.Int("j", 0, "max concurrent simulations (0: NumCPU)")
+		queue     = flag.Int("queue", service.DefaultQueueDepth, "max queued (not yet running) jobs; beyond this, submissions get 429")
+		cacheAt   = flag.String("cache", runcache.DefaultDir(), "persistent run cache directory (shared with the CLIs)")
+		noCache   = flag.Bool("no-cache", false, "serve without the persistent run cache: no result is remembered, so repeats simulate again (in-flight duplicates still coalesce)")
+		auditRuns = flag.Bool("audit", false, "cross-check every simulation against conservation and coherence invariants")
+		gateway   = flag.String("gateway", "", "serve as a sharding gateway over this comma-separated replica URL list instead of simulating locally")
+		version   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -82,11 +80,9 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		Audit:          *auditRuns,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Audit:      *auditRuns,
 	}
 	if !*noCache {
 		cache, err := runcache.Open(*cacheAt, core.SimVersion)
@@ -111,8 +107,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "slipsimd: serving on http://%s (sim-semantics v%s)\n", ln.Addr(), core.SimVersion)
 
 	// First SIGTERM/SIGINT: drain — stop admitting, finish accepted jobs.
-	// Second: hard stop — cancel in-flight simulations (results are
-	// discarded, never cached) and exit.
+	// Second: hard stop — queued jobs never run, running ones finish but
+	// their results are discarded, never cached — and exit.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	select {

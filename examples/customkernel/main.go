@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"slipstream"
 )
@@ -102,20 +104,28 @@ func (p *pipeline) Verify(prog *slipstream.Program) error {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the pipeline in both modes and writes the report to w.
+func run(w io.Writer) error {
 	for _, mode := range []slipstream.Mode{slipstream.Single, slipstream.Slipstream} {
-		res, err := slipstream.Run(slipstream.Options{
-			CMPs:   4,
-			Mode:   mode,
-			ARSync: slipstream.G0,
-		}, &pipeline{})
+		opts := slipstream.Options{CMPs: 4, Mode: mode}
+		if mode == slipstream.Slipstream {
+			opts.ARSync = slipstream.G0 // A-R synchronization is slipstream-only
+		}
+		res, err := slipstream.Run(opts, &pipeline{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if res.VerifyErr != nil {
-			log.Fatalf("%v: %v", mode, res.VerifyErr)
+			return fmt.Errorf("%v: %w", mode, res.VerifyErr)
 		}
-		fmt.Printf("%-10v  %8d cycles  (avg task: %v)\n", mode, res.Cycles, res.AvgTask())
+		fmt.Fprintf(w, "%-10v  %8d cycles  (avg task: %v)\n", mode, res.Cycles, res.AvgTask())
 	}
-	fmt.Println("\nBoth modes compute identical checksums; the A-streams' skipped")
-	fmt.Println("stores and events never perturb the R-streams' results.")
+	fmt.Fprintln(w, "\nBoth modes compute identical checksums; the A-streams' skipped")
+	fmt.Fprintln(w, "stores and events never perturb the R-streams' results.")
+	return nil
 }

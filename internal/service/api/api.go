@@ -11,16 +11,16 @@
 // codes, new header values — except that a field or path no client uses
 // may be removed. A request naming a removed field gets 400 and one to a
 // removed path gets 404, so it is refused, never misread. Removed so far:
-// the "priority" request field, the /v1/cache/ entry path, and the /runs
-// job history together with RunResponse's "jobs" array, whose ids only
-// named /runs records. RunSpec and Result keep their symbolic JSON
-// encodings (mode, policy, and size names), so requests are hand-writable
-// and responses byte-identical to local `slipsim` output.
+// the "priority" request field, the /v1/cache/ entry path, the /runs job
+// history together with RunResponse's "jobs" array, whose ids only named
+// /runs records, and the "timeout_ms" request field together with the
+// "deadline" error code it alone produced. RunSpec and Result keep their
+// symbolic JSON encodings (mode, policy, and size names), so requests are
+// hand-writable and responses byte-identical to local `slipsim` output.
 package api
 
 import (
 	"encoding/json"
-	"time"
 
 	"slipstream/internal/core"
 	"slipstream/internal/runspec"
@@ -36,24 +36,13 @@ const (
 	PathMetrics = "/metrics"
 )
 
-// RunRequest is the body of POST /v1/run: a batch of specs, optionally
-// with a per-job deadline. Specs equal after normalization share one job
-// — per daemon, and through the gateway's consistent hashing one job
-// across the whole cluster. A body with any other field, or with
-// anything but white space after its object, is rejected with
-// CodeBadRequest.
+// RunRequest is the body of POST /v1/run: a batch of specs. Specs equal
+// after normalization share one job — per daemon, and through the
+// gateway's consistent hashing one job across the whole cluster. A body
+// with any other field, or with anything but white space after its
+// object, is rejected with CodeBadRequest.
 type RunRequest struct {
 	Specs []runspec.RunSpec `json:"specs"`
-	// TimeoutMS bounds each fresh simulation this batch enqueues; zero
-	// selects the server default. Coalesced joins inherit the deadline of
-	// the flight they join.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// Timeout returns the request's per-job deadline as a duration (zero:
-// server default).
-func (r *RunRequest) Timeout() time.Duration {
-	return time.Duration(r.TimeoutMS) * time.Millisecond
 }
 
 // RunResponse is the success body of POST /v1/run. Results align with the
@@ -86,8 +75,6 @@ const (
 	CodeQueueFull = "queue_full"
 	// CodeDraining: the daemon is shutting down; submit elsewhere.
 	CodeDraining = "draining"
-	// CodeDeadline: the job's deadline expired before completion.
-	CodeDeadline = "deadline"
 	// CodeCanceled: the job was canceled by a hard stop.
 	CodeCanceled = "canceled"
 	// CodeSimFailed: the simulation or its numeric verification failed
@@ -96,6 +83,10 @@ const (
 	// CodeUpstreamDown: the gateway could not reach any replica for part
 	// of the batch, even after rehashing.
 	CodeUpstreamDown = "upstream_down"
+	// CodeUpstreamMalformed: a replica answered 200 with results that do
+	// not fit the batch: one that is not a JSON object, or arrays that do
+	// not align with the specs.
+	CodeUpstreamMalformed = "upstream_malformed"
 	// CodeInternal: anything else.
 	CodeInternal = "internal"
 )

@@ -61,9 +61,10 @@ func specTL(cmps int) runspec.RunSpec {
 // TestCoalescingManyIdentical is the satellite coverage for in-flight
 // request coalescing: 32 goroutines submit the same spec while its flight
 // is held running, and exactly one simulation executes — pinned by the
-// observation-bus run counter the daemon merges into /metrics — while
-// every caller receives a deep-equal Result. The daemon has no store, so
-// only coalescing can answer the duplicates.
+// run.count the daemon's workers keep — while every caller receives a
+// deep-equal Result. The daemon has no store, so only coalescing can
+// answer the duplicates. Its /metrics holds service counters and
+// run.count only: runs are simulated unobserved.
 func TestCoalescingManyIdentical(t *testing.T) {
 	const callers = 32
 	s, c := newServed(t, service.Config{Workers: 2})
@@ -99,13 +100,9 @@ func TestCoalescingManyIdentical(t *testing.T) {
 		}
 	}
 
-	// Exactly one core.Run executed: the per-run observation metrics merge
-	// into the service registry, so run.count counts simulations.
+	// Exactly one core.Run executed.
 	if got := s.CounterValue("run.count"); got != 1 {
-		t.Errorf("obs run.count = %d after %d identical submissions, want 1", got, callers)
-	}
-	if got := s.CounterValue("service.sim.count"); got != 1 {
-		t.Errorf("service.sim.count = %d, want 1", got)
+		t.Errorf("run.count = %d after %d identical submissions, want 1", got, callers)
 	}
 	metrics, err := c.Metrics(context.Background())
 	if err != nil {
@@ -113,6 +110,14 @@ func TestCoalescingManyIdentical(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "counter run.count 1\n") {
 		t.Errorf("/metrics missing 'counter run.count 1':\n%s", metrics)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(metrics, "\n"), "\n") {
+		f := strings.Fields(line)
+		ok := len(f) == 3 && f[0] == "counter" && f[1] != "service.sim.count" &&
+			(f[1] == "run.count" || strings.HasPrefix(f[1], "service.") || strings.HasPrefix(f[1], "runcache."))
+		if !ok {
+			t.Errorf("/metrics line %q is not a service counter or run.count", line)
+		}
 	}
 }
 
@@ -153,7 +158,7 @@ func TestServerMatchesLocal(t *testing.T) {
 	}
 
 	// The repeat is a cache hit end to end, and still byte-identical.
-	resp, disposition, err := c.RunBatch(context.Background(), []runspec.RunSpec{spec}, 0)
+	resp, disposition, err := c.RunBatch(context.Background(), []runspec.RunSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,30 +189,30 @@ func TestBatchDispositions(t *testing.T) {
 	a, b := specTL(1), specTL(2)
 	ctx := context.Background()
 
-	_, disp, err := c.RunBatch(ctx, []runspec.RunSpec{a, a}, 0)
+	_, disp, err := c.RunBatch(ctx, []runspec.RunSpec{a, a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disp != api.CacheMiss {
 		t.Errorf("fresh duplicate batch disposition = %q, want %q", disp, api.CacheMiss)
 	}
-	if got := s.CounterValue("service.sim.count"); got != 1 {
-		t.Errorf("service.sim.count = %d after a batch of two equal specs, want 1", got)
+	if got := s.CounterValue("run.count"); got != 1 {
+		t.Errorf("run.count = %d after a batch of two equal specs, want 1", got)
 	}
 
-	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}, 0); err != nil {
+	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}); err != nil {
 		t.Fatal(err)
 	} else if disp != api.CachePartial {
 		t.Errorf("stored+fresh batch disposition = %q, want %q", disp, api.CachePartial)
 	}
 
-	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}, 0); err != nil {
+	if _, disp, err = c.RunBatch(ctx, []runspec.RunSpec{a, b}); err != nil {
 		t.Fatal(err)
 	} else if disp != api.CacheHit {
 		t.Errorf("cached+stored batch disposition = %q, want %q", disp, api.CacheHit)
 	}
-	if got := s.CounterValue("service.sim.count"); got != 2 {
-		t.Errorf("service.sim.count = %d after three batches over two specs, want 2", got)
+	if got := s.CounterValue("run.count"); got != 2 {
+		t.Errorf("run.count = %d after three batches over two specs, want 2", got)
 	}
 }
 
@@ -321,25 +326,29 @@ func TestForgedCacheWriteRefused(t *testing.T) {
 	}
 }
 
-// TestPriorityFieldRejected pins that a run request has no priority: the
-// daemon and the gateway share one decoder, which refuses the unknown
-// field with 400 bad_request before anything is admitted.
+// TestPriorityFieldRejected pins that a run request names neither a
+// priority nor a per-job deadline, the fields of the removed priority
+// tiers and timeout_ms: the daemon and the gateway share one decoder,
+// which refuses either unknown field with 400 bad_request before anything
+// is admitted.
 func TestPriorityFieldRejected(t *testing.T) {
 	cl := newCluster(t, 1, func(int) service.Config { return service.Config{Workers: 1} })
-	body := `{"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","cmps":2}],"priority":"batch"}`
-	for _, base := range []string{cl.backends[0].URL, cl.front.URL} {
-		resp, err := http.Post(base+api.PathRun, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var er api.ErrorResponse
-		err = json.NewDecoder(resp.Body).Decode(&er)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || er.Code != api.CodeBadRequest {
-			t.Errorf("%s: HTTP %d code %q, want 400 %q", base, resp.StatusCode, er.Code, api.CodeBadRequest)
+	for _, field := range []string{`"priority":"batch"`, `"timeout_ms":60000`} {
+		body := `{"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","cmps":2}],` + field + `}`
+		for _, base := range []string{cl.backends[0].URL, cl.front.URL} {
+			resp, err := http.Post(base+api.PathRun, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er api.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || er.Code != api.CodeBadRequest {
+				t.Errorf("%s with %s: HTTP %d code %q, want 400 %q", base, field, resp.StatusCode, er.Code, api.CodeBadRequest)
+			}
 		}
 	}
 	if n := cl.servers[0].CounterValue("service.submissions"); n != 0 {

@@ -9,12 +9,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"slipstream/internal/core"
 	"slipstream/internal/runspec"
@@ -49,6 +49,12 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("slipsimd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
+// ErrMalformed is wrapped by the error a 200 answer gets when it decodes
+// but does not fit its request: arrays that do not align with the specs,
+// or, for SubmitRaw, a result that is not a JSON object. The server
+// answered, so it is reachable; what it sent is wrong.
+var ErrMalformed = errors.New("client: malformed response")
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
@@ -76,7 +82,7 @@ func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunRespon
 // SubmitRaw is Submit with each result left as the JSON the server sent,
 // for a caller that passes results on rather than reading them (the
 // gateway). Each result must be a JSON object; a response with any other
-// result is an error.
+// result is an error wrapping ErrMalformed.
 func (c *Client) SubmitRaw(ctx context.Context, req api.RunRequest) (*api.RawRunResponse, string, error) {
 	var resp api.RawRunResponse
 	disp, err := c.post(ctx, req, &resp)
@@ -88,7 +94,7 @@ func (c *Client) SubmitRaw(ctx context.Context, req api.RunRequest) (*api.RawRun
 	}
 	for i, res := range resp.Results {
 		if len(res) == 0 || res[0] != '{' {
-			return nil, "", fmt.Errorf("client: result %d is not a JSON object", i)
+			return nil, "", fmt.Errorf("%w: result %d is not a JSON object", ErrMalformed, i)
 		}
 	}
 	return &resp, disp, nil
@@ -127,8 +133,8 @@ func (c *Client) post(ctx context.Context, req api.RunRequest, resp any) (string
 // panic there.
 func aligned(results, cached, specs int) error {
 	if results != specs || cached != specs {
-		return fmt.Errorf("client: misaligned response: %d results, %d cached for %d specs",
-			results, cached, specs)
+		return fmt.Errorf("%w: misaligned: %d results, %d cached for %d specs",
+			ErrMalformed, results, cached, specs)
 	}
 	return nil
 }
@@ -136,15 +142,15 @@ func aligned(results, cached, specs int) error {
 // RunBatch submits a spec batch and waits for every result. The returned
 // response aligns with specs; cache is the response's X-Slipsim-Cache
 // disposition ("hit", "miss", or "partial").
-func (c *Client) RunBatch(ctx context.Context, specs []runspec.RunSpec, timeout time.Duration) (*api.RunResponse, string, error) {
-	return c.Submit(ctx, api.RunRequest{Specs: specs, TimeoutMS: timeout.Milliseconds()})
+func (c *Client) RunBatch(ctx context.Context, specs []runspec.RunSpec) (*api.RunResponse, string, error) {
+	return c.Submit(ctx, api.RunRequest{Specs: specs})
 }
 
 // Run submits one spec and returns its result, plus whether it was
 // served without simulating (api.RunResponse.Cached) rather than by a
 // fresh or coalesced simulation.
 func (c *Client) Run(ctx context.Context, spec runspec.RunSpec) (*core.Result, bool, error) {
-	resp, _, err := c.RunBatch(ctx, []runspec.RunSpec{spec}, 0)
+	resp, _, err := c.RunBatch(ctx, []runspec.RunSpec{spec})
 	if err != nil {
 		return nil, false, err
 	}

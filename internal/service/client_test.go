@@ -25,7 +25,7 @@ func TestClientRejectsMisalignedResponse(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	_, _, err := client.New(ts.URL).RunBatch(context.Background(), []runspec.RunSpec{specTL(2)}, 0)
+	_, _, err := client.New(ts.URL).RunBatch(context.Background(), []runspec.RunSpec{specTL(2)})
 	if err == nil || !strings.Contains(err.Error(), "misaligned") {
 		t.Fatalf("err = %v, want misaligned-response error", err)
 	}

@@ -18,6 +18,8 @@ import (
 // replica exactly the batch the client sent.
 func FuzzDecodeRunRequest(f *testing.F) {
 	for _, seed := range []string{
+		// Names the removed timeout_ms field, so it must be refused, as
+		// the priority body below is.
 		`{"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","arsync":"L1","cmps":2,"transparent_loads":true},` +
 			`{"kernel":"LU","size":"small","mode":"single","cmps":4}],"timeout_ms":60000}`,
 		`{"specs":[{"kernel":"SYNTH","params":{"seed":7,"mig":0.25},"size":"tiny","mode":"single","cmps":2}]}`,

@@ -10,18 +10,21 @@
 // answers flagged cached, and a batch that cache fully answers makes no
 // fan-out, while a partly cached one fans out only its misses. Replica
 // results pass through as the bytes the replica encoded; the gateway
-// never decodes a core.Result. A replica answer that is not a JSON object
-// per spec counts as a failed replica.
+// never decodes a core.Result.
 //
-// Failure policy: a replica that cannot be reached, answers malformed
-// JSON, or reports draining is marked down for a short TTL and the
-// affected specs are rehashed to the next replica on the ring, with a
+// Failure policy: a replica that cannot be reached, sends a body that
+// does not decode, or reports draining is marked down for a short TTL and
+// the affected specs are rehashed to the next replica on the ring, with a
 // single retry. The rehash target is a pure function of the key and the
 // down set, so concurrent submissions of a spec keep coalescing on the
 // fallback replica during an outage. Admission rejections are propagated,
 // not absorbed: any replica answering 429 fails the whole gateway batch
 // with 429 and the largest Retry-After seen, preserving the
-// all-or-nothing contract. A batch that fails caches nothing.
+// all-or-nothing contract. So are malformed answers: a replica whose
+// answer decodes but does not fit the batch (a result that is not a JSON
+// object, arrays that do not align) fails the batch with 502
+// upstream_malformed carrying the client's error text, and is not marked
+// down. A batch that fails caches nothing.
 
 package service
 
@@ -187,7 +190,7 @@ type subOutcome struct {
 // fanOut submits one sub-batch per replica concurrently. groups is
 // indexed by replica; the returned slice too, so iteration order stays
 // deterministic.
-func (g *Gateway) fanOut(r *http.Request, timeoutMS int64, specs []runspec.RunSpec, groups [][]int) []subOutcome {
+func (g *Gateway) fanOut(r *http.Request, specs []runspec.RunSpec, groups [][]int) []subOutcome {
 	out := make([]subOutcome, len(g.replicas))
 	var wg sync.WaitGroup
 	for rep, idxs := range groups {
@@ -195,10 +198,7 @@ func (g *Gateway) fanOut(r *http.Request, timeoutMS int64, specs []runspec.RunSp
 			continue
 		}
 		out[rep].indices = idxs
-		sub := api.RunRequest{
-			Specs:     make([]runspec.RunSpec, len(idxs)),
-			TimeoutMS: timeoutMS,
-		}
+		sub := api.RunRequest{Specs: make([]runspec.RunSpec, len(idxs))}
 		for j, i := range idxs {
 			sub.Specs[j] = specs[i]
 		}
@@ -215,12 +215,14 @@ func (g *Gateway) fanOut(r *http.Request, timeoutMS int64, specs []runspec.RunSp
 }
 
 // replicaDown classifies an error from a replica call as "the replica is
-// gone, rehash": transport failures, malformed answers and draining
-// daemons. Admission rejections and job failures are replica answers,
-// not absence — and so is the caller's own context ending (client
-// disconnect mid-fan-out, request deadline), which says nothing about the
-// replica's health and must not poison the down set for unrelated
-// requests.
+// gone, rehash": transport failures, bodies that do not decode, and
+// draining daemons. Admission rejections, job failures and malformed
+// answers are replica answers, not absence; marking an answering replica
+// down would rehash every spec homed on it for downTTL and simulate them
+// again elsewhere. Nor is the caller's own context ending (client
+// disconnect mid-fan-out, request deadline) absence: it says nothing
+// about the replica's health and must not poison the down set for
+// unrelated requests.
 func replicaDown(err error) bool {
 	if err == nil {
 		return false
@@ -229,7 +231,8 @@ func replicaDown(err error) bool {
 	if errors.As(err, &apiErr) {
 		return apiErr.Code == api.CodeDraining
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, client.ErrMalformed) || errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	return true // transport-level failure
@@ -274,7 +277,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	g.mu.Unlock()
 
 	if len(misses) > 0 {
-		if apiErr := g.forward(r, req.TimeoutMS, specs, misses, results, cached); apiErr != nil {
+		if apiErr := g.forward(r, specs, misses, results, cached); apiErr != nil {
 			writeAPIError(w, apiErr.StatusCode, apiErr.Code, errors.New(apiErr.Message), apiErr.RetryAfter)
 			return
 		}
@@ -292,7 +295,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 // forward answers the specs at indices misses from their home replicas,
 // filling results and cached, or returns the error that fails the whole
 // batch.
-func (g *Gateway) forward(r *http.Request, timeoutMS int64, specs []runspec.RunSpec, misses []int,
+func (g *Gateway) forward(r *http.Request, specs []runspec.RunSpec, misses []int,
 	results []json.RawMessage, cached []bool) *client.APIError {
 	keys := make([]string, len(specs))
 	placed := make([]int, len(specs))
@@ -317,7 +320,7 @@ func (g *Gateway) forward(r *http.Request, timeoutMS int64, specs []runspec.RunS
 	var rejections []rejection
 	var downSpecs []int
 	for round := 0; round < 2; round++ {
-		outcomes := g.fanOut(r, timeoutMS, specs, groups)
+		outcomes := g.fanOut(r, specs, groups)
 		var retry []int
 		for rep, oc := range outcomes { // replica order: deterministic
 			switch {
@@ -338,6 +341,11 @@ func (g *Gateway) forward(r *http.Request, timeoutMS int64, specs []runspec.RunS
 						Code:       api.CodeInternal,
 						Message:    oc.err.Error(),
 					}
+				}
+				if errors.Is(oc.err, client.ErrMalformed) {
+					g.count("gateway.replica.malformed", 1)
+					apiErr.Code = api.CodeUpstreamMalformed
+					apiErr.Message = g.replicas[rep] + " answered: " + apiErr.Message
 				}
 				rejections = append(rejections, rejection{minIndex: oc.indices[0], err: apiErr})
 			}

@@ -157,7 +157,7 @@ func TestGatewayShardsDistinctSpecs(t *testing.T) {
 	c := cl.client()
 	specs := []runspec.RunSpec{specTL(1), specTL(2), specTL(4), specTL(8)}
 
-	resp, _, err := c.RunBatch(context.Background(), specs, 0)
+	resp, _, err := c.RunBatch(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestGatewayShardsDistinctSpecs(t *testing.T) {
 
 	// Resubmitting the batch is answered from the replicas' stores: no new
 	// simulations anywhere, and the gateway reports the hit disposition.
-	_, disp, err := c.RunBatch(context.Background(), specs, 0)
+	_, disp, err := c.RunBatch(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +267,12 @@ func TestGatewayPropagatesBackpressure(t *testing.T) {
 
 	// Occupy the worker, then the one queue slot.
 	kick := make(chan error, 2)
-	go func() { _, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(1)}, 0); kick <- err }()
+	go func() { _, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(1)}); kick <- err }()
 	<-started // the worker holds spec 1; the queue is empty again
-	go func() { _, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(2)}, 0); kick <- err }()
+	go func() { _, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(2)}); kick <- err }()
 	awaitCounter(t, cl.servers[0], "service.submissions", 2)
 
-	_, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(4)}, 0)
+	_, _, err := c.RunBatch(ctx, []runspec.RunSpec{specTL(4)})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("overload submission err = %v, want APIError", err)
@@ -328,7 +328,7 @@ func TestGatewayRejectsBadBatchWhole(t *testing.T) {
 	pastNet.Machine.NetTime = -500
 
 	for _, bad := range []runspec.RunSpec{siWithoutTL, pastNet} {
-		_, _, err := cl.client().RunBatch(context.Background(), []runspec.RunSpec{specTL(1), bad}, 0)
+		_, _, err := cl.client().RunBatch(context.Background(), []runspec.RunSpec{specTL(1), bad})
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 			t.Fatalf("err = %v, want 400 APIError", err)
@@ -413,7 +413,7 @@ func TestGatewayAnswersHotSpecs(t *testing.T) {
 	}
 
 	specs := []runspec.RunSpec{spec, specTL(4)}
-	resp, disp, err := cl.client().RunBatch(context.Background(), specs, 0)
+	resp, disp, err := cl.client().RunBatch(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,9 +435,12 @@ func TestGatewayAnswersHotSpecs(t *testing.T) {
 // TestGatewayRejectsMalformedReplicaAnswers pins that the gateway checks
 // the shape of what it forwards without decoding it: a replica answering
 // a result that is not a JSON object, or arrays that do not align with
-// the specs, gets the batch a 502, and the gateway caches nothing of it,
-// although every answer claims to be cached. Each bad answer is asked for
-// twice, and both times reaches the replica.
+// the specs, gets the batch a 502 upstream_malformed that names the
+// replica and carries the client's reason, counts
+// gateway.replica.malformed, and caches nothing of it, although every
+// answer claims to be cached. The replica answered, so it is not marked
+// down: each bad answer is asked for twice, and both times reaches the
+// replica with no rehash.
 func TestGatewayRejectsMalformedReplicaAnswers(t *testing.T) {
 	var answer atomic.Value
 	var calls atomic.Int64
@@ -454,28 +457,39 @@ func TestGatewayRejectsMalformedReplicaAnswers(t *testing.T) {
 	front := httptest.NewServer(g.Handler())
 	t.Cleanup(front.Close)
 
+	const notObject, misaligned = "result 0 is not a JSON object", "misaligned: "
 	var made int64
-	for _, bad := range []string{
-		`{"results":[null],"cached":[true]}`,
-		`{"results":[42],"cached":[true]}`,
-		`{"results":["x"],"cached":[true]}`,
-		`{"results":[{}],"cached":[]}`,
-		`{"results":[{},{}],"cached":[true,true]}`,
+	for _, tc := range []struct{ bad, reason string }{
+		{`{"results":[null],"cached":[true]}`, notObject},
+		{`{"results":[42],"cached":[true]}`, notObject},
+		{`{"results":["x"],"cached":[true]}`, notObject},
+		{`{"results":[{}],"cached":[]}`, misaligned + "1 results, 0 cached for 1 specs"},
+		{`{"results":[{},{}],"cached":[true,true]}`, misaligned + "2 results, 2 cached for 1 specs"},
 	} {
-		answer.Store(bad)
+		answer.Store(tc.bad)
+		want := "replica: " + replica.URL + " answered: client: malformed response: " + tc.reason
 		for try := 1; try <= 2; try++ {
 			_, _, err := client.New(front.URL).Run(context.Background(), specTL(2))
 			var apiErr *client.APIError
 			if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadGateway {
-				t.Fatalf("replica answering %s, try %d: err = %v, want a 502 APIError", bad, try, err)
+				t.Fatalf("replica answering %s, try %d: err = %v, want a 502 APIError", tc.bad, try, err)
+			}
+			if apiErr.Code != api.CodeUpstreamMalformed || apiErr.Message != want {
+				t.Errorf("replica answering %s, try %d: code %q message %q, want %q %q",
+					tc.bad, try, apiErr.Code, apiErr.Message, api.CodeUpstreamMalformed, want)
 			}
 			made++
 			if n := calls.Load(); n != made {
-				t.Fatalf("replica answering %s, try %d: %d replica calls, want %d", bad, try, n, made)
+				t.Fatalf("replica answering %s, try %d: %d replica calls, want %d", tc.bad, try, n, made)
+			}
+			if n := g.CounterValue("gateway.replica.malformed"); n != made {
+				t.Errorf("replica answering %s, try %d: gateway.replica.malformed = %d, want %d", tc.bad, try, n, made)
 			}
 		}
 	}
-	if n := g.CounterValue("gateway.cache.hit"); n != 0 {
-		t.Errorf("gateway.cache.hit = %d, want 0", n)
+	for name, want := range map[string]int64{"gateway.cache.hit": 0, "gateway.replica.down": 0, "gateway.rehash": 0} {
+		if n := g.CounterValue(name); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
 	}
 }

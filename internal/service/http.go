@@ -25,7 +25,7 @@ const maxRequestBytes = 1 << 20
 //
 //	POST /v1/run      submit a RunSpec batch, wait for results
 //	GET  /healthz     liveness, drain state, job counts
-//	GET  /metrics     deterministic text metrics (obs registry)
+//	GET  /metrics     deterministic text metrics (service counters)
 //
 // It serves no other path: a request to write a cache entry or to list
 // past jobs gets 404.
@@ -63,7 +63,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return
 	}
-	answers, err := s.submit(req.Specs, req.Timeout())
+	answers, err := s.submit(req.Specs)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -147,17 +147,13 @@ func disposition(hits, total int) string {
 }
 
 // flightErrStatus maps a failed flight's error to a response status and
-// error code: deadline 504, canceled (drain hard stop) 503, anything
-// else — a deterministic simulation or verification failure — 500.
+// error code: canceled (hard stop) 503, anything else — a deterministic
+// simulation or verification failure — 500.
 func flightErrStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, api.CodeDeadline
-	case errors.Is(err, context.Canceled):
+	if errors.Is(err, context.Canceled) {
 		return http.StatusServiceUnavailable, api.CodeCanceled
-	default:
-		return http.StatusInternalServerError, api.CodeSimFailed
 	}
+	return http.StatusInternalServerError, api.CodeSimFailed
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -182,8 +178,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// handleMetrics serves the service metrics registry — service counters
-// plus every simulated run's merged observation metrics.
+// handleMetrics serves the service metrics registry: the service.* and
+// runcache.* counters and run.count, the simulations its workers ran.
+// Runs are simulated unobserved, so no per-run metric reaches it.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetrics(w, &s.mu, &s.metrics)
 }

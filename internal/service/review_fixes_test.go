@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/url"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,7 @@ func TestStoreProbeReleasesMutex(t *testing.T) {
 	submitted := make(chan struct{})
 	go func() {
 		defer close(submitted)
-		if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0); err != nil {
+		if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}); err != nil {
 			t.Errorf("submit: %v", err)
 		}
 	}()
@@ -122,7 +123,7 @@ func TestColdSpecProbesStoreOnce(t *testing.T) {
 		hit   bool
 		loads int64
 	}{{false, 1}, {true, 2}, {true, 2}} {
-		att, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0)
+		att, err := s.submit([]runspec.RunSpec{tinySpec(2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestProbeRacingAStoreIsNotResimulated(t *testing.T) {
 
 	answered := make(chan []answer, 1)
 	go func() {
-		att, err := s.submit([]runspec.RunSpec{sp}, 0)
+		att, err := s.submit([]runspec.RunSpec{sp})
 		if err != nil {
 			t.Errorf("submission B: %v", err)
 		}
@@ -197,7 +198,7 @@ func TestProbeRacingAStoreIsNotResimulated(t *testing.T) {
 	}()
 	<-hs.held // B's probe has missed
 
-	attA, err := s.submit([]runspec.RunSpec{sp}, 0)
+	attA, err := s.submit([]runspec.RunSpec{sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestProbeRacingAStoreIsNotResimulated(t *testing.T) {
 
 // TestReplicaDownClassification pins what may mark a replica down: real
 // transport failures and draining answers, never the caller's own context
-// ending and never ordinary admission rejections.
+// ending, ordinary admission rejections or a malformed answer.
 func TestReplicaDownClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -239,6 +240,7 @@ func TestReplicaDownClassification(t *testing.T) {
 		{"transport-wrapped cancel", &url.Error{Op: "Post", URL: "http://replica", Err: context.Canceled}, false},
 		{"backpressure answer", &client.APIError{StatusCode: 429, Code: api.CodeQueueFull}, false},
 		{"sim failure answer", &client.APIError{StatusCode: 500, Code: api.CodeSimFailed}, false},
+		{"malformed answer", fmt.Errorf("%w: result 0 is not a JSON object", client.ErrMalformed), false},
 		{"draining answer", &client.APIError{StatusCode: 503, Code: api.CodeDraining}, true},
 		{"connection refused", errors.New("dial tcp: connection refused"), true},
 	}

@@ -42,7 +42,7 @@
 // submission with ErrDraining but finishes all accepted jobs.
 //
 // The server is not simulation code: it may use goroutines, channels, and
-// wall-clock deadlines freely (simlint's nondeterminism rules scope to the
+// wall-clock time freely (simlint's nondeterminism rules scope to the
 // simulation packages). Determinism re-enters at the edges: results are
 // bit-identical to local runs, and /metrics renders through the sorted,
 // byte-stable obs.Metrics text format.
@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"slipstream/internal/core"
 	"slipstream/internal/obs"
@@ -84,13 +83,6 @@ type Config struct {
 
 	// Audit enables the runtime invariant auditor on every simulation.
 	Audit bool
-
-	// DefaultTimeout is the per-job deadline applied when a request names
-	// none; zero means no deadline.
-	DefaultTimeout time.Duration
-
-	// MaxTimeout caps request-supplied deadlines; zero means uncapped.
-	MaxTimeout time.Duration
 }
 
 // DefaultQueueDepth is the job-queue bound when Config.QueueDepth is unset.
@@ -119,16 +111,13 @@ const (
 )
 
 // flight is one admitted simulation: a unique normalized spec moving
-// through queued → running → {done, failed, canceled}. Every submission
-// of an equal spec made while it is queued or running shares it. It
-// leaves the flight table when it publishes and is garbage once its
-// waiters have their answer.
+// through queued → running → {done, failed, canceled}, or straight from
+// queued to canceled when a hard stop finds it still queued. Every
+// submission of an equal spec made while it is queued or running shares
+// it. It leaves the flight table when it publishes and is garbage once
+// its waiters have their answer.
 type flight struct {
 	spec runspec.RunSpec
-	// ctx carries the per-job deadline, counted from admission (queue wait
-	// is part of the job's latency budget); cancel releases its timer.
-	ctx    context.Context
-	cancel context.CancelFunc
 
 	// Guarded by Server.mu until done is closed; fixed after.
 	state jobState
@@ -174,7 +163,8 @@ type Server struct {
 
 	// runStarted, when set by a test, is called on the worker goroutine
 	// after a flight turns running and before it simulates, so tests can
-	// hold a job deterministically in flight.
+	// hold a job deterministically in flight. A hard stop that comes while
+	// it holds a flight does not keep the flight from simulating.
 	runStarted func(runspec.RunSpec)
 }
 
@@ -241,17 +231,11 @@ type probeResult struct {
 // probe. A flight can publish between two plans and leave the table, so
 // a spec is fresh only if its probe missed and no worker stored its
 // result since the probe began; otherwise it is probed again.
-func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]answer, error) {
+func (s *Server) submit(specs []runspec.RunSpec) ([]answer, error) {
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d (%v): %w", i, sp, err)
 		}
-	}
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
 	}
 
 	// firsts[i] is the index of the first submission of spec i's
@@ -307,7 +291,7 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]answe
 		s.cache.add(norm[i], p.answers[i].res)
 	}
 	for _, i := range p.fresh {
-		p.answers[i].f = s.admitLocked(norm[i], timeout)
+		p.answers[i].f = s.admitLocked(norm[i])
 	}
 	for i, first := range firsts {
 		p.answers[i] = p.answers[first]
@@ -319,17 +303,15 @@ func (s *Server) submit(specs []runspec.RunSpec, timeout time.Duration) ([]answe
 
 // planLocked resolves the first submission of each distinct spec in
 // turn: a join of its queued or running flight, a cache hit, a store hit
-// among probed, a fresh flight, or a probe still to make. A flight whose
-// deadline has passed is doomed to a canceled verdict and would time a
-// new waiter out on a result that will never come, so it is not joined:
-// the spec is resolved as if it had none. Callers hold mu.
+// among probed, a fresh flight, or a probe still to make. Callers hold
+// mu.
 func (s *Server) planLocked(norm []runspec.RunSpec, firsts []int, probed map[runspec.RunSpec]probeResult) plan {
 	p := plan{answers: make([]answer, len(norm))}
 	for i, sp := range norm {
 		if firsts[i] != i {
 			continue
 		}
-		if f, ok := s.flights[sp]; ok && f.ctx.Err() == nil {
+		if f, ok := s.flights[sp]; ok {
 			p.answers[i].f = f
 			p.joins++
 			continue
@@ -396,12 +378,8 @@ func (s *Server) storedSinceLocked(sp runspec.RunSpec, n uint64) bool {
 // admitLocked makes the flight for sp, enters it in the flight table and
 // the per-state counts, and queues it: the one place a flight is made.
 // Callers hold mu and have checked that the queue has room.
-func (s *Server) admitLocked(sp runspec.RunSpec, timeout time.Duration) *flight {
+func (s *Server) admitLocked(sp runspec.RunSpec) *flight {
 	f := &flight{spec: sp, state: jobQueued, done: make(chan struct{})}
-	f.ctx, f.cancel = s.baseCtx, func() {}
-	if timeout > 0 {
-		f.ctx, f.cancel = context.WithTimeout(s.baseCtx, timeout)
-	}
 	s.flights[sp] = f
 	s.counts[jobQueued]++
 	s.queue <- f
@@ -433,28 +411,27 @@ func (s *Server) worker() {
 }
 
 // runFlight simulates one flight and publishes its terminal state.
-// core.Run cannot be interrupted, so the flight's context — its deadline
-// and the hard stop — is checked on both sides of the run: a flight whose
-// context ended in the queue never runs, and a result finished after it
-// ended is discarded, never stored. Admission made the spec's store
-// probe; the run's metrics registry merges into the service registry.
+// core.Run cannot be interrupted, so the hard stop is checked on both
+// sides of the run: a flight still queued when it came never runs, and a
+// result finished after it is discarded, never stored. Admission made
+// the spec's store probe. The run is unobserved, since any observer puts
+// every access on the bus path (DESIGN §11), and run.count counts it
+// whatever its verdict.
 func (s *Server) runFlight(f *flight) {
-	s.mu.Lock()
-	s.transitionLocked(f, jobRunning)
-	s.mu.Unlock()
-	if s.runStarted != nil {
-		s.runStarted(f.spec)
-	}
-	defer f.cancel()
-
-	m := &obs.Metrics{}
 	var enc []byte
 	var stored, storeFailed bool
-	err := f.ctx.Err()
-	if err == nil {
+	err := s.baseCtx.Err()
+	ran := err == nil
+	if ran {
+		s.mu.Lock()
+		s.transitionLocked(f, jobRunning)
+		s.mu.Unlock()
+		if s.runStarted != nil {
+			s.runStarted(f.spec)
+		}
 		var res *core.Result
-		res, err = f.spec.RunObserved(s.cfg.Audit, m)
-		if ctxErr := f.ctx.Err(); ctxErr != nil {
+		res, err = f.spec.RunObserved(s.cfg.Audit)
+		if ctxErr := s.baseCtx.Err(); ctxErr != nil {
 			err = ctxErr
 		}
 		if err == nil {
@@ -467,11 +444,13 @@ func (s *Server) runFlight(f *flight) {
 	}
 
 	// Publish the terminal state in one critical section: result fields,
-	// metrics, the state transition and the flight's exit from the table
+	// counters, the state transition and the flight's exit from the table
 	// become visible together, and the done channel closes after, so
 	// waiters see a complete flight.
 	s.mu.Lock()
-	s.metrics.Merge(m)
+	if ran {
+		s.metrics.Count("run.count", 1)
+	}
 	if storeFailed {
 		s.metrics.Count("service.cache.storeerr", 1)
 	}
@@ -481,20 +460,15 @@ func (s *Server) runFlight(f *flight) {
 	}
 	// A flight leaves the table whatever its verdict: the store keeps a
 	// result, and a repeat of a failed or canceled spec simulates again.
-	// The identity check keeps a replacement admitted after this flight's
-	// deadline passed.
-	if s.flights[f.spec] == f {
-		delete(s.flights, f.spec)
-	}
+	delete(s.flights, f.spec)
 	st := jobDone
 	switch {
 	case err == nil:
 		f.res = enc
-		s.metrics.Count("service.sim.count", 1)
 		s.metrics.Count("service.jobs.done", 1)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// Drain hard-stop or per-job deadline: environmental, retryable.
-		// A run error already names the spec; a context error does not.
+	case errors.Is(err, context.Canceled):
+		// Hard stop: environmental, retryable. A run error already names
+		// the spec; a context error does not.
 		st = jobCanceled
 		f.err = fmt.Errorf("%v: %w", f.spec, err)
 		s.metrics.Count("service.jobs.canceled", 1)
@@ -523,9 +497,9 @@ func (s *Server) StartDrain() {
 // or Close; a serving (non-draining) server never releases Wait.
 func (s *Server) Wait() { s.wg.Wait() }
 
-// Close hard-stops the server: in-flight simulations are canceled (their
-// results discarded, never cached) and workers drain. It implies
-// StartDrain.
+// Close hard-stops the server: a queued flight never runs, and a running
+// one finishes its simulation but is canceled, its result discarded,
+// never stored. It implies StartDrain and returns once workers exit.
 func (s *Server) Close() {
 	s.hardStop()
 	s.StartDrain()

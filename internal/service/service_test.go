@@ -136,8 +136,8 @@ func TestDrainFinishesAcceptedRejectsNew(t *testing.T) {
 	if got := s.CounterValue("service.rejected.drain"); got != 1 {
 		t.Errorf("service.rejected.drain = %d, want 1", got)
 	}
-	if got := s.CounterValue("service.sim.count"); got != 2 {
-		t.Errorf("service.sim.count = %d, want 2", got)
+	if got := s.CounterValue("run.count"); got != 2 {
+		t.Errorf("run.count = %d, want 2", got)
 	}
 }
 
@@ -155,17 +155,17 @@ func TestAdmissionBackpressure(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	attA, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0)
+	attA, err := s.submit([]runspec.RunSpec{tinySpec(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // A running; queue empty again
 
-	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0); err != nil {
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}); err != nil {
 		t.Fatalf("second submission should queue: %v", err)
 	}
 	// Queue full: a fresh spec is rejected...
-	if _, err := s.submit([]runspec.RunSpec{tinySpec(4)}, 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(4)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submission err = %v, want ErrQueueFull", err)
 	}
 	// ...and over HTTP that is 429 with a Retry-After hint.
@@ -179,7 +179,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	resp.Body.Close()
 
 	// A join of the running spec needs no queue slot and is admitted.
-	attJoin, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0)
+	attJoin, err := s.submit([]runspec.RunSpec{tinySpec(1)})
 	if err != nil {
 		t.Fatalf("coalescing join rejected: %v", err)
 	}
@@ -242,174 +242,72 @@ func TestValidationRejectsBeforeAdmission(t *testing.T) {
 	}
 }
 
-// TestPerJobDeadline pins that a job still gated past its deadline is
-// reported 504 gateway-timeout, stays retryable, and never reaches the
-// cache.
-func TestPerJobDeadline(t *testing.T) {
+// TestHardStopDiscardsLateResult pins the two checks a worker makes
+// around a run, which core.Run cannot interrupt. A flight held running
+// when Close comes still simulates, but its result is discarded, never
+// stored, and its waiter gets 503 canceled; a flight still queued never
+// starts. run.count counts the one simulation that ran.
+func TestHardStopDiscardsLateResult(t *testing.T) {
 	cache, err := runcache.Open(t.TempDir(), core.SimVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{Workers: 1, QueueDepth: 2, Cache: cache})
-	started := make(chan runspec.RunSpec, 4)
-	s.runStarted = func(sp runspec.RunSpec) {
-		started <- sp
-		time.Sleep(80 * time.Millisecond) // hold past the 10ms deadline
-	}
-	defer func() {
-		s.StartDrain()
-		s.Wait()
-	}()
+	started, release := gate(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postRun(t, ts.URL, api.RunRequest{Specs: []runspec.RunSpec{tinySpec(1)}, TimeoutMS: 10})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("HTTP status = %d, want %d", resp.StatusCode, http.StatusGatewayTimeout)
+	specA, specB := tinySpec(1), tinySpec(2)
+	answered := make(chan *http.Response, 1)
+	go func() {
+		answered <- postRun(t, ts.URL, api.RunRequest{Specs: []runspec.RunSpec{specA}})
+	}()
+	<-started // specA running (gated)
+	attB, err := s.submit([]runspec.RunSpec{specB})
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-started
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	<-s.baseCtx.Done() // the hard stop has come while specA is held
+	close(release)
+	<-closed
+
+	resp := <-answered
+	var er api.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || er.Code != api.CodeCanceled {
+		t.Errorf("running flight's waiter: HTTP %d code %q, want 503 %q", resp.StatusCode, er.Code, api.CodeCanceled)
+	}
+	if _, err := await(attB[0]); !errors.Is(err, context.Canceled) {
+		t.Errorf("queued flight: err = %v, want context.Canceled", err)
+	}
+	select {
+	case sp := <-started:
+		t.Errorf("queued flight %v started after the hard stop", sp)
+	default:
+	}
 	if n := cache.Len(); n != 0 {
-		t.Errorf("cache.Len() = %d after deadline abort, want 0", n)
+		t.Errorf("cache.Len() = %d after the hard stop, want 0", n)
 	}
-
-	// The canceled flight must not poison the spec: resubmitting without a
-	// deadline succeeds with a fresh job.
-	s.runStarted = nil
-	resp2 := postRun(t, ts.URL, api.RunRequest{Specs: []runspec.RunSpec{tinySpec(1)}})
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("resubmission after deadline: HTTP %d, want 200", resp2.StatusCode)
-	}
-	var rr api.RunResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Results[0] == nil {
-		t.Fatalf("resubmission returned no result")
-	}
-}
-
-// TestExpiredFlightDetachesAndReruns pins the flight-table fix for
-// deadline expiry: once a coalesced job's deadline has expired mid-run,
-// (a) a follower submitting the identical spec must get a fresh flight
-// rather than joining the doomed one, (b) the fresh flight runs while the
-// dead one is still in flight, and (c) the dead flight publishing leaves
-// its replacement in the flight table. The replacement leaves it in turn
-// when it publishes its result.
-func TestExpiredFlightDetachesAndReruns(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 8})
-	started := make(chan runspec.RunSpec, 2)
-	releaseFirst, releaseSecond := make(chan struct{}), make(chan struct{})
-	var runs atomic.Int64
-	s.runStarted = func(sp runspec.RunSpec) {
-		started <- sp
-		if runs.Add(1) == 1 {
-			<-releaseFirst
-		} else {
-			<-releaseSecond
+	for _, sp := range []runspec.RunSpec{specA, specB} {
+		if _, ok, _ := cache.Load(sp); ok {
+			t.Errorf("cache holds %v, finished after the hard stop", sp)
 		}
 	}
-	defer func() {
-		s.StartDrain()
-		s.Wait()
-	}()
-
-	sp := tinySpec(1)
-	att1, err := s.submit([]runspec.RunSpec{sp}, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	if got := s.CounterValue("run.count"); got != 1 {
+		t.Errorf("run.count = %d, want 1 (only the held flight ran)", got)
 	}
-	f1 := att1[0].f
-	<-started
-	<-f1.ctx.Done() // the held flight's deadline expires
-
-	att2, err := s.submit([]runspec.RunSpec{sp}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2 := att2[0].f
-	if f2 == f1 {
-		t.Fatal("follower joined a flight whose deadline had expired")
-	}
-	if got := s.CounterValue("service.coalesced"); got != 0 {
-		t.Fatalf("service.coalesced = %d, want 0", got)
-	}
-	<-started // the replacement runs while the dead flight is held
-
-	close(releaseFirst)
-	<-f1.done // the dead flight publishes its canceled verdict
-	if !errors.Is(f1.err, context.DeadlineExceeded) {
-		t.Fatalf("dead flight err = %v, want context.DeadlineExceeded", f1.err)
-	}
-	s.mu.Lock()
-	cur := s.flights[sp.Normalize()]
-	s.mu.Unlock()
-	if cur != f2 {
-		t.Fatalf("flight table holds %p after cancel, want the replacement %p", cur, f2)
-	}
-
-	close(releaseSecond)
-	if res, err := await(att2[0]); err != nil || res == nil {
-		t.Fatalf("replacement flight: err=%v res=%q, want a complete result", err, res)
-	}
-	s.mu.Lock()
-	left := len(s.flights)
-	s.mu.Unlock()
-	if left != 0 {
-		t.Errorf("flight table holds %d flights after both published, want 0", left)
-	}
-	if got := s.CounterValue("service.sim.count"); got != 1 {
-		t.Errorf("service.sim.count = %d, want 1 (only the replacement simulated)", got)
-	}
-}
-
-// TestExpiredFlightsAreNotRetained pins that the daemon keeps nothing of
-// a flight that ended canceled once its waiters have their answer: it
-// leaves the flight table when it publishes, and no history holds it, so
-// a stream of submissions whose deadline expires cannot grow the heap.
-// Each of 200 submissions of one spec is held past its 1 ms deadline;
-// every one of their flights must be collected.
-func TestExpiredFlightsAreNotRetained(t *testing.T) {
-	s := New(Config{Workers: 1})
-	s.runStarted = func(sp runspec.RunSpec) {
-		// Wait for the deadline itself: a fixed sleep can end before a
-		// late timer marks the context expired.
-		s.mu.Lock()
-		f := s.flights[sp]
-		s.mu.Unlock()
-		<-f.ctx.Done()
-	}
-	defer func() {
-		s.StartDrain()
-		s.Wait()
-	}()
-
-	const n = 200
-	var collected atomic.Int64
-	for i := 0; i < n; i++ {
-		att, err := s.submit([]runspec.RunSpec{tinySpec(1)}, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := att[0].f
-		<-f.done
-		if !errors.Is(f.err, context.DeadlineExceeded) {
-			t.Fatalf("submission %d: err = %v, want context.DeadlineExceeded", i+1, f.err)
-		}
-		runtime.SetFinalizer(f, func(*flight) { collected.Add(1) })
-	}
-	if got := s.CounterValue("service.jobs.canceled"); got != n {
-		t.Fatalf("service.jobs.canceled = %d, want %d", got, n)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for collected.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d canceled flights collected; the daemon still references the rest", collected.Load(), n)
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond)
+	if got := s.CounterValue("service.jobs.canceled"); got != 2 {
+		t.Errorf("service.jobs.canceled = %d, want 2", got)
 	}
 }
 
@@ -439,11 +337,11 @@ func TestRejectedBatchChangesNothing(t *testing.T) {
 		s.Wait()
 	}()
 
-	if _, err := s.submit([]runspec.RunSpec{tinySpec(1)}, 0); err != nil {
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the worker holds spec 1
-	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}, 0); err != nil {
+	if _, err := s.submit([]runspec.RunSpec{tinySpec(2)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -457,7 +355,7 @@ func TestRejectedBatchChangesNothing(t *testing.T) {
 		return b.String()
 	}
 	before := metrics()
-	if _, err := s.submit([]runspec.RunSpec{stored, tinySpec(4)}, 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.submit([]runspec.RunSpec{stored, tinySpec(4)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submission over a full queue: err = %v, want ErrQueueFull", err)
 	}
 	after := metrics()
@@ -503,7 +401,7 @@ func TestServedSpecsAreNotRetained(t *testing.T) {
 			specs[j] = runspec.RunSpec{Kernel: "SYNTH", Params: kernels.Params(fmt.Sprintf("seed=%d", i+j)),
 				Size: kernels.Tiny, Mode: core.ModeSingle, CMPs: 2}
 		}
-		att, err := s.submit(specs, 0)
+		att, err := s.submit(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
