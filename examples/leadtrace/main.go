@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"slipstream"
 )
@@ -21,13 +23,13 @@ const (
 	cmps   = 8
 )
 
-// run simulates the kernel in slipstream mode starting from policy ar
+// simulate runs the kernel in slipstream mode starting from policy ar
 // (switching per pair at run time when adaptive is set) and returns the
 // result with the mean A-over-R session lead.
-func run(ar slipstream.ARSync, adaptive bool) (*slipstream.Result, float64) {
+func simulate(ar slipstream.ARSync, adaptive bool) (*slipstream.Result, float64, error) {
 	k, err := slipstream.NewKernel(kernel, slipstream.SizeSmall)
 	if err != nil {
-		log.Fatal(err)
+		return nil, 0, err
 	}
 	leads := &slipstream.Leads{}
 	res, err := slipstream.Run(slipstream.Options{
@@ -35,32 +37,47 @@ func run(ar slipstream.ARSync, adaptive bool) (*slipstream.Result, float64) {
 		Observers: []slipstream.Observer{leads},
 	}, k)
 	if err != nil {
-		log.Fatal(err)
+		return nil, 0, err
 	}
 	if res.VerifyErr != nil {
-		log.Fatal(res.VerifyErr)
+		return nil, 0, res.VerifyErr
 	}
-	return res, leads.Mean()
+	return res, leads.Mean(), nil
 }
 
 func main() {
-	fmt.Printf("%s on %d CMPs: A-stream lead over R-stream at session boundaries\n\n", kernel, cmps)
-	fmt.Printf("%-10s %14s %16s %12s\n", "policy", "mean lead", "A token wait", "cycles")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates every policy and the adaptive controller and writes the
+// lead table to w.
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "%s on %d CMPs: A-stream lead over R-stream at session boundaries\n\n", kernel, cmps)
+	fmt.Fprintf(w, "%-10s %14s %16s %12s\n", "policy", "mean lead", "A token wait", "cycles")
 
 	for _, ar := range slipstream.ARSyncs {
-		res, lead := run(ar, false)
-		fmt.Printf("%-10s %11.0f cy %13d cy %12d\n", ar, lead, res.AvgATask().ARSync, res.Cycles)
+		res, lead, err := simulate(ar, false)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-10s %11.0f cy %13d cy %12d\n", ar, lead, res.AvgATask().ARSync, res.Cycles)
 	}
 
 	// The adaptive controller (the paper's Section 6 future work) picks a
 	// policy per pair at run time from the same evidence.
-	res, lead := run(slipstream.L1, true)
-	fmt.Printf("%-10s %11.0f cy %13d cy %12d  (switches: %d, final: %v)\n",
+	res, lead, err := simulate(slipstream.L1, true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%-10s %11.0f cy %13d cy %12d  (switches: %d, final: %v)\n",
 		"adaptive", lead, res.AvgATask().ARSync, res.Cycles,
 		res.PolicySwitches, res.FinalPolicies)
 
-	fmt.Println("\nLooser policies (L1, G1) let the A-stream bank a larger lead, making")
-	fmt.Println("more of its fetches timely — at the risk of premature migration; tighter")
-	fmt.Println("policies (L0, G0) keep it just ahead. The adaptive controller tightens")
-	fmt.Println("pairs whose windows show premature fetches and loosens ones running late.")
+	fmt.Fprintln(w, "\nLooser policies (L1, G1) let the A-stream bank a larger lead, making")
+	fmt.Fprintln(w, "more of its fetches timely — at the risk of premature migration; tighter")
+	fmt.Fprintln(w, "policies (L0, G0) keep it just ahead. The adaptive controller tightens")
+	fmt.Fprintln(w, "pairs whose windows show premature fetches and loosens ones running late.")
+	return nil
 }

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -18,50 +19,69 @@ func main() {
 	if len(os.Args) > 1 {
 		name = os.Args[1]
 	}
+	if err := run(os.Stdout, name); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	run := func(opts slipstream.Options) int64 {
+// run sweeps the named kernel and writes the speedup table to w.
+func run(w io.Writer, name string) error {
+	cycles := func(opts slipstream.Options) (int64, error) {
 		k, err := slipstream.NewKernel(name, slipstream.SizeSmall)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		res, err := slipstream.Run(opts, k)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		if res.VerifyErr != nil {
-			log.Fatalf("%v/%v: %v", opts.Mode, opts.ARSync, res.VerifyErr)
+			return 0, fmt.Errorf("%v/%v: %w", opts.Mode, opts.ARSync, res.VerifyErr)
 		}
-		return res.Cycles
+		return res.Cycles, nil
 	}
 
-	fmt.Printf("%s: speedup relative to single mode (Figure 5 panel)\n\n", name)
-	fmt.Printf("%-8s", "mode")
 	cmpCounts := []int{2, 4, 8, 16}
-	for _, c := range cmpCounts {
-		fmt.Printf("  %2d CMPs", c)
-	}
-	fmt.Println()
-
 	singles := make(map[int]int64)
 	for _, c := range cmpCounts {
-		singles[c] = run(slipstream.Options{CMPs: c, Mode: slipstream.Single})
+		n, err := cycles(slipstream.Options{CMPs: c, Mode: slipstream.Single})
+		if err != nil {
+			return err
+		}
+		singles[c] = n
 	}
 
-	row := func(label string, f func(c int) int64) {
-		fmt.Printf("%-8s", label)
+	fmt.Fprintf(w, "%s: speedup relative to single mode (Figure 5 panel)\n\n", name)
+	fmt.Fprintf(w, "%-8s", "mode")
+	for _, c := range cmpCounts {
+		fmt.Fprintf(w, "  %2d CMPs", c)
+	}
+	fmt.Fprintln(w)
+
+	row := func(label string, opts func(c int) slipstream.Options) error {
+		fmt.Fprintf(w, "%-8s", label)
 		for _, c := range cmpCounts {
-			fmt.Printf("  %7.2f", float64(singles[c])/float64(f(c)))
+			n, err := cycles(opts(c))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %7.2f", float64(singles[c])/float64(n))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
+		return nil
 	}
-	row("double", func(c int) int64 {
-		return run(slipstream.Options{CMPs: c, Mode: slipstream.Double})
-	})
+	if err := row("double", func(c int) slipstream.Options {
+		return slipstream.Options{CMPs: c, Mode: slipstream.Double}
+	}); err != nil {
+		return err
+	}
 	for _, ar := range slipstream.ARSyncs {
-		ar := ar
-		row(ar.String(), func(c int) int64 {
-			return run(slipstream.Options{CMPs: c, Mode: slipstream.Slipstream, ARSync: ar})
-		})
+		if err := row(ar.String(), func(c int) slipstream.Options {
+			return slipstream.Options{CMPs: c, Mode: slipstream.Slipstream, ARSync: ar}
+		}); err != nil {
+			return err
+		}
 	}
-	fmt.Println("\nL1/L0 = one/zero-token local, G1/G0 = one/zero-token global (Section 3.2)")
+	fmt.Fprintln(w, "\nL1/L0 = one/zero-token local, G1/G0 = one/zero-token global (Section 3.2)")
+	return nil
 }

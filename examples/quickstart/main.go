@@ -6,18 +6,27 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"slipstream"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates SOR in both modes and writes the comparison to w.
+func run(w io.Writer) error {
 	const cmps = 8
 
 	// Build one of the paper's nine benchmarks at a small size.
 	kernel, err := slipstream.NewKernel("SOR", slipstream.SizeSmall)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Conventional execution: one task per CMP, second processor idle.
@@ -26,33 +35,37 @@ func main() {
 		Mode: slipstream.Single,
 	}, kernel)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if single.VerifyErr != nil {
-		log.Fatal(single.VerifyErr)
+		return single.VerifyErr
 	}
 
 	// Slipstream execution: the second processor runs a reduced A-stream
 	// that prefetches shared data for the full R-stream.
-	kernel2, _ := slipstream.NewKernel("SOR", slipstream.SizeSmall)
+	kernel2, err := slipstream.NewKernel("SOR", slipstream.SizeSmall)
+	if err != nil {
+		return err
+	}
 	slip, err := slipstream.Run(slipstream.Options{
 		CMPs:   cmps,
 		Mode:   slipstream.Slipstream,
 		ARSync: slipstream.L0, // zero-token local A-R synchronization
 	}, kernel2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if slip.VerifyErr != nil {
-		log.Fatal(slip.VerifyErr)
+		return slip.VerifyErr
 	}
 
-	fmt.Printf("SOR on %d CMP nodes (Table 1 machine)\n", cmps)
-	fmt.Printf("  single mode:     %9d cycles\n", single.Cycles)
-	fmt.Printf("  slipstream (L0): %9d cycles  (%.2fx vs single)\n",
+	fmt.Fprintf(w, "SOR on %d CMP nodes (Table 1 machine)\n", cmps)
+	fmt.Fprintf(w, "  single mode:     %9d cycles\n", single.Cycles)
+	fmt.Fprintf(w, "  slipstream (L0): %9d cycles  (%.2fx vs single)\n",
 		slip.Cycles, float64(single.Cycles)/float64(slip.Cycles))
-	fmt.Printf("  R-stream time:   %v\n", slip.AvgTask())
-	fmt.Printf("  A-stream time:   %v\n", slip.AvgATask())
-	fmt.Printf("  A-stream issued %d exclusive prefetches; %d fills merged\n",
+	fmt.Fprintf(w, "  R-stream time:   %v\n", slip.AvgTask())
+	fmt.Fprintf(w, "  A-stream time:   %v\n", slip.AvgATask())
+	fmt.Fprintf(w, "  A-stream issued %d exclusive prefetches; %d fills merged\n",
 		slip.Mem.PrefetchExcl, slip.Mem.MergedFills)
+	return nil
 }

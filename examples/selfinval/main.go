@@ -9,15 +9,18 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"slipstream"
 )
 
-func run(tl, si bool) *slipstream.Result {
+// simulate runs WATER-NS in slipstream mode with the given extensions.
+func simulate(tl, si bool) (*slipstream.Result, error) {
 	k, err := slipstream.NewKernel("WATER-NS", slipstream.SizeSmall)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	res, err := slipstream.Run(slipstream.Options{
 		CMPs:             8,
@@ -27,22 +30,38 @@ func run(tl, si bool) *slipstream.Result {
 		SelfInvalidate:   si,
 	}, k)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if res.VerifyErr != nil {
-		log.Fatal(res.VerifyErr)
+		return nil, res.VerifyErr
 	}
-	return res
+	return res, nil
 }
 
 func main() {
-	pref := run(false, false)
-	tl := run(true, false)
-	tlsi := run(true, true)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	fmt.Println("WATER-NS, 8 CMPs, one-token global A-R synchronization")
-	fmt.Println()
-	fmt.Printf("%-28s %12s %14s %12s\n", "configuration", "cycles", "interventions", "A-Only reads")
+// run simulates the three configurations and writes the comparison to w.
+func run(w io.Writer) error {
+	pref, err := simulate(false, false)
+	if err != nil {
+		return err
+	}
+	tl, err := simulate(true, false)
+	if err != nil {
+		return err
+	}
+	tlsi, err := simulate(true, true)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintln(w, "WATER-NS, 8 CMPs, one-token global A-R synchronization")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-28s %12s %14s %12s\n", "configuration", "cycles", "interventions", "A-Only reads")
 	for _, row := range []struct {
 		name string
 		res  *slipstream.Result
@@ -52,21 +71,22 @@ func main() {
 		{"+ transparent loads + SI", tlsi},
 	} {
 		aOnly := row.res.Req.Reads[2] // stats.AOnly
-		fmt.Printf("%-28s %12d %14d %12d\n", row.name, row.res.Cycles, row.res.Mem.Interventions, aOnly)
+		fmt.Fprintf(w, "%-28s %12d %14d %12d\n", row.name, row.res.Cycles, row.res.Mem.Interventions, aOnly)
 	}
 
-	fmt.Println()
-	fmt.Printf("transparent loads: %.0f%% of %d A-stream reads issued transparently;\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "transparent loads: %.0f%% of %d A-stream reads issued transparently;\n",
 		tlsi.TL.IssuedPct(), tlsi.TL.AReadRequests)
-	fmt.Printf("                   %.0f%% answered with a stale (transparent) copy, rest upgraded\n",
+	fmt.Fprintf(w, "                   %.0f%% answered with a stale (transparent) copy, rest upgraded\n",
 		tlsi.TL.TransparentReplyPct())
-	fmt.Printf("self-invalidation: %d hints sent, %d lines invalidated (migratory),\n",
+	fmt.Fprintf(w, "self-invalidation: %d hints sent, %d lines invalidated (migratory),\n",
 		tlsi.SI.HintsSent, tlsi.SI.Invalidated)
-	fmt.Printf("                   %d written back and downgraded (producer-consumer)\n",
+	fmt.Fprintf(w, "                   %d written back and downgraded (producer-consumer)\n",
 		tlsi.SI.WrittenBack)
-	fmt.Println()
-	fmt.Println("A transparent load returns a possibly-stale copy without disturbing the")
-	fmt.Println("exclusive owner (no premature migration); the future-sharer bit it sets")
-	fmt.Println("lets the directory hint the owner to flush the line at its next sync point,")
-	fmt.Println("so consumers find the data in memory (Figure 8 of the paper).")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "A transparent load returns a possibly-stale copy without disturbing the")
+	fmt.Fprintln(w, "exclusive owner (no premature migration); the future-sharer bit it sets")
+	fmt.Fprintln(w, "lets the directory hint the owner to flush the line at its next sync point,")
+	fmt.Fprintln(w, "so consumers find the data in memory (Figure 8 of the paper).")
+	return nil
 }

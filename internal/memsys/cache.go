@@ -94,7 +94,14 @@ type Line struct {
 type Cache struct {
 	// lines holds every frame, set by set: set i is
 	// lines[i*assoc : (i+1)*assoc].
-	lines     []Line
+	lines []Line
+	// marked has bit i%64 of word i/64 set once Victim has handed out a
+	// frame of set i since the last Reset. Every frame of an unmarked set
+	// is still zero: Victim is the only way to a frame that Lookup did not
+	// return, and Lookup returns only valid frames, which some Victim call
+	// handed out. So Reset clears, and ForEachValid walks, the marked sets
+	// alone, and a run pays for the sets it touched, not for the cache.
+	marked    []uint64
 	assoc     int
 	lineShift uint // log2 of the line size
 	nsets     int
@@ -106,73 +113,87 @@ type Cache struct {
 	clock   int64
 
 	// frames is the storage lines is drawn from (lines == *frames), and
-	// free the list release returns it to.
+	// free the list release returns it to, with marked.
 	frames *[]Line
-	free   *freeList[*[]Line]
+	free   *freeList[storage]
 }
 
-// frameLists holds released frame slices, one list per frame count, so a
-// cache reuses the storage of an earlier, released cache of the same
-// geometry instead of allocating it afresh. A Table 1 machine has two
-// geometries (L1 and L2), so the map stays tiny.
+// storage is what a cache takes from and releases to a free list: its
+// frames and the bitmap of their marked sets, as one item, so reuse
+// allocates nothing.
+type storage struct {
+	frames *[]Line
+	marked []uint64
+}
+
+// geometry keys the free lists. A marked bit names a set, and which frames
+// a set holds depends on the associativity: set i of a 4096-set 4-way
+// cache is frames 4i to 4i+3, of an 8192-set 2-way cache of the same
+// frame count frames 2i and 2i+1. So storage goes back only to a cache of
+// the geometry that marked it, and no cache reads another geometry's bits.
+type geometry struct{ sets, assoc int }
+
+// frameLists holds released storage, one list per geometry, so a cache
+// reuses the storage of an earlier, released cache of the same geometry
+// instead of allocating it afresh. A Table 1 machine has two geometries
+// (L1 and L2), so the map stays tiny.
 var frameLists struct {
 	sync.Mutex
-	m map[int]*freeList[*[]Line]
+	m map[geometry]*freeList[storage]
 }
 
-// frameList returns the list of released n-frame slices.
-func frameList(n int) *freeList[*[]Line] {
+// frameList returns the list of storage released by caches of geometry g.
+func frameList(g geometry) *freeList[storage] {
 	frameLists.Lock()
 	defer frameLists.Unlock()
-	l := frameLists.m[n]
+	l := frameLists.m[g]
 	if l == nil {
 		if frameLists.m == nil {
-			frameLists.m = make(map[int]*freeList[*[]Line])
+			frameLists.m = make(map[geometry]*freeList[storage])
 		}
-		l = &freeList[*[]Line]{}
-		frameLists.m[n] = l
+		l = &freeList[storage]{}
+		frameLists.m[g] = l
 	}
 	return l
 }
 
 // NewCache returns a cache of the given total size in bytes, associativity,
-// and line size (a power of two, as Params.Validate requires). Its frames
-// come from a released cache of the same frame count when one is free,
-// reset so the cache is indistinguishable from a newly allocated one.
+// and line size (a power of two, as Params.Validate requires). Its storage
+// comes from a released cache of the same geometry when one is free, reset
+// so the cache is indistinguishable from a newly allocated one.
 func NewCache(size, assoc, lineSize int) *Cache {
 	nsets := size / (assoc * lineSize)
 	if nsets < 1 {
 		nsets = 1
 	}
 	c := &Cache{
-		free:      frameList(nsets * assoc),
+		free:      frameList(geometry{nsets, assoc}),
 		assoc:     assoc,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		nsets:     nsets,
 		setMask:   nsets - 1,
 		modulo:    nsets&(nsets-1) != 0,
 	}
-	if f, ok := c.free.get(); ok {
-		c.frames = f
-		c.lines = *f
+	if st, ok := c.free.get(); ok {
+		c.frames, c.lines, c.marked = st.frames, *st.frames, st.marked
 		c.Reset()
 	} else {
 		lines := make([]Line, nsets*assoc)
-		c.frames = &lines
-		c.lines = lines
+		c.frames, c.lines = &lines, lines
+		c.marked = make([]uint64, (nsets+63)/64)
 	}
 	return c
 }
 
-// release returns the cache's frames to their free list and leaves the cache
+// release returns the cache's storage to its free list and leaves the cache
 // dead: with no frames, a stray Lookup or Victim panics rather than read
 // frames a later cache now owns. Releasing twice is a no-op.
 func (c *Cache) release() {
 	if c.frames == nil {
 		return
 	}
-	c.free.put(c.frames)
-	c.frames, c.lines = nil, nil
+	c.free.put(storage{c.frames, c.marked})
+	c.frames, c.lines, c.marked = nil, nil, nil
 }
 
 // Sets returns the number of sets.
@@ -181,15 +202,18 @@ func (c *Cache) Sets() int { return c.nsets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// set returns the frames of the set the line-aligned address maps to.
-func (c *Cache) set(line Addr) []Line {
+// index returns the set the line-aligned address maps to.
+func (c *Cache) index(line Addr) int {
 	i := int(line >> c.lineShift)
 	if c.modulo {
-		i %= c.nsets
-	} else {
-		i &= c.setMask
+		return i % c.nsets
 	}
-	i *= c.assoc
+	return i & c.setMask
+}
+
+// set returns the frames of the set the line-aligned address maps to.
+func (c *Cache) set(line Addr) []Line {
+	i := c.index(line) * c.assoc
 	return c.lines[i : i+c.assoc : i+c.assoc]
 }
 
@@ -212,9 +236,12 @@ func (c *Cache) Touch(l *Line) {
 
 // Victim returns the frame to fill for the given line address: an invalid
 // way if one exists, otherwise the least recently used valid line (which
-// the caller must evict before reuse).
+// the caller must evict before reuse). It marks the line's set.
 func (c *Cache) Victim(line Addr) *Line {
-	set := c.set(line)
+	i := c.index(line)
+	c.marked[i>>6] |= 1 << (i & 63)
+	i *= c.assoc
+	set := c.lines[i : i+c.assoc : i+c.assoc]
 	var lru *Line
 	for i := range set {
 		if set[i].State == Invalid {
@@ -228,17 +255,34 @@ func (c *Cache) Victim(line Addr) *Line {
 }
 
 // Reset invalidates every line, drops every classification record, and
-// restarts the LRU clock: NewCache resets reused frames with it.
+// restarts the LRU clock: NewCache resets reused frames with it. Only the
+// marked sets can hold anything, so it clears each run of consecutive
+// marked sets with one clear, and then the marks.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	for w, m := range c.marked {
+		for m != 0 {
+			lo := bits.TrailingZeros64(m)
+			n := bits.TrailingZeros64(^(m >> lo)) // marked sets in a row from lo
+			i := (w<<6 + lo) * c.assoc
+			clear(c.lines[i : i+n*c.assoc])
+			m &^= (uint64(1)<<n - 1) << lo
+		}
+	}
+	clear(c.marked)
 	c.clock = 0
 }
 
-// ForEachValid calls fn for every valid line.
+// ForEachValid calls fn for every valid line, in frame order. Only the
+// marked sets can hold one, so it walks those alone.
 func (c *Cache) ForEachValid(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	for w, m := range c.marked {
+		for ; m != 0; m &= m - 1 {
+			i := (w<<6 + bits.TrailingZeros64(m)) * c.assoc
+			for j := i; j < i+c.assoc; j++ {
+				if c.lines[j].State != Invalid {
+					fn(&c.lines[j])
+				}
+			}
 		}
 	}
 }

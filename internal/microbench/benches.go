@@ -224,25 +224,43 @@ func benchDirWritePingPong(b *testing.B) {
 }
 
 // setupSystem builds a Table 1 machine of 8 CMPs, creates a few directory
-// entries at every home, finalizes the machine, and releases it, as
-// core.Run does around every run.
+// entries at every home, fills the same lines through Victim into every
+// L1 and L2, finalizes the machine as a classifying (slipstream) run, and
+// releases it, as core.Run does around every run. The fills mark one set
+// per line in every cache, so NewSystem's Reset and Finalize's walk have
+// sets to clear and to visit, as after a small run.
 func setupSystem() {
 	p := memsys.DefaultParams(8)
 	s, err := memsys.NewSystem(sim.NewEngine(), p)
 	if err != nil {
 		panic(err)
 	}
+	s.Classify = true
 	for i := 0; i < 4*p.Nodes; i++ {
 		line := memsys.Addr(i * p.LineSize)
 		s.Home(line).Dir.Entry(line).AddSharer(i % p.Nodes)
+		for _, n := range s.Nodes {
+			fillLine(n.L2, line)
+			for _, cpu := range n.CPUs {
+				fillLine(cpu.L1, line)
+			}
+		}
 	}
 	s.Finalize()
 	s.Release()
 }
 
+// fillLine installs line in c as a shared copy, as a fill does.
+func fillLine(c *memsys.Cache, line memsys.Addr) {
+	l := c.Victim(line)
+	l.Addr, l.State = line, memsys.Shared
+	c.Touch(l)
+}
+
 // benchSystemSetup measures what a run spends on its memory system outside
-// simulation: building every node's L1s, L2, and directory, the
-// end-of-run Finalize, and the Release that hands the cache frames and
+// simulation: building every node's L1s, L2, and directory, which resets
+// the sets the previous op filled, the end-of-run Finalize, which walks
+// the filled L2 sets, and the Release that hands the cache frames and
 // directory pages to the next run. With the free lists warm, an op
 // allocates the node structures but no cache frames or directory pages
 // (asserted by TestSystemSetupReusesFrames).

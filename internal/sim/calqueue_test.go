@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,47 +47,113 @@ func drainEqual(t *testing.T, name string, script func(push func(at int64), pop 
 }
 
 // TestCalendarMatchesHeapRandom is the differential property test: seeded
-// random event schedules — monotone nondecreasing release times, bursts of
-// same-cycle events (seq tie-breaks), occasional huge gaps, and interleaved
-// pops simulating the engine's execute-while-scheduling pattern — must pop
-// from the calendar queue in byte-identical order to the reference heap.
+// random event schedules (randomSchedule) must pop from the calendar
+// queue in byte-identical order to the reference heap.
 func TestCalendarMatchesHeapRandom(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			drainEqual(t, fmt.Sprintf("seed%d", seed), func(push func(int64), pop func()) {
-				now := int64(0)
-				pending := 0
-				for step := 0; step < 5000; step++ {
-					switch {
-					case pending > 0 && rng.Intn(3) == 0:
-						pop()
-						pending--
-					default:
-						// Schedule relative to a drifting "now", as the
-						// engine does: mostly short delays, sometimes
-						// same-cycle bursts, rarely far-future jumps.
-						switch rng.Intn(10) {
-						case 0: // same-cycle burst
-							for i := 0; i < 1+rng.Intn(8); i++ {
-								push(now)
-								pending++
-							}
-						case 1: // far future
-							push(now + int64(rng.Intn(1_000_000)))
-							pending++
-						default:
-							push(now + int64(rng.Intn(400)))
-							pending++
-						}
-					}
-					if rng.Intn(5) == 0 {
-						now += int64(rng.Intn(50))
-					}
-				}
+				randomSchedule(rng, push, pop)
 			})
 		})
+	}
+}
+
+// randomSchedule drives push and pop with a random event schedule:
+// monotone nondecreasing release times, bursts of same-cycle events (seq
+// tie-breaks), occasional huge gaps, and interleaved pops simulating the
+// engine's execute-while-scheduling pattern.
+func randomSchedule(rng *rand.Rand, push func(int64), pop func()) {
+	now := int64(0)
+	pending := 0
+	for step := 0; step < 5000; step++ {
+		switch {
+		case pending > 0 && rng.Intn(3) == 0:
+			pop()
+			pending--
+		default:
+			// Schedule relative to a drifting "now", as the engine does:
+			// mostly short delays, sometimes same-cycle bursts, rarely
+			// far-future jumps.
+			switch rng.Intn(10) {
+			case 0: // same-cycle burst
+				for i := 0; i < 1+rng.Intn(8); i++ {
+					push(now)
+					pending++
+				}
+			case 1: // far future
+				push(now + int64(rng.Intn(1_000_000)))
+				pending++
+			default:
+				push(now + int64(rng.Intn(400)))
+				pending++
+			}
+		}
+		if rng.Intn(5) == 0 {
+			now += int64(rng.Intn(50))
+		}
+	}
+}
+
+// FuzzCalendarQueue drives the calendar queue and the reference heap with
+// one script of pushes and pops and requires identical pop order, as
+// drainEqual checks. A script is a sequence of uvarints: 0 pops, and v > 0
+// pushes an event at the previous push's time plus the zigzag-decoded
+// v-1, skipped if that leaves [0, 2^32]: far from overflow, and beyond the
+// seeds' farthest pushes, which stay below 2^29. The seeds are the
+// schedules of TestCalendarMatchesHeapRandom and
+// TestCalendarRotationResizeFuzz.
+func FuzzCalendarQueue(f *testing.F) {
+	for seed := int64(0); seed < 20; seed++ {
+		f.Add(recordSchedule(randomSchedule, rand.New(rand.NewSource(seed))))
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		f.Add(recordSchedule(rotationSchedule, rand.New(rand.NewSource(seed^0x5eed))))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		drainEqual(t, "fuzz", func(push func(int64), pop func()) {
+			replaySchedule(script, push, pop)
+		})
+	})
+}
+
+// recordSchedule encodes the pushes and pops schedule makes as a
+// FuzzCalendarQueue script.
+func recordSchedule(schedule func(*rand.Rand, func(int64), func()), rng *rand.Rand) []byte {
+	var script []byte
+	prev := int64(0)
+	push := func(at int64) {
+		d := at - prev
+		script = binary.AppendUvarint(script, uint64(d<<1^d>>63)+1)
+		prev = at
+	}
+	pop := func() { script = append(script, 0) }
+	schedule(rng, push, pop)
+	return script
+}
+
+// replaySchedule decodes a FuzzCalendarQueue script into pushes and pops.
+func replaySchedule(script []byte, push func(int64), pop func()) {
+	const horizon = 1 << 32
+	prev := int64(0)
+	for len(script) > 0 {
+		v, n := binary.Uvarint(script)
+		if n <= 0 {
+			return
+		}
+		script = script[n:]
+		if v == 0 {
+			pop()
+			continue
+		}
+		d := int64((v-1)>>1) ^ -int64((v-1)&1)
+		if d < -prev || d > horizon-prev {
+			continue
+		}
+		prev += d
+		push(prev)
 	}
 }
 

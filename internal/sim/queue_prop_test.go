@@ -106,51 +106,57 @@ func TestQueueOrderProperty(t *testing.T) {
 	}
 }
 
-// TestCalendarRotationResizeFuzz targets the calendar queue's far-future
-// and rotation edges: events scheduled beyond one full bucket-wheel
-// rotation (so different "years" collide in one bucket), pushes landing
-// exactly across resize boundaries, and the pop fast-forward over huge
-// idle gaps — all differentially against the reference heap.
+// TestCalendarRotationResizeFuzz runs the calendar queue's far-future and
+// rotation edges (rotationSchedule) differentially against the reference
+// heap.
 func TestCalendarRotationResizeFuzz(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 			drainEqual(t, fmt.Sprintf("rotation-seed%d", seed), func(push func(int64), pop func()) {
-				now := int64(0)
-				pending := 0
-				for step := 0; step < 3000; step++ {
-					switch rng.Intn(12) {
-					case 0, 1, 2: // pop a run, driving shrink resizes
-						for i := 0; i < 1+rng.Intn(40) && pending > 0; i++ {
-							pop()
-							pending--
-						}
-					case 3: // burst push, driving growth resizes
-						at := now + int64(rng.Intn(500))
-						for i := 0; i < 20+rng.Intn(80); i++ {
-							push(at + int64(rng.Intn(64)))
-							pending++
-						}
-					case 4: // whole-rotation jumps: same bucket, different years
-						base := now + int64(1+rng.Intn(4))*(1<<20)
-						for i := 0; i < 1+rng.Intn(6); i++ {
-							push(base + int64(i)*(1<<20))
-							pending++
-						}
-					case 5: // far future, then backfill just above now
-						push(now + int64(1+rng.Intn(1<<28)))
-						push(now + int64(rng.Intn(16)))
-						pending += 2
-					default:
-						push(now + int64(rng.Intn(400)))
-						pending++
-					}
-					if rng.Intn(4) == 0 {
-						now += int64(rng.Intn(200))
-					}
-				}
+				rotationSchedule(rng, push, pop)
 			})
 		})
+	}
+}
+
+// rotationSchedule drives push and pop with events scheduled beyond one
+// full bucket-wheel rotation (so different "years" collide in one
+// bucket), pushes landing exactly across resize boundaries, and the pop
+// fast-forward over huge idle gaps.
+func rotationSchedule(rng *rand.Rand, push func(int64), pop func()) {
+	now := int64(0)
+	pending := 0
+	for step := 0; step < 3000; step++ {
+		switch rng.Intn(12) {
+		case 0, 1, 2: // pop a run, driving shrink resizes
+			for i := 0; i < 1+rng.Intn(40) && pending > 0; i++ {
+				pop()
+				pending--
+			}
+		case 3: // burst push, driving growth resizes
+			at := now + int64(rng.Intn(500))
+			for i := 0; i < 20+rng.Intn(80); i++ {
+				push(at + int64(rng.Intn(64)))
+				pending++
+			}
+		case 4: // whole-rotation jumps: same bucket, different years
+			base := now + int64(1+rng.Intn(4))*(1<<20)
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				push(base + int64(i)*(1<<20))
+				pending++
+			}
+		case 5: // far future, then backfill just above now
+			push(now + int64(1+rng.Intn(1<<28)))
+			push(now + int64(rng.Intn(16)))
+			pending += 2
+		default:
+			push(now + int64(rng.Intn(400)))
+			pending++
+		}
+		if rng.Intn(4) == 0 {
+			now += int64(rng.Intn(200))
+		}
 	}
 }
 
