@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -30,21 +31,33 @@ type candidate struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, writes the ranked
+// recommendation to stdout and each measurement to stderr. A bad flag
+// exits with status 2, as flag.ExitOnError does.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("advisor", flag.ExitOnError)
+	flags.SetOutput(stderr)
 	var (
-		kernel  = flag.String("kernel", "CG", "benchmark: "+strings.Join(slipstream.Kernels(), ", "))
-		cmps    = flag.Int("cmps", 16, "number of CMP nodes")
-		size    = flag.String("size", "small", "problem size preset: tiny, small, paper")
-		version = flag.Bool("version", false, "print version and exit")
+		kernel  = flags.String("kernel", "CG", "benchmark: "+strings.Join(slipstream.Kernels(), ", "))
+		cmps    = flags.Int("cmps", 16, "number of CMP nodes")
+		size    = flags.String("size", "small", "problem size preset: tiny, small, paper")
+		version = flags.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
+	flags.Parse(args)
 	if *version {
-		fmt.Println(buildinfo.String("advisor"))
-		return
+		fmt.Fprintln(stdout, buildinfo.String("advisor"))
+		return nil
 	}
 
 	ksize, err := slipstream.ParseKernelSize(*size)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	cands := []candidate{
@@ -75,46 +88,43 @@ func main() {
 			note: "transparent loads + self-invalidation"},
 	)
 
-	fmt.Printf("advising for %s on %d CMP nodes (size %s)\n\n", *kernel, *cmps, ksize)
+	fmt.Fprintf(stdout, "advising for %s on %d CMP nodes (size %s)\n\n", *kernel, *cmps, ksize)
 	for i := range cands {
 		k, err := slipstream.NewKernel(*kernel, ksize)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		cands[i].opts.CMPs = *cmps
 		res, err := slipstream.Run(cands[i].opts, k)
 		if err != nil {
-			fatalf("%s: %v", cands[i].label, err)
+			return fmt.Errorf("%s: %w", cands[i].label, err)
 		}
 		if res.VerifyErr != nil {
-			fatalf("%s: verification: %v", cands[i].label, res.VerifyErr)
+			return fmt.Errorf("%s: verification: %w", cands[i].label, res.VerifyErr)
 		}
 		cands[i].cycles = res.Cycles
-		fmt.Fprintf(os.Stderr, "  measured %-22s %12d cycles\n", cands[i].label, res.Cycles)
+		fmt.Fprintf(stderr, "  measured %-22s %12d cycles\n", cands[i].label, res.Cycles)
 	}
 
-	sort.Slice(cands, func(i, j int) bool { return cands[i].cycles < cands[j].cycles })
+	// Stable, so configurations that tie keep their candidate order.
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cycles < cands[j].cycles })
 	best := cands[0]
 
-	fmt.Printf("%-24s %14s %9s\n", "configuration", "cycles", "slowdown")
-	fmt.Println(strings.Repeat("-", 50))
+	fmt.Fprintf(stdout, "%-24s %14s %9s\n", "configuration", "cycles", "slowdown")
+	fmt.Fprintln(stdout, strings.Repeat("-", 50))
 	for _, c := range cands {
-		fmt.Printf("%-24s %14d %8.2fx\n", c.label, c.cycles, float64(c.cycles)/float64(best.cycles))
+		fmt.Fprintf(stdout, "%-24s %14d %8.2fx\n", c.label, c.cycles, float64(c.cycles)/float64(best.cycles))
 	}
-	fmt.Printf("\nrecommendation: %s (%s)\n", best.label, best.note)
+	fmt.Fprintf(stdout, "\nrecommendation: %s (%s)\n", best.label, best.note)
 	if strings.HasPrefix(best.label, "slipstream") {
-		fmt.Println("the machine has reached its concurrency limit for this workload;")
-		fmt.Println("use the second processor of each CMP to reduce overheads instead.")
+		fmt.Fprintln(stdout, "the machine has reached its concurrency limit for this workload;")
+		fmt.Fprintln(stdout, "use the second processor of each CMP to reduce overheads instead.")
 	} else if best.label == "double" {
-		fmt.Println("there is still exploitable task-level parallelism at this machine size;")
-		fmt.Println("slipstream mode is better reserved for larger configurations.")
+		fmt.Fprintln(stdout, "there is still exploitable task-level parallelism at this machine size;")
+		fmt.Fprintln(stdout, "slipstream mode is better reserved for larger configurations.")
 	} else {
-		fmt.Println("neither extra concurrency nor slipstream assistance pays off here;")
-		fmt.Println("leave the second processor idle (or try a larger problem size).")
+		fmt.Fprintln(stdout, "neither extra concurrency nor slipstream assistance pays off here;")
+		fmt.Fprintln(stdout, "leave the second processor idle (or try a larger problem size).")
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "advisor: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

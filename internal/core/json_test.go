@@ -93,8 +93,15 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultJSONPreservesVerifyErr pins VerifyErr's wire form: a failure
+// unwraps to the kernel's error before a round trip and keeps its message
+// after it, and a present "verify_err", even an empty one, is a failure.
 func TestResultJSONPreservesVerifyErr(t *testing.T) {
-	res := &Result{Kernel: "sum", VerifyErr: errors.New("sum = 1, want 2")}
+	errSum := errors.New("sum = 1, want 2")
+	res := &Result{Kernel: "sum", VerifyErr: &VerifyError{Msg: errSum.Error(), Err: errSum}}
+	if !errors.Is(res.VerifyErr, errSum) {
+		t.Errorf("VerifyErr %v does not unwrap to the kernel's error", res.VerifyErr)
+	}
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +110,16 @@ func TestResultJSONPreservesVerifyErr(t *testing.T) {
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.VerifyErr == nil || got.VerifyErr.Error() != res.VerifyErr.Error() {
+	if got.VerifyErr == nil || got.VerifyErr.Error() != errSum.Error() {
 		t.Errorf("VerifyErr round trip = %v", got.VerifyErr)
+	}
+
+	var empty Result
+	if err := json.Unmarshal([]byte(`{"kernel":"sum","verify_err":""}`), &empty); err != nil {
+		t.Fatal(err)
+	}
+	if empty.VerifyErr == nil {
+		t.Error(`"verify_err":"" decoded as a verified result`)
 	}
 }
 

@@ -64,21 +64,17 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("%w: %q (want sequential, single, double, or slipstream)", ErrUnknownMode, s)
 }
 
-// MarshalJSON encodes the mode as its String form.
-func (m Mode) MarshalJSON() ([]byte, error) {
+// MarshalText encodes the mode as its String form, its JSON form too.
+func (m Mode) MarshalText() ([]byte, error) {
 	if m < ModeSequential || m > ModeSlipstream {
 		return nil, fmt.Errorf("%w: Mode(%d)", ErrUnknownMode, int(m))
 	}
-	return []byte(`"` + m.String() + `"`), nil
+	return []byte(m.String()), nil
 }
 
-// UnmarshalJSON decodes a mode from its String form via ParseMode.
-func (m *Mode) UnmarshalJSON(b []byte) error {
-	s, err := unquote(b)
-	if err != nil {
-		return err
-	}
-	v, err := ParseMode(s)
+// UnmarshalText decodes a mode from its String form via ParseMode.
+func (m *Mode) UnmarshalText(b []byte) error {
+	v, err := ParseMode(string(b))
 	if err != nil {
 		return err
 	}
@@ -144,35 +140,22 @@ func ParseARSync(s string) (ARSync, error) {
 	return 0, fmt.Errorf("%w: %q (want L1, L0, G1, or G0)", ErrUnknownARSync, s)
 }
 
-// MarshalJSON encodes the policy as its String form.
-func (a ARSync) MarshalJSON() ([]byte, error) {
+// MarshalText encodes the policy as its String form, its JSON form too.
+func (a ARSync) MarshalText() ([]byte, error) {
 	if a < OneTokenLocal || a > ZeroTokenGlobal {
 		return nil, fmt.Errorf("%w: ARSync(%d)", ErrUnknownARSync, int(a))
 	}
-	return []byte(`"` + a.String() + `"`), nil
+	return []byte(a.String()), nil
 }
 
-// UnmarshalJSON decodes a policy from its String form via ParseARSync.
-func (a *ARSync) UnmarshalJSON(b []byte) error {
-	s, err := unquote(b)
-	if err != nil {
-		return err
-	}
-	v, err := ParseARSync(s)
+// UnmarshalText decodes a policy from its String form via ParseARSync.
+func (a *ARSync) UnmarshalText(b []byte) error {
+	v, err := ParseARSync(string(b))
 	if err != nil {
 		return err
 	}
 	*a = v
 	return nil
-}
-
-// unquote strips the quotes of a JSON string literal without pulling in
-// encoding/json (which would recurse through the Unmarshaler).
-func unquote(b []byte) (string, error) {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return "", fmt.Errorf("core: not a JSON string: %s", b)
-	}
-	return string(b[1 : len(b)-1]), nil
 }
 
 // ARSyncs lists all four policies in the paper's Figure 5 order.

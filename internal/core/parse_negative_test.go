@@ -57,6 +57,30 @@ func TestSymbolicJSONRejectsMalformedValues(t *testing.T) {
 	}
 }
 
+// TestSymbolicJSONDecodesStrings checks that a mode or policy is read as
+// the JSON string it is: a name spelled with escapes decodes as that
+// name, and null leaves the value as it was, as an absent field does.
+func TestSymbolicJSONDecodesStrings(t *testing.T) {
+	var m Mode
+	if err := json.Unmarshal([]byte(`"\u0073lipstream"`), &m); err != nil || m != ModeSlipstream {
+		t.Errorf(`"\u0073lipstream" = %v, %v; want slipstream`, m, err)
+	}
+	var a ARSync
+	if err := json.Unmarshal([]byte(`"\u004c1"`), &a); err != nil || a != OneTokenLocal {
+		t.Errorf(`"\u004c1" = %v, %v; want L1`, a, err)
+	}
+	v := struct {
+		M Mode   `json:"mode"`
+		A ARSync `json:"arsync"`
+	}{ModeDouble, ZeroTokenGlobal}
+	if err := json.Unmarshal([]byte(`{"mode":null,"arsync":null}`), &v); err != nil {
+		t.Fatalf("null mode and policy: %v", err)
+	}
+	if v.M != ModeDouble || v.A != ZeroTokenGlobal {
+		t.Errorf("null changed the values to %v, %v", v.M, v.A)
+	}
+}
+
 // TestValidateRejectsOutOfRangeValues extends the typed-error table
 // with the boundary cases: negative enum values, negative CMP counts, a
 // negative store-buffer depth, a negative synchronization occupancy, and

@@ -350,6 +350,8 @@ func (r *Runner) collect() *Result {
 		}
 		res.ATasks = append(res.ATasks, bd)
 	}
-	res.VerifyErr = r.kernel.Verify(r.prog)
+	if err := r.kernel.Verify(r.prog); err != nil {
+		res.VerifyErr = &VerifyError{Msg: err.Error(), Err: err}
+	}
 	return res
 }

@@ -6,6 +6,31 @@ import (
 	"testing"
 )
 
+// TestSizeJSON pins the preset's JSON form: its name, read as a JSON
+// string (escapes decode, null leaves the value alone), and nothing else.
+func TestSizeJSON(t *testing.T) {
+	b, err := json.Marshal([]Size{Tiny, Small, Paper})
+	if err != nil || string(b) != `["tiny","small","paper"]` {
+		t.Errorf("presets encode as %s, %v", b, err)
+	}
+	if _, err := json.Marshal(Size(3)); err == nil {
+		t.Error("out-of-range size marshaled")
+	}
+	for _, bad := range []string{`0`, `{}`, `"huge"`, `"Size(1)"`} {
+		if err := json.Unmarshal([]byte(bad), new(Size)); err == nil {
+			t.Errorf("size %s unmarshaled", bad)
+		}
+	}
+	var s Size
+	if err := json.Unmarshal([]byte(`"t\u0069ny"`), &s); err != nil || s != Tiny {
+		t.Errorf(`"t\u0069ny" = %v, %v; want tiny`, s, err)
+	}
+	s = Paper
+	if err := json.Unmarshal([]byte(`null`), &s); err != nil || s != Paper {
+		t.Errorf("null = %v, %v; want the value left as paper", s, err)
+	}
+}
+
 // Equal parameter sets must collapse to one representation regardless of
 // how they were spelled — Params equality is RunSpec equality is cache-key
 // identity, so canonicalization is load-bearing.

@@ -66,20 +66,17 @@ func ParseSize(s string) (Size, error) {
 	return 0, fmt.Errorf("kernels: unknown size %q (want tiny, small, or paper)", s)
 }
 
-// MarshalJSON encodes the preset as its String form.
-func (s Size) MarshalJSON() ([]byte, error) {
+// MarshalText encodes the preset as its String form, its JSON form too.
+func (s Size) MarshalText() ([]byte, error) {
 	if s < Tiny || s > Paper {
 		return nil, fmt.Errorf("kernels: unknown size Size(%d)", int(s))
 	}
-	return []byte(`"` + s.String() + `"`), nil
+	return []byte(s.String()), nil
 }
 
-// UnmarshalJSON decodes a preset from its String form via ParseSize.
-func (s *Size) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("kernels: not a JSON string: %s", b)
-	}
-	v, err := ParseSize(string(b[1 : len(b)-1]))
+// UnmarshalText decodes a preset from its String form via ParseSize.
+func (s *Size) UnmarshalText(b []byte) error {
+	v, err := ParseSize(string(b))
 	if err != nil {
 		return err
 	}

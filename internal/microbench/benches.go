@@ -1,11 +1,17 @@
 package microbench
 
 import (
+	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 
+	"slipstream/internal/core"
+	"slipstream/internal/kernels"
 	"slipstream/internal/memsys"
 	"slipstream/internal/obs"
+	"slipstream/internal/runspec"
+	"slipstream/internal/service/api"
 	"slipstream/internal/sim"
 )
 
@@ -29,6 +35,8 @@ func All() []Benchmark {
 		{Name: "memsys/dir/write-pingpong", Fn: benchDirWritePingPong},
 		{Name: "memsys/system/setup", Fn: benchSystemSetup},
 		{Name: "obs/emit-access", Fn: benchObsEmitAccess},
+		{Name: "wire/result/decode", Fn: benchWireDecode},
+		{Name: "wire/result/encode", Fn: benchWireEncode},
 	}
 }
 
@@ -296,4 +304,53 @@ func benchObsEmitAccess(b *testing.B) {
 		now = s.Access(req, now)
 	}
 	sinkTime += now
+}
+
+// wireAnswer returns the result the wire benchmarks encode and its
+// one-result answer to POST /v1/run, which they decode: a tiny OCEAN run
+// on 4 CMPs in slipstream mode with TL+SI, simulated once per process,
+// whose 1.2 KB of JSON is the size of a served answer.
+var wireAnswer = sync.OnceValues(func() (*core.Result, []byte) {
+	res, err := runspec.RunSpec{
+		Kernel: "OCEAN", Size: kernels.Tiny, Mode: core.ModeSlipstream, CMPs: 4,
+		TransparentLoads: true, SelfInvalidate: true,
+	}.Run()
+	if err != nil {
+		panic(err)
+	}
+	body, err := json.Marshal(api.RunResponse{Results: []*core.Result{res}, Cached: []bool{true}})
+	if err != nil {
+		panic(err)
+	}
+	return res, body
+})
+
+// benchWireDecode measures all the JSON work a hot hit costs its client:
+// one json.Unmarshal of the answer into an api.RunResponse.
+func benchWireDecode(b *testing.B) {
+	b.ReportAllocs()
+	_, body := wireAnswer()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var resp api.RunResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			b.Fatal(err)
+		}
+		sinkInt += len(resp.Results)
+	}
+}
+
+// benchWireEncode measures encoding the result, as a daemon does once per
+// simulated or store-loaded answer.
+func benchWireEncode(b *testing.B) {
+	b.ReportAllocs()
+	res, _ := wireAnswer()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := json.Marshal(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkInt += len(enc)
+	}
 }

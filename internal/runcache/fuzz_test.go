@@ -19,7 +19,10 @@ import (
 //
 // The seeds run under plain go test: the stored entry, the same entry
 // swapped onto another spec (CMPs doubled), a version mismatch, a null
-// result, an empty object, and a truncated entry.
+// result, a result marked unverified by an empty "verify_err", the stored
+// entry with its spec's mode spelled with a JSON escape, an empty object,
+// and a truncated entry. The stored and escaped entries must load, and
+// the unverified one must not.
 func FuzzCacheLoad(f *testing.F) {
 	c, err := Open(f.TempDir(), core.SimVersion)
 	if err != nil {
@@ -54,10 +57,18 @@ func FuzzCacheLoad(f *testing.F) {
 		}
 		return b
 	}
+	unverified := variant(func(e *entry) { e.Result.VerifyErr = &core.VerifyError{} })
+	escaped := bytes.Replace(stored, []byte(`"mode": "slipstream"`), []byte(`"mode": "\u0073lipstream"`), 1)
+	if bytes.Equal(escaped, stored) {
+		f.Fatalf("stored entry has no slipstream mode to escape:\n%s", stored)
+	}
+	loads := map[string]bool{string(stored): true, string(escaped): true, string(unverified): false}
 	f.Add(stored)
 	f.Add(variant(func(e *entry) { e.Spec.CMPs *= 2 }))
 	f.Add(variant(func(e *entry) { e.Version = "0-bogus" }))
 	f.Add(variant(func(e *entry) { e.Result = nil }))
+	f.Add(unverified)
+	f.Add(escaped)
 	f.Add([]byte("{}"))
 	f.Add(stored[:len(stored)/2])
 
@@ -67,6 +78,9 @@ func FuzzCacheLoad(f *testing.F) {
 			t.Fatal(err)
 		}
 		got, ok, err := c.Load(sp)
+		if want, fixed := loads[string(b)]; fixed && ok != want {
+			t.Fatalf("seed loaded %t, want %t (error %v)", ok, want, err)
+		}
 		if ok {
 			if err != nil {
 				t.Fatalf("hit with error %v", err)
@@ -75,16 +89,13 @@ func FuzzCacheLoad(f *testing.F) {
 			if err := json.Unmarshal(b, &e); err != nil {
 				t.Fatalf("hit on bytes that do not decode: %v", err)
 			}
-			if e.Version != core.SimVersion || e.Spec != sp.Normalize() || e.Result == nil {
+			if e.Version != core.SimVersion || e.Spec != sp.Normalize() || e.Result == nil || e.Result.VerifyErr != nil {
 				t.Fatalf("hit on entry version %q spec %v result %v", e.Version, e.Spec, e.Result)
 			}
 			if !reflect.DeepEqual(got, e.Result) {
 				t.Fatalf("served %+v, entry holds %+v", got, e.Result)
 			}
 			return
-		}
-		if bytes.Equal(b, stored) {
-			t.Fatalf("stored entry missed: %v", err)
 		}
 		if err == nil || got != nil {
 			t.Fatalf("miss returned result %v, error %v; want no result and an error", got, err)

@@ -267,7 +267,7 @@ func TestStoreRejectsUnverified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &core.Result{Kernel: "SOR", VerifyErr: errors.New("wrong numerics")}
+	res := &core.Result{Kernel: "SOR", VerifyErr: &core.VerifyError{Msg: "wrong numerics"}}
 	if err := c.Store(tinySpec(), res); err == nil {
 		t.Fatal("unverified result stored")
 	}

@@ -1,6 +1,7 @@
 package runspec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -32,7 +33,8 @@ var goldenKernelResults = map[string]string{
 
 // TestGoldenResults pins simulated results as a committed fixed point:
 // the SHA-256 of each Result's JSON encoding for every kernel, two
-// parameterized SYNTH presets, and a four-mode sweep on SOR. The hashes
+// parameterized SYNTH presets, and a four-mode sweep on SOR. Each
+// encoding must also decode and re-encode to the same bytes. The hashes
 // were captured at core.SimVersion "2"; a failure means a change moved a
 // simulated number. If that is intentional, bump core.SimVersion and
 // recapture the table with it. Run under SLIPSIM_AUDIT=1 the same specs
@@ -54,6 +56,20 @@ func TestGoldenResults(t *testing.T) {
 		sum := sha256.Sum256(b)
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("%v (audit=%t): result hash %s, want %s", sp, audit, got, want)
+		}
+		// The encoding is a fixed point: decoding it and encoding again
+		// gives the same bytes, so a stored or served result re-encodes
+		// exactly as the run that made it.
+		var back core.Result
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("%v: decoding its result: %v", sp, err)
+		}
+		again, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatalf("%v: re-encoding its result: %v", sp, err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Errorf("%v: result re-encodes as\n%s\nwant\n%s", sp, again, b)
 		}
 	}
 	slip := func(kernel string, params kernels.Params) RunSpec {

@@ -17,6 +17,12 @@
 // "deadline" error code it alone produced. RunSpec and Result keep their
 // symbolic JSON encodings (mode, policy, and size names), so requests are
 // hand-writable and responses byte-identical to local `slipsim` output.
+//
+// Those names decode as JSON strings, escapes and all, so "\u0073ingle"
+// names the single mode. A null mode, policy, or size is the same as an
+// absent one, as a null "cmps" is. A result whose "verify_err" member is
+// present, even as "", is unverified; one without it, or with null,
+// verified.
 package api
 
 import (

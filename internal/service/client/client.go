@@ -113,18 +113,37 @@ func (c *Client) post(ctx context.Context, req api.RunRequest, resp any) (string
 		return "", err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.httpClient().Do(httpReq)
+	b, header, err := c.do(httpReq)
 	if err != nil {
 		return "", err
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return "", decodeAPIError(httpResp)
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
+	if err := json.Unmarshal(b, resp); err != nil {
 		return "", fmt.Errorf("client: decoding response: %w", err)
 	}
-	return httpResp.Header.Get(api.CacheHeader), nil
+	return header.Get(api.CacheHeader), nil
+}
+
+// maxPresize caps the buffer do sizes from Content-Length: a body that
+// claims more grows past it only as its bytes arrive, so a bogus length
+// is never allocated up front.
+const maxPresize = 1 << 20
+
+// do sends req and reads a 200 answer's body whole, into one buffer sized
+// from its Content-Length. Any other status is an *APIError.
+func (c *Client) do(req *http.Request) ([]byte, http.Header, error) {
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, decodeAPIError(resp)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxPresize)+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, nil, fmt.Errorf("client: reading response: %w", err)
+	}
+	return buf.Bytes(), resp.Header, nil
 }
 
 // aligned checks that a response's arrays align with the request's
@@ -159,48 +178,30 @@ func (c *Client) Run(ctx context.Context, spec runspec.RunSpec) (*core.Result, b
 
 // Health fetches the daemon's liveness and job counts.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	if err := c.getJSON(ctx, api.PathHealthz, &h); err != nil {
+	b, err := c.get(ctx, api.PathHealthz)
+	if err != nil {
 		return nil, err
+	}
+	var h api.Health
+	if err := json.Unmarshal(b, &h); err != nil {
+		return nil, fmt.Errorf("client: decoding health: %w", err)
 	}
 	return &h, nil
 }
 
 // Metrics fetches the daemon's deterministic text metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+api.PathMetrics, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeAPIError(resp)
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := c.get(ctx, api.PathMetrics)
+	return string(b), err
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
+func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeAPIError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	b, _, err := c.do(req)
+	return b, err
 }
 
 func decodeAPIError(resp *http.Response) error {

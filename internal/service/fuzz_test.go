@@ -30,6 +30,9 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`null`,
 		`{"specs":[{"kernel":"SOR","size":"tiny","mode":"single","cmps":1}]}{"specs":[]}`,
 		`{"specs":[{"kernel":"SOR","size":"tiny","mode":"single","cmps":1}]}` + "\n",
+		// A null mode is an absent one, and names decode as JSON strings.
+		`{"specs":[{"kernel":"SOR","size":"tiny","mode":null,"arsync":null,"cmps":1}]}`,
+		`{"specs":[{"kernel":"SOR","size":"t\u0069ny","mode":"\u0073lipstream","arsync":"\u004c1","cmps":2}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -101,8 +101,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // writeResults answers POST /v1/run for the daemon and the gateway: the
 // body that encoding an api.RunResponse would give, assembled from
-// results that are already encoded, so no JSON pass touches them, and
-// the batch's cache disposition header.
+// results that are already encoded, so no JSON pass touches them, its
+// Content-Length and the batch's cache disposition header.
 func writeResults(w http.ResponseWriter, results []json.RawMessage, cached []bool) {
 	n := len(`{"results":[],"cached":[]}`+"\n") + 6*len(cached)
 	for _, res := range results {
@@ -129,6 +129,7 @@ func writeResults(w http.ResponseWriter, results []json.RawMessage, cached []boo
 	body = append(body, "]}\n"...)
 	h := w.Header()
 	h.Set(api.CacheHeader, disposition(hits, len(cached)))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	h.Set("Content-Type", "application/json")
 	h.Set(api.VersionHeader, core.SimVersion)
 	w.WriteHeader(http.StatusOK)

@@ -86,6 +86,10 @@ type (
 	AuditError = core.AuditError
 	// AuditViolation is one invariant breach found by the runtime auditor.
 	AuditViolation = audit.Violation
+	// VerifyError is a kernel's numeric-verification failure, as
+	// Result.VerifyErr reports it: its message, unwrapping to the
+	// kernel's error.
+	VerifyError = core.VerifyError
 )
 
 // Execution modes.
@@ -143,8 +147,8 @@ const (
 )
 
 // Run simulates kernel under the given options. The returned Result is
-// valid whenever err is nil; numeric verification failures are reported in
-// Result.VerifyErr.
+// valid whenever err is nil; a numeric verification failure is reported
+// in Result.VerifyErr, a *VerifyError that is nil when the run verified.
 func Run(opts Options, k Kernel) (*Result, error) {
 	return core.Run(opts, k)
 }

@@ -20,7 +20,8 @@ import (
 // different sources.
 //
 // RunSpec.Run simulates the spec. Unlike the package-level Run, it reports
-// a numeric verification failure as an error, not in Result.VerifyErr.
+// a numeric verification failure as an error wrapping the *VerifyError,
+// not in Result.VerifyErr.
 type RunSpec = runspec.RunSpec
 
 // Execute simulates each spec on a bounded worker pool, deduplicating
