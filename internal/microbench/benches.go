@@ -37,6 +37,7 @@ func All() []Benchmark {
 		{Name: "obs/emit-access", Fn: benchObsEmitAccess},
 		{Name: "wire/result/decode", Fn: benchWireDecode},
 		{Name: "wire/result/encode", Fn: benchWireEncode},
+		{Name: "wire/request/decode", Fn: benchWireRequestDecode},
 	}
 }
 
@@ -306,15 +307,19 @@ func benchObsEmitAccess(b *testing.B) {
 	sinkTime += now
 }
 
+// wireSpec is the spec of the wire benchmarks: a tiny OCEAN run on 4
+// CMPs in slipstream mode with TL+SI, normalized as a served hot spec is.
+var wireSpec = runspec.RunSpec{
+	Kernel: "OCEAN", Size: kernels.Tiny, Mode: core.ModeSlipstream, CMPs: 4,
+	TransparentLoads: true, SelfInvalidate: true,
+}.Normalize()
+
 // wireAnswer returns the result the wire benchmarks encode and its
-// one-result answer to POST /v1/run, which they decode: a tiny OCEAN run
-// on 4 CMPs in slipstream mode with TL+SI, simulated once per process,
-// whose 1.2 KB of JSON is the size of a served answer.
+// one-result answer to POST /v1/run, which they decode: wireSpec's run,
+// simulated once per process, whose 1.2 KB of JSON is the size of a
+// served answer.
 var wireAnswer = sync.OnceValues(func() (*core.Result, []byte) {
-	res, err := runspec.RunSpec{
-		Kernel: "OCEAN", Size: kernels.Tiny, Mode: core.ModeSlipstream, CMPs: 4,
-		TransparentLoads: true, SelfInvalidate: true,
-	}.Run()
+	res, err := wireSpec.Run()
 	if err != nil {
 		panic(err)
 	}
@@ -326,17 +331,36 @@ var wireAnswer = sync.OnceValues(func() (*core.Result, []byte) {
 })
 
 // benchWireDecode measures all the JSON work a hot hit costs its client:
-// one json.Unmarshal of the answer into an api.RunResponse.
+// one api.DecodeRunResponse of the answer.
 func benchWireDecode(b *testing.B) {
 	b.ReportAllocs()
 	_, body := wireAnswer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var resp api.RunResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
+		resp, err := api.DecodeRunResponse(body)
+		if err != nil {
 			b.Fatal(err)
 		}
 		sinkInt += len(resp.Results)
+	}
+}
+
+// benchWireRequestDecode measures the JSON work a hot hit costs the
+// gateway: one api.DecodeRunRequest of a one-spec batch of wireSpec,
+// about 430 bytes, the body a served hot request carries.
+func benchWireRequestDecode(b *testing.B) {
+	b.ReportAllocs()
+	body, err := json.Marshal(api.RunRequest{Specs: []runspec.RunSpec{wireSpec}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, err := api.DecodeRunRequest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkInt += len(req.Specs)
 	}
 }
 

@@ -23,6 +23,12 @@
 // absent one, as a null "cmps" is. A result whose "verify_err" member is
 // present, even as "", is unverified; one without it, or with null,
 // verified.
+//
+// Every body decodes exactly as encoding/json decodes it: the same value
+// or the same error. DecodeRunResponse and DecodeRunRequest read the form
+// json.Marshal writes in one pass, planned at init from the wire types'
+// struct tags, and hand anything else (an escape, a null, a float, a key
+// in another case, a repeated key, a Params object) to encoding/json.
 package api
 
 import (

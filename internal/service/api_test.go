@@ -355,3 +355,31 @@ func TestPriorityFieldRejected(t *testing.T) {
 		t.Errorf("service.submissions = %d, want 0", n)
 	}
 }
+
+// TestOversizedBodyRejected pins the request body bound: a valid batch
+// behind enough white space to make the body one byte longer than the
+// bound gets 400 bad_request from the daemon and from the gateway, and
+// nothing is admitted.
+func TestOversizedBodyRejected(t *testing.T) {
+	cl := newCluster(t, 1, func(int) service.Config { return service.Config{Workers: 1} })
+	batch := `{"specs":[{"kernel":"SOR","size":"tiny","mode":"slipstream","cmps":2}]}`
+	body := strings.Repeat(" ", service.MaxRequestBytes+1-len(batch)) + batch
+	for _, base := range []string{cl.backends[0].URL, cl.front.URL} {
+		resp, err := http.Post(base+api.PathRun, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Code != api.CodeBadRequest {
+			t.Errorf("%s: HTTP %d code %q (%s), want 400 %q", base, resp.StatusCode, er.Code, er.Error, api.CodeBadRequest)
+		}
+	}
+	if n := cl.servers[0].CounterValue("service.submissions"); n != 0 {
+		t.Errorf("service.submissions = %d, want 0", n)
+	}
+}

@@ -68,10 +68,13 @@ func (c *Client) httpClient() *http.Client {
 // on. The returned response aligns with the request's specs; the string
 // is the response's X-Slipsim-Cache disposition.
 func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunResponse, string, error) {
-	var resp api.RunResponse
-	disp, err := c.post(ctx, req, &resp)
+	b, disp, err := c.post(ctx, req)
 	if err != nil {
 		return nil, "", err
+	}
+	resp, err := api.DecodeRunResponse(b)
+	if err != nil {
+		return nil, "", fmt.Errorf("client: decoding response: %w", err)
 	}
 	if err := aligned(len(resp.Results), len(resp.Cached), len(req.Specs)); err != nil {
 		return nil, "", err
@@ -84,10 +87,13 @@ func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunRespon
 // gateway). Each result must be a JSON object; a response with any other
 // result is an error wrapping ErrMalformed.
 func (c *Client) SubmitRaw(ctx context.Context, req api.RunRequest) (*api.RawRunResponse, string, error) {
-	var resp api.RawRunResponse
-	disp, err := c.post(ctx, req, &resp)
+	b, disp, err := c.post(ctx, req)
 	if err != nil {
 		return nil, "", err
+	}
+	var resp api.RawRunResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		return nil, "", fmt.Errorf("client: decoding response: %w", err)
 	}
 	if err := aligned(len(resp.Results), len(resp.Cached), len(req.Specs)); err != nil {
 		return nil, "", err
@@ -100,27 +106,23 @@ func (c *Client) SubmitRaw(ctx context.Context, req api.RunRequest) (*api.RawRun
 	return &resp, disp, nil
 }
 
-// post sends req to the run endpoint and decodes a 200 answer into resp,
-// returning its X-Slipsim-Cache disposition. Any other status is an
-// *APIError.
-func (c *Client) post(ctx context.Context, req api.RunRequest, resp any) (string, error) {
+// post sends req to the run endpoint and returns a 200 answer's body and
+// its X-Slipsim-Cache disposition. Any other status is an *APIError.
+func (c *Client) post(ctx context.Context, req api.RunRequest) ([]byte, string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return "", fmt.Errorf("client: encoding request: %w", err)
+		return nil, "", fmt.Errorf("client: encoding request: %w", err)
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+api.PathRun, bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	b, header, err := c.do(httpReq)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	if err := json.Unmarshal(b, resp); err != nil {
-		return "", fmt.Errorf("client: decoding response: %w", err)
-	}
-	return header.Get(api.CacheHeader), nil
+	return b, header.Get(api.CacheHeader), nil
 }
 
 // maxPresize caps the buffer do sizes from Content-Length: a body that

@@ -38,23 +38,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // decodeRunRequest reads a POST /v1/run body for the daemon and the
-// gateway alike: one JSON object of at most maxRequestBytes, with no
-// unknown field, nothing after it but white space, and at least one
-// spec. An error is the request's 400 answer.
+// gateway alike: at most maxRequestBytes, holding one JSON object with no
+// unknown field, nothing after it but white space, and at least one spec
+// (api.DecodeRunRequest). An error is the request's 400 answer.
 func decodeRunRequest(w http.ResponseWriter, r *http.Request) (api.RunRequest, error) {
-	var req api.RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("decoding request: %w", err)
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		return api.RunRequest{}, fmt.Errorf("decoding request: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return req, fmt.Errorf("decoding request: data after the request object")
-	}
-	if len(req.Specs) == 0 {
-		return req, fmt.Errorf("service: empty batch")
-	}
-	return req, nil
+	return api.DecodeRunRequest(b)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
