@@ -40,6 +40,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"slipstream/internal/core"
@@ -92,8 +93,12 @@ type ParamDef struct {
 
 // Schema lists the accepted parameters in canonical (sorted) order.
 // "ops" and "ws" default per size preset; the rest default as in
-// Defaults.
-func Schema() []ParamDef {
+// Defaults. The slice is the caller's own.
+func Schema() []ParamDef { return slices.Clone(schema) }
+
+// schema is the parameter table Schema copies, sorted once: Apply looks up
+// every key of every SYNTH spec it parses here.
+var schema = func() []ParamDef {
 	defs := []ParamDef{
 		{Name: "seed", Desc: "PRNG seed expanding the per-task access programs", Min: 0, Max: math.MaxUint32, Integer: true},
 		{Name: "ops", Desc: "accesses per task (defaults per size preset)", Min: 32, Max: 1 << 20, Integer: true},
@@ -107,7 +112,7 @@ func Schema() []ParamDef {
 	}
 	sort.Slice(defs, func(i, j int) bool { return defs[i].Name < defs[j].Name })
 	return defs
-}
+}()
 
 // Apply overrides c from named parameter values (the RunSpec.Params
 // map), validating names, ranges, and integrality. Keys are applied in
@@ -155,7 +160,7 @@ func (c *Config) Apply(m map[string]float64) error {
 }
 
 func findDef(name string) (ParamDef, bool) {
-	for _, d := range Schema() {
+	for _, d := range schema {
 		if d.Name == name {
 			return d, true
 		}
@@ -165,7 +170,7 @@ func findDef(name string) (ParamDef, bool) {
 
 func paramNames() string {
 	s := ""
-	for i, d := range Schema() {
+	for i, d := range schema {
 		if i > 0 {
 			s += ", "
 		}

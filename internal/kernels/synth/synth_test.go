@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"reflect"
 	"testing"
 
 	"slipstream/internal/core"
@@ -162,5 +163,22 @@ func TestBarrierBudget(t *testing.T) {
 	c.Sync = 0
 	if got := c.barriers(); got != 1 {
 		t.Errorf("barriers() with no sync = %d, want 1", got)
+	}
+}
+
+// TestSchemaReturnsCopy checks that a caller who edits the slice Schema
+// returns changes neither the next Schema call nor what Apply accepts.
+func TestSchemaReturnsCopy(t *testing.T) {
+	defs := Schema()
+	want := Schema()
+	for i := range defs {
+		defs[i] = ParamDef{Name: "edited", Max: -1}
+	}
+	if got := Schema(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Schema after an edit of its result = %+v, want %+v", got, want)
+	}
+	cfg := Defaults(256, 64)
+	if err := cfg.Apply(map[string]float64{"wr": 0.5}); err != nil {
+		t.Fatalf("Apply after an edit of Schema's result: %v", err)
 	}
 }

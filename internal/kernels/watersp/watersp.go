@@ -128,10 +128,11 @@ func balanceCells(cellStart []int64, nt int) (lo, hi []int) {
 	}
 	weight := make([]int64, nc)
 	var total int64
+	var nbs [27]int
 	for ci := 0; ci < nc; ci++ {
 		own := cellStart[ci+1] - cellStart[ci]
 		var nbMols int64
-		for _, nb := range neighbours(ci, cd) {
+		for _, nb := range neighbours(&nbs, ci, cd) {
 			nbMols += cellStart[nb+1] - cellStart[nb]
 		}
 		weight[ci] = own*nbMols + 1
@@ -169,12 +170,13 @@ func pairForce(dx, dy, dz float64) (fx, fy, fz, pot float64) {
 }
 
 // neighbours lists a cell's neighbour cells (clamped, no periodic wrap),
-// in deterministic order.
-func neighbours(ci, cd int) []int {
+// in deterministic order, in the caller's buf, and returns the filled
+// prefix: a cell has at most 27, itself included.
+func neighbours(buf *[27]int, ci, cd int) []int {
 	cx := ci % cd
 	cy := (ci / cd) % cd
 	cz := ci / (cd * cd)
-	var out []int
+	n := 0
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
@@ -182,12 +184,12 @@ func neighbours(ci, cd int) []int {
 				if x < 0 || y < 0 || z < 0 || x >= cd || y >= cd || z >= cd {
 					continue
 				}
-				//simlint:ignore hotpathalloc neighbour list is built once per cell during setup, amortized over the run
-				out = append(out, (z*cd+y)*cd+x)
+				buf[n] = (z*cd+y)*cd + x
+				n++
 			}
 		}
 	}
-	return out
+	return buf[:n]
 }
 
 // Task runs the SPMD time steps over the task's cell block.
@@ -197,6 +199,7 @@ func (k *Kernel) Task(c *core.Ctx) {
 	me := c.ID()
 	clo, chi := k.cellLo[me], k.cellHi[me]
 	const dt = 0.002
+	var nbs [27]int
 
 	//simlint:ignore hotpathalloc per-task functional-emulation setup, amortized over the task's simulated execution
 	molsOf := func(ci int) (int, int) {
@@ -227,7 +230,7 @@ func (k *Kernel) Task(c *core.Ctx) {
 				ym := k.pos.Load(c, 3*m+1)
 				zm := k.pos.Load(c, 3*m+2)
 				fx, fy, fz := 0.0, 0.0, 0.0
-				for _, nb := range neighbours(ci, cd) {
+				for _, nb := range neighbours(&nbs, ci, cd) {
 					ns, ne := molsOf(nb)
 					for ni := ns; ni < ne; ni++ {
 						j := int(k.cellMol.Load(c, ni))
@@ -289,6 +292,7 @@ func (k *Kernel) Verify(p *core.Program) error {
 	frc := make([]float64, 3*cfg.N)
 	const dt = 0.002
 	energy := 0.0
+	var nbs [27]int
 	for step := 0; step < cfg.Steps; step++ {
 		for ci := 0; ci < nc; ci++ {
 			for mi := cellStart[ci]; mi < cellStart[ci+1]; mi++ {
@@ -308,7 +312,7 @@ func (k *Kernel) Verify(p *core.Program) error {
 					m := cellMol[mi]
 					xm, ym, zm := pos[3*m], pos[3*m+1], pos[3*m+2]
 					fx, fy, fz := 0.0, 0.0, 0.0
-					for _, nb := range neighbours(ci, cd) {
+					for _, nb := range neighbours(&nbs, ci, cd) {
 						for ni := cellStart[nb]; ni < cellStart[nb+1]; ni++ {
 							j := cellMol[ni]
 							if j == m {

@@ -63,9 +63,10 @@ func TestNeighbours(t *testing.T) {
 	const cd = 4
 	nc := cd * cd * cd
 	sets := make([]map[int]bool, nc)
+	var nbs [27]int
 	for ci := 0; ci < nc; ci++ {
 		sets[ci] = make(map[int]bool)
-		for _, nb := range neighbours(ci, cd) {
+		for _, nb := range neighbours(&nbs, ci, cd) {
 			if nb < 0 || nb >= nc {
 				t.Fatalf("neighbour %d out of range", nb)
 			}

@@ -217,7 +217,7 @@ func (s *System) access(r Req, now int64) int64 {
 	// other access discards it and refetches coherently. Discarding ends
 	// the copy's residency, so open classification records close.
 	if l2 != nil && l2.Transparent && !(r.Role == RoleA && r.Kind == Read) {
-		s.recordTouch(l2, r.Role, t)
+		s.recordTouch(node.L2, l2, r.Role, t)
 		s.closeRecs(node, l2)
 		s.Home(line).Dir.Entry(line).ClearFuture(node.ID)
 		s.invalidateL1s(node, line)
@@ -229,7 +229,7 @@ func (s *System) access(r Req, now int64) int64 {
 		// Record the companion touch at arrival time, then merge with an
 		// outstanding fill, if any: touching a line whose fill is still in
 		// flight is what distinguishes the Late classes.
-		s.recordTouch(l2, r.Role, t)
+		s.recordTouch(node.L2, l2, r.Role, t)
 		if l2.FillDone > t {
 			t = l2.FillDone
 			s.MS.MergedFills++
@@ -381,7 +381,7 @@ func (s *System) dirTransaction(node *Node, line Addr, r Req, t int64, frame *Li
 		frame.WrittenInCS = true
 	}
 	node.L2.Touch(frame)
-	s.addRec(frame, r.Role, !isRead, t)
+	s.addRec(node.L2, frame, r.Role, !isRead, t)
 	if r.Kind == PrefetchExcl {
 		s.MS.PrefetchExcl++
 	}

@@ -50,13 +50,16 @@ func (r Role) String() string {
 	return "-"
 }
 
-// reqRec is an open classification record for one directory request on a
-// line (see stats.ReqClass). It is closed and counted when the line's
-// residency ends.
+// reqRec is an open classification record for one directory request on
+// an L2 line (see stats.ReqClass). Records live in their cache's slab
+// (Cache.recs); a line's open records are a chain through next, starting
+// at Line.rec. A record is closed and counted when the line's residency
+// ends, and its slot goes on the cache's free chain.
 type reqRec struct {
+	fillDone   int64
+	next       int32 // 1 + the slab index of the chain's next record, or 0
 	role       Role
 	excl       bool
-	fillDone   int64
 	compDuring bool // companion stream touched while the fill was in flight
 	compAfter  bool // companion stream touched after the fill completed
 }
@@ -81,12 +84,16 @@ type Line struct {
 	// invalidates it rather than downgrading.
 	WrittenInCS bool
 
+	// rec is 1 + the index in the cache's slab of the line's first open
+	// classification record, or 0 for none. Only L2 lines of classifying
+	// runs open records.
+	rec int32
+
 	// FillDone is the simulated time the most recent fill completes.
 	// Accesses arriving earlier merge with the outstanding fill.
 	FillDone int64
 
-	lru  int64
-	recs []reqRec
+	lru int64
 }
 
 // Cache is a set-associative cache with LRU replacement. It stores tags
@@ -112,18 +119,26 @@ type Cache struct {
 	modulo  bool
 	clock   int64
 
+	// recs is the slab of the lines' classification records, and freeRec
+	// the head of the chain of its closed slots through reqRec.next: 1 +
+	// a slab index, or 0 for none. Reset truncates the slab and keeps its
+	// capacity, so a run opens records in the slots of the runs before it.
+	recs    []reqRec
+	freeRec int32
+
 	// frames is the storage lines is drawn from (lines == *frames), and
-	// free the list release returns it to, with marked.
+	// free the list release returns it to, with marked and recs.
 	frames *[]Line
 	free   *freeList[storage]
 }
 
 // storage is what a cache takes from and releases to a free list: its
-// frames and the bitmap of their marked sets, as one item, so reuse
-// allocates nothing.
+// frames, the bitmap of their marked sets and its record slab, as one
+// item, so reuse allocates nothing.
 type storage struct {
 	frames *[]Line
 	marked []uint64
+	recs   []reqRec
 }
 
 // geometry keys the free lists. A marked bit names a set, and which frames
@@ -175,7 +190,7 @@ func NewCache(size, assoc, lineSize int) *Cache {
 		modulo:    nsets&(nsets-1) != 0,
 	}
 	if st, ok := c.free.get(); ok {
-		c.frames, c.lines, c.marked = st.frames, *st.frames, st.marked
+		c.frames, c.lines, c.marked, c.recs = st.frames, *st.frames, st.marked, st.recs
 		c.Reset()
 	} else {
 		lines := make([]Line, nsets*assoc)
@@ -192,8 +207,8 @@ func (c *Cache) release() {
 	if c.frames == nil {
 		return
 	}
-	c.free.put(storage{c.frames, c.marked})
-	c.frames, c.lines, c.marked = nil, nil, nil
+	c.free.put(storage{c.frames, c.marked, c.recs})
+	c.frames, c.lines, c.marked, c.recs = nil, nil, nil, nil
 }
 
 // Sets returns the number of sets.
@@ -257,7 +272,8 @@ func (c *Cache) Victim(line Addr) *Line {
 // Reset invalidates every line, drops every classification record, and
 // restarts the LRU clock: NewCache resets reused frames with it. Only the
 // marked sets can hold anything, so it clears each run of consecutive
-// marked sets with one clear, and then the marks.
+// marked sets with one clear, and then the marks. The record slab is
+// truncated, not freed.
 func (c *Cache) Reset() {
 	for w, m := range c.marked {
 		for m != 0 {
@@ -269,6 +285,7 @@ func (c *Cache) Reset() {
 		}
 	}
 	clear(c.marked)
+	c.recs, c.freeRec = c.recs[:0], 0
 	c.clock = 0
 }
 
@@ -287,10 +304,9 @@ func (c *Cache) ForEachValid(fn func(*Line)) {
 	}
 }
 
-// clearLine resets a frame to Invalid. LRU state and the (emptied)
-// classification-record slice survive: keeping the slice's capacity lets a
-// frame that cycles through residencies reuse one backing array instead of
-// reallocating records on every refill.
+// clearLine resets a frame to Invalid; its LRU state survives. The caller
+// closes an L2 line's records first (closeRecs), or their slab slots stay
+// taken until the next Reset.
 func clearLine(l *Line) {
-	*l = Line{lru: l.lru, recs: l.recs[:0]}
+	*l = Line{lru: l.lru}
 }

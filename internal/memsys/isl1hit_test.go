@@ -25,7 +25,7 @@ func snapshotLine(sys *System, line Addr) lineSnapshot {
 		if l2 := n.L2.Lookup(line); l2 != nil {
 			l = *l2
 			l.lru = 0 // LRU position is private timing state, not coherence state
-			l.recs = nil
+			l.rec = 0 // the record slot is private bookkeeping too
 		}
 		snap.l2 = append(snap.l2, l)
 	}

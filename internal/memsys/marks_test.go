@@ -11,9 +11,9 @@ import (
 // after every step, under -race too; the unkeyed literal stops compiling
 // when Line gains a field, so the check cannot miss one.
 func zeroFrame(l *Line) bool {
-	_ = Line{l.Addr, l.State, l.Transparent, l.SIMark, l.WrittenInCS, l.FillDone, l.lru, l.recs}
+	_ = Line{l.Addr, l.State, l.Transparent, l.SIMark, l.WrittenInCS, l.rec, l.FillDone, l.lru}
 	return l.Addr == 0 && l.State == Invalid && !l.Transparent && !l.SIMark && !l.WrittenInCS &&
-		l.FillDone == 0 && l.lru == 0 && l.recs == nil
+		l.rec == 0 && l.FillDone == 0 && l.lru == 0
 }
 
 // unmarkedFrames returns the index of every frame of st that is not zero
@@ -34,7 +34,7 @@ func unmarkedFrames(g geometry, st storage) []int {
 func checkMarks(t *testing.T, name string, c *Cache) {
 	t.Helper()
 	g := geometry{c.Sets(), c.Assoc()}
-	if bad := unmarkedFrames(g, storage{c.frames, c.marked}); len(bad) > 0 {
+	if bad := unmarkedFrames(g, storage{c.frames, c.marked, c.recs}); len(bad) > 0 {
 		t.Fatalf("%s: frames %v are written but their sets are not marked", name, bad)
 	}
 }
@@ -49,6 +49,7 @@ func checkMarks(t *testing.T, name string, c *Cache) {
 func TestFrameReuseKeepsGeometry(t *testing.T) {
 	const size = 1 << 20
 	released := make(map[*[]Line]geometry)
+	recorder := &System{Classify: true}
 	for round, assoc := range []int{4, 2, 4, 2, 4} {
 		c := NewCache(size, assoc, 64)
 		g := geometry{c.Sets(), c.Assoc()}
@@ -66,7 +67,8 @@ func TestFrameReuseKeepsGeometry(t *testing.T) {
 			for way := 0; way < g.assoc; way++ {
 				addr := Addr((way*g.sets + set) << c.lineShift)
 				l := c.Victim(addr)
-				l.Addr, l.State, l.recs = addr, Exclusive, []reqRec{{role: RoleR}}
+				l.Addr, l.State = addr, Exclusive
+				recorder.addRec(c, l, RoleR, false, 0)
 				c.Touch(l)
 			}
 		}
@@ -82,8 +84,8 @@ func TestFrameReuseKeepsGeometry(t *testing.T) {
 // written frame must lie in a marked set, and ForEachValid must visit
 // exactly the valid frames a walk of the whole slice finds, in the same
 // order. After every Reset and every reacquisition the cache must hold
-// what a whole-slice clear leaves: only zero frames, no marks, and an LRU
-// clock at 0.
+// what a whole-slice clear leaves: only zero frames, no marks, an LRU
+// clock at 0, and an empty record slab.
 func TestFrameReuseMatchesWholeClear(t *testing.T) {
 	for _, g := range []geometry{{1, 4}, {96, 3}, {256, 2}, {130, 1}} {
 		for seed := int64(0); seed < 8; seed++ {
@@ -101,6 +103,9 @@ func checkFrameReuse(t *testing.T, g geometry, rng *rand.Rand) {
 	if c.Sets() != g.sets || c.Assoc() != g.assoc {
 		t.Fatalf("geometry %d x %d, want %d x %d", c.Sets(), c.Assoc(), g.sets, g.assoc)
 	}
+	// Fills open records in the slab, which clearLine leaves taken: only
+	// Reset and reacquisition empty it.
+	recorder := &System{Classify: true}
 	// Addresses span four times the cache, so sets fill and evict.
 	addr := func() Addr { return Addr(rng.Intn(4*g.sets*g.assoc)) * lineSize }
 	wantClear := func(step int, what string) {
@@ -118,6 +123,9 @@ func checkFrameReuse(t *testing.T, g geometry, rng *rand.Rand) {
 		if c.clock != 0 {
 			t.Fatalf("step %d: after %s LRU clock = %d, want 0", step, what, c.clock)
 		}
+		if len(c.recs) != 0 || c.freeRec != 0 {
+			t.Fatalf("step %d: after %s the slab holds %d records, free chain %d, want none", step, what, len(c.recs), c.freeRec)
+		}
 	}
 	for step := 0; step < 600; step++ {
 		switch op := rng.Intn(20); {
@@ -132,7 +140,7 @@ func checkFrameReuse(t *testing.T, g geometry, rng *rand.Rand) {
 			l.Transparent, l.SIMark, l.WrittenInCS = rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
 			l.FillDone = int64(step)
 			if rng.Intn(2) == 0 {
-				l.recs = append(l.recs, reqRec{role: RoleA, fillDone: int64(step)})
+				recorder.addRec(c, l, RoleA, false, int64(step))
 			}
 			c.Touch(l)
 		case op < 13: // invalidate a resident line

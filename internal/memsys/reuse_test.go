@@ -8,8 +8,10 @@ import (
 )
 
 // fillEveryFrame makes every frame of c a valid, exclusively held line
-// carrying every per-line mark and an open classification record.
+// carrying every per-line mark and an open classification record, touched
+// by the companion stream.
 func fillEveryFrame(c *Cache) {
+	recorder := &System{Classify: true}
 	for set := 0; set < c.Sets(); set++ {
 		for way := 0; way < c.Assoc(); way++ {
 			addr := Addr((way*c.Sets() + set) << c.lineShift)
@@ -17,18 +19,22 @@ func fillEveryFrame(c *Cache) {
 			*l = Line{
 				Addr: addr, State: Exclusive, Transparent: true,
 				SIMark: true, WrittenInCS: true, FillDone: 12345,
-				recs: []reqRec{{role: RoleA, excl: true, fillDone: 12345, compAfter: true}},
 			}
+			recorder.addRec(c, l, RoleA, true, 12345)
+			recorder.recordTouch(c, l, RoleR, 12346)
 			c.Touch(l)
 		}
 	}
 }
 
 // checkNew fails unless c is in exactly the state of a newly allocated
-// cache: no valid line, a victim at way 0 of every set, no records, and
-// an LRU clock that starts over.
+// cache: no valid line, a victim at way 0 of every set, no records in the
+// slab and none on its free chain, and an LRU clock that starts over.
 func checkNew(t *testing.T, name string, c *Cache) {
 	t.Helper()
+	if len(c.recs) != 0 || c.freeRec != 0 {
+		t.Fatalf("%s: slab holds %d records, free chain %d, want none", name, len(c.recs), c.freeRec)
+	}
 	for set := 0; set < c.Sets(); set++ {
 		for way := 0; way < c.Assoc(); way++ {
 			addr := Addr((way*c.Sets() + set) << c.lineShift)
@@ -57,11 +63,13 @@ func checkNew(t *testing.T, name string, c *Cache) {
 }
 
 // TestReleasedFramesComeBackNew fills every frame of a Table 1 L1 and L2,
-// releases the system, and checks that the caches of the next system of
-// that geometry are indistinguishable from newly allocated ones — the
-// property that lets runs share frame storage without moving a result.
-// The pool may hand back any released slice or none, so the test repeats
-// until a frame slice was actually reused.
+// releases the system with a record open on every L2 frame but the first,
+// whose record went to the free chain, and checks that the caches of the
+// next system of that geometry are indistinguishable from newly allocated
+// ones — the property that lets runs share frame storage without moving a
+// result — and that a reused L2 got its slab's capacity back. The pool may
+// hand back any released slice or none, so the test repeats until a frame
+// slice was actually reused.
 func TestReleasedFramesComeBackNew(t *testing.T) {
 	p := DefaultParams(2)
 	reused := false
@@ -70,10 +78,17 @@ func TestReleasedFramesComeBackNew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Classify = true
 		released := make(map[*[]Line]bool)
+		slabCap := make(map[*[]Line]int)
 		for _, n := range s.Nodes {
 			fillEveryFrame(n.L2)
+			s.closeRecs(n, &n.L2.lines[0])
+			if n.L2.freeRec == 0 {
+				t.Fatal("closing a record left the free chain empty")
+			}
 			released[n.L2.frames] = true
+			slabCap[n.L2.frames] = cap(n.L2.recs)
 			for _, cpu := range n.CPUs {
 				fillEveryFrame(cpu.L1)
 				released[cpu.L1.frames] = true
@@ -86,7 +101,12 @@ func TestReleasedFramesComeBackNew(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range s.Nodes {
-			reused = reused || released[n.L2.frames]
+			if released[n.L2.frames] {
+				reused = true
+				if got, want := cap(n.L2.recs), slabCap[n.L2.frames]; got != want {
+					t.Fatalf("reused L2 slab capacity %d, want the released %d", got, want)
+				}
+			}
 			checkNew(t, "L2", n.L2)
 			for _, cpu := range n.CPUs {
 				reused = reused || released[cpu.L1.frames]

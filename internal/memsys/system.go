@@ -208,24 +208,34 @@ func (s *System) String() string {
 
 // --- classification bookkeeping (Figure 7) ---
 
-// addRec opens a classification record on an L2 line for a request that
-// reached the directory.
-func (s *System) addRec(l *Line, role Role, excl bool, fillDone int64) {
+// addRec opens a classification record on an L2 line of cache c for a
+// request that reached the directory: it takes a closed slot of c's slab,
+// or appends one, and links it at the head of the line's chain.
+func (s *System) addRec(c *Cache, l *Line, role Role, excl bool, fillDone int64) {
 	if !s.Classify || role == RoleNone {
 		return
 	}
-	//simlint:ignore hotpathalloc record capacity is reused after closeRecs truncates to recs[:0]
-	l.recs = append(l.recs, reqRec{role: role, excl: excl, fillDone: fillDone})
+	r := reqRec{fillDone: fillDone, next: l.rec, role: role, excl: excl}
+	if i := c.freeRec; i != 0 {
+		c.freeRec = c.recs[i-1].next
+		c.recs[i-1] = r
+		l.rec = i
+		return
+	}
+	//simlint:ignore hotpathalloc the slab keeps its capacity through Reset and the free lists, so it grows only past the most records any earlier run held open at once
+	c.recs = append(c.recs, r)
+	l.rec = int32(len(c.recs))
 }
 
-// recordTouch notes that the given stream referenced the line at time t,
-// updating open records of the companion stream.
-func (s *System) recordTouch(l *Line, role Role, t int64) {
+// recordTouch notes that the given stream referenced the line of cache c
+// at time t, updating open records of the companion stream.
+func (s *System) recordTouch(c *Cache, l *Line, role Role, t int64) {
 	if !s.Classify || role == RoleNone {
 		return
 	}
-	for i := range l.recs {
-		r := &l.recs[i]
+	for i := l.rec; i != 0; {
+		r := &c.recs[i-1]
+		i = r.next
 		if r.role == role {
 			continue
 		}
@@ -237,11 +247,14 @@ func (s *System) recordTouch(l *Line, role Role, t int64) {
 	}
 }
 
-// closeRecs classifies and drops all open records on a line. Called when
-// the line's residency at node ends (eviction, invalidation, or end of
-// run). A-stream read outcomes also feed the node's adaptive window.
+// closeRecs classifies all open records on a line of the node's L2 and
+// puts their slots on the slab's free chain. Called when the line's
+// residency at node ends (eviction, invalidation, or end of run). A-stream
+// read outcomes also feed the node's adaptive window.
 func (s *System) closeRecs(node *Node, l *Line) {
-	for _, r := range l.recs {
+	l2 := node.L2
+	for i := l.rec; i != 0; {
+		r := &l2.recs[i-1]
 		var c stats.ReqClass
 		switch {
 		case r.role == RoleA && r.compDuring:
@@ -270,6 +283,10 @@ func (s *System) closeRecs(node *Node, l *Line) {
 				node.Window.AOnly++
 			}
 		}
+		next := r.next
+		r.next = l2.freeRec
+		l2.freeRec = i
+		i = next
 	}
-	l.recs = l.recs[:0] // keep capacity: the frame's next residency reuses it
+	l.rec = 0
 }

@@ -21,8 +21,9 @@ import (
 // swapped onto another spec (CMPs doubled), a version mismatch, a null
 // result, a result marked unverified by an empty "verify_err", the stored
 // entry with its spec's mode spelled with a JSON escape, an empty object,
-// and a truncated entry. The stored and escaped entries must load, and
-// the unverified one must not.
+// a truncated entry, and the stored entry indented with tabs, as Store
+// wrote entries before it wrote them compact. The stored, escaped and
+// indented entries must load, and the unverified one must not.
 func FuzzCacheLoad(f *testing.F) {
 	c, err := Open(f.TempDir(), core.SimVersion)
 	if err != nil {
@@ -58,11 +59,15 @@ func FuzzCacheLoad(f *testing.F) {
 		return b
 	}
 	unverified := variant(func(e *entry) { e.Result.VerifyErr = &core.VerifyError{} })
-	escaped := bytes.Replace(stored, []byte(`"mode": "slipstream"`), []byte(`"mode": "\u0073lipstream"`), 1)
+	escaped := bytes.Replace(stored, []byte(`"mode":"slipstream"`), []byte(`"mode":"\u0073lipstream"`), 1)
 	if bytes.Equal(escaped, stored) {
 		f.Fatalf("stored entry has no slipstream mode to escape:\n%s", stored)
 	}
-	loads := map[string]bool{string(stored): true, string(escaped): true, string(unverified): false}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, stored, "", "\t"); err != nil {
+		f.Fatal(err)
+	}
+	loads := map[string]bool{string(stored): true, string(escaped): true, string(unverified): false, indented.String(): true}
 	f.Add(stored)
 	f.Add(variant(func(e *entry) { e.Spec.CMPs *= 2 }))
 	f.Add(variant(func(e *entry) { e.Version = "0-bogus" }))
@@ -71,6 +76,7 @@ func FuzzCacheLoad(f *testing.F) {
 	f.Add(escaped)
 	f.Add([]byte("{}"))
 	f.Add(stored[:len(stored)/2])
+	f.Add(indented.Bytes())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		os.Remove(path + ".bad")

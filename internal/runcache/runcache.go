@@ -205,8 +205,9 @@ func (c *Cache) Load(sp runspec.RunSpec) (*core.Result, bool, error) {
 	return e.Result, true, nil
 }
 
-// Store persists a completed run atomically. Unverified results are
-// rejected: a cache must never replay wrong numerics into a figure.
+// Store persists a completed run atomically, as compact JSON. Unverified
+// results are rejected: a cache must never replay wrong numerics into a
+// figure. Entries that earlier versions wrote indented load alike.
 func (c *Cache) Store(sp runspec.RunSpec, res *core.Result) error {
 	if res == nil || res.VerifyErr != nil {
 		return fmt.Errorf("runcache: refusing to store unverified result for %v", sp)
@@ -216,7 +217,7 @@ func (c *Cache) Store(sp runspec.RunSpec, res *core.Result) error {
 	if err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(entry{Version: c.version, Spec: sp, Result: res}, "", "\t")
+	b, err := json.Marshal(entry{Version: c.version, Spec: sp, Result: res})
 	if err != nil {
 		return fmt.Errorf("runcache: encoding %v: %w", sp, err)
 	}

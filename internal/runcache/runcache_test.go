@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -292,5 +293,51 @@ func TestOpenPrunesPreviousSimVersion(t *testing.T) {
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("v1 cache entry survived Open under SimVersion %q (stat err: %v)",
 			core.SimVersion, err)
+	}
+}
+
+// TestIndentedEntryStillLoads writes an entry the way Store wrote entries
+// before it wrote them compact, indented with tabs, and checks that it
+// loads as a hit with the result it encodes, before and after the
+// directory is opened again, and that nothing is quarantined.
+func TestIndentedEntryStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, core.SimVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tinySpec()
+	res, err := sp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := c.Key(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.MarshalIndent(entry{Version: core.SimVersion, Spec: sp.Normalize(), Result: res}, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(key), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		got, ok, err := c.Load(sp)
+		if !ok || err != nil {
+			t.Fatalf("round %d: indented entry: ok=%t err=%v, want a hit", round, ok, err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("round %d: indented entry served %+v, want %+v", round, got, res)
+		}
+		if n := c.Quarantined(); n != 0 {
+			t.Fatalf("round %d: %d entries quarantined, want none", round, n)
+		}
+		if c, err = Open(dir, core.SimVersion); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.Len(); n != 1 {
+		t.Fatalf("Len() = %d, want 1", n)
 	}
 }
