@@ -34,14 +34,6 @@ type Ctx struct {
 	// prefetch. Conversions are dropped while all slots are busy.
 	pfSlots [4]int64
 
-	// stRing models the processor's write buffer under sequential
-	// consistency: store misses retire into a FIFO and drain to the
-	// memory system one at a time, in order. The processor blocks only
-	// when the buffer is full; synchronization operations drain it
-	// completely (release semantics).
-	stRing [4]int64
-	stPos  int
-
 	// fastForward replays the kernel functionally (no simulated time)
 	// after an A-stream refork, until ffTarget sessions have been passed.
 	fastForward bool
@@ -94,7 +86,7 @@ func (c *Ctx) flush() {
 
 // maybeYield yields if the local clock has run too far ahead.
 func (c *Ctx) maybeYield() {
-	if c.vnow-c.engNow() > c.run.opts.SkewQuantum {
+	if c.vnow-c.engNow() > c.run.opts.skew {
 		c.proc.WaitUntil(c.vnow)
 	}
 }
@@ -251,67 +243,10 @@ func (c *Ctx) storeTiming(a memsys.Addr) bool {
 		c.maybeYield()
 		return false
 	}
-	// R-stream / conventional store. With StoreBuffer == 0 (the paper's
-	// MIPSY cores) store misses block like loads; otherwise they retire
-	// into a serially draining FIFO write buffer, blocking only when it
-	// is full.
-	sys := c.run.sys
-	depth := c.run.opts.StoreBuffer
-	if depth == 0 || sys.IsL1Hit(memsys.Req{
-		CPU:  c.cpu,
-		Kind: memsys.Write,
-		Addr: a,
-		Role: c.role,
-		InCS: c.csDepth > 0,
-	}) {
-		c.access(memsys.Write, a)
-		return true
-	}
-	if depth > len(c.stRing) {
-		depth = len(c.stRing)
-	}
-	c.flush()
-	now := c.engNow()
-	oldest := c.stRing[c.stPos%depth]
-	newest := c.stRing[(c.stPos+depth-1)%depth]
-	if oldest > now {
-		// Write buffer full: stall until the oldest entry drains.
-		c.bd.MemStall += oldest - now
-		c.proc.WaitUntil(oldest)
-		now = oldest
-	}
-	// Stores drain serially: this one issues after its predecessor.
-	issue := max(now, newest)
-	c.stRing[c.stPos%depth] = sys.Access(memsys.Req{
-		CPU:     c.cpu,
-		Kind:    memsys.Write,
-		Addr:    a,
-		Role:    c.role,
-		InCS:    c.csDepth > 0,
-		Task:    c.id,
-		Session: c.session,
-	}, issue)
-	c.stPos = (c.stPos + 1) % depth
-	c.bd.Busy++
-	c.vnow = now + 1
-	c.maybeYield()
+	// R-stream / conventional store: the paper's MIPSY cores block on a
+	// store miss as on a load.
+	c.access(memsys.Write, a)
 	return true
-}
-
-// drainStores blocks until every outstanding buffered store has drained
-// (release semantics at synchronization operations).
-func (c *Ctx) drainStores() {
-	c.bump()
-	latest := c.vnow
-	for _, s := range c.stRing {
-		if s > latest {
-			latest = s
-		}
-	}
-	if latest > c.vnow {
-		c.bd.MemStall += latest - c.vnow
-		c.vnow = latest
-	}
 }
 
 // Barrier joins the program-wide barrier. The A-stream skips it, consuming
@@ -326,7 +261,6 @@ func (c *Ctx) Barrier() {
 		c.aSync()
 		return
 	}
-	c.drainStores()
 	c.flush()
 	r := c.run
 	if c.pr != nil {
@@ -364,7 +298,7 @@ func (c *Ctx) barrierWait() {
 	t0 := c.engNow()
 	home := r.sys.Nodes[0]
 	tmsg := t0 + r.transit(c.cpu.Node, home)
-	tArr := home.DC(0).Acquire(tmsg, r.opts.SyncOcc) + r.opts.SyncOcc
+	tArr := home.DC(0).Acquire(tmsg, syncOcc) + syncOcc
 	b.arrived++
 	if b.arrived < b.n {
 		//simlint:ignore hotpathalloc waiter list is bounded by the task count; capacity is stable after the first barrier
@@ -372,7 +306,7 @@ func (c *Ctx) barrierWait() {
 		c.park("barrier")
 	} else {
 		for i, w := range b.waiters {
-			w.proc.Wake(tArr + int64(i+1)*r.opts.SyncOcc + r.transit(home, w.node))
+			w.proc.Wake(tArr + int64(i+1)*syncOcc + r.transit(home, w.node))
 		}
 		b.waiters = b.waiters[:0]
 		b.arrived = 0
@@ -446,14 +380,13 @@ func (c *Ctx) Lock(id int) {
 	if c.fastForward || c.role == memsys.RoleA {
 		return
 	}
-	c.drainStores()
 	c.flush()
 	r := c.run
 	ls := r.lock(id)
 	t0 := c.engNow()
 	home := r.sys.Nodes[id%len(r.sys.Nodes)]
 	tmsg := t0 + r.transit(c.cpu.Node, home)
-	tAt := home.DC(0).Acquire(tmsg, r.opts.SyncOcc) + r.opts.SyncOcc
+	tAt := home.DC(0).Acquire(tmsg, syncOcc) + syncOcc
 	if !ls.held {
 		ls.held = true
 		c.proc.WaitUntil(tAt + r.transit(home, c.cpu.Node))
@@ -478,7 +411,6 @@ func (c *Ctx) Unlock(id int) {
 	if c.fastForward || c.role == memsys.RoleA {
 		return
 	}
-	c.drainStores()
 	c.flush()
 	r := c.run
 	if c.pr != nil && r.opts.SelfInvalidate {
@@ -488,7 +420,7 @@ func (c *Ctx) Unlock(id int) {
 	t0 := c.engNow()
 	home := r.sys.Nodes[id%len(r.sys.Nodes)]
 	tmsg := t0 + r.transit(c.cpu.Node, home)
-	tAt := home.DC(0).Acquire(tmsg, r.opts.SyncOcc) + r.opts.SyncOcc
+	tAt := home.DC(0).Acquire(tmsg, syncOcc) + syncOcc
 	if len(ls.queue) > 0 {
 		w := ls.queue[0]
 		// Shift rather than reslice, so Lock's append keeps reusing the
@@ -517,7 +449,6 @@ func (c *Ctx) WaitEvent(id int) {
 		c.aSync()
 		return
 	}
-	c.drainStores()
 	c.flush()
 	r := c.run
 	if c.pr != nil {
@@ -564,7 +495,6 @@ func (c *Ctx) SignalEvent(id int) {
 	if c.fastForward || c.role == memsys.RoleA {
 		return
 	}
-	c.drainStores()
 	c.flush()
 	r := c.run
 	es := r.event(id)
@@ -610,7 +540,6 @@ func (c *Ctx) Once(f func() int64) int64 {
 		p.aConsumed++
 		return v
 	}
-	c.drainStores()
 	v := f()
 	if c.pr != nil {
 		//simlint:ignore hotpathalloc once-value log capacity is reused across sessions; grows only until the deepest R-A lead is reached

@@ -190,28 +190,6 @@ type Options struct {
 	// selects memsys.DefaultParams(CMPs).
 	Machine memsys.Params
 
-	// MaxCycles aborts a run that exceeds this simulated time (a model
-	// deadlock guard). Zero selects a large default.
-	MaxCycles int64
-
-	// ForkPenalty is the cycle cost of reforking a deviated A-stream.
-	ForkPenalty int64
-
-	// SyncOcc is the directory-controller occupancy charged per
-	// synchronization message (barrier arrivals/releases, lock traffic).
-	// Zero selects the default of 10 cycles; a negative value is an error.
-	SyncOcc int64
-
-	// SkewQuantum bounds how far a task's local clock may run ahead of
-	// the global clock on private (L1-hit) work before yielding.
-	SkewQuantum int64
-
-	// StoreBuffer sets the processor write-buffer depth. Zero models the
-	// paper's MIPSY cores, whose store misses block the pipeline; a
-	// positive depth retires store misses into a serially draining FIFO
-	// (release consistency ablation), blocking only when it is full.
-	StoreBuffer int
-
 	// ForwardQueue enables the Section 6 extension: each A-stream pushes
 	// the line addresses it fetches into a small per-pair hardware queue,
 	// and the R-stream's cache controller drains it with L2-to-L1 pushes,
@@ -234,6 +212,12 @@ type Options struct {
 	// simulated results — but slows the run down. The SLIPSIM_AUDIT=1
 	// environment variable force-enables it for every run in the process.
 	Audit bool
+
+	// skew bounds how far a task's local clock may run ahead of the
+	// global clock on private (L1-hit) work before it yields. Zero selects
+	// skewQuantum; only this package's tests set it, to compare the
+	// approximation with the exact schedule (1).
+	skew int64
 }
 
 // withDefaults fills unset options.
@@ -248,17 +232,8 @@ func (o Options) withDefaults() Options {
 		o.Machine = memsys.DefaultParams(o.CMPs)
 	}
 	o.Machine.Nodes = o.CMPs
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 50e9
-	}
-	if o.ForkPenalty == 0 {
-		o.ForkPenalty = 10000
-	}
-	if o.SyncOcc == 0 {
-		o.SyncOcc = 10
-	}
-	if o.SkewQuantum == 0 {
-		o.SkewQuantum = 200
+	if o.skew == 0 {
+		o.skew = skewQuantum
 	}
 	return o
 }
@@ -281,11 +256,6 @@ var (
 	// AdaptiveARSync, TransparentLoads, SelfInvalidate, ForwardQueue) set
 	// under another execution mode.
 	ErrSlipstreamOnly = errors.New("option applies only to slipstream mode")
-	// ErrStoreBuffer reports a negative StoreBuffer depth.
-	ErrStoreBuffer = errors.New("StoreBuffer must be >= 0")
-	// ErrSyncOcc reports a negative SyncOcc, which would schedule
-	// synchronization messages in the simulated past.
-	ErrSyncOcc = errors.New("SyncOcc must be >= 0")
 )
 
 // Validate reports option errors. Run calls it after defaulting, so a
@@ -304,12 +274,6 @@ func (o Options) Validate() error {
 	}
 	if o.SelfInvalidate && !o.TransparentLoads {
 		return fmt.Errorf("core: %w", ErrSelfInvalidateNeedsTL)
-	}
-	if o.StoreBuffer < 0 {
-		return fmt.Errorf("core: %w: got %d", ErrStoreBuffer, o.StoreBuffer)
-	}
-	if o.SyncOcc < 0 {
-		return fmt.Errorf("core: %w: got %d", ErrSyncOcc, o.SyncOcc)
 	}
 	// Check the machine Run will build: a RunSpec's Machine arrives over
 	// the wire, and a negative latency in it would panic the engine.

@@ -82,8 +82,7 @@ func TestSymbolicJSONDecodesStrings(t *testing.T) {
 }
 
 // TestValidateRejectsOutOfRangeValues extends the typed-error table
-// with the boundary cases: negative enum values, negative CMP counts, a
-// negative store-buffer depth, a negative synchronization occupancy, and
+// with the boundary cases: negative enum values, negative CMP counts, and
 // the adaptive policy outside slipstream mode.
 func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 	cases := []struct {
@@ -95,8 +94,6 @@ func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 		{"negative CMPs", Options{Mode: ModeSingle, CMPs: -4}, ErrCMPCount},
 		{"negative arsync", Options{Mode: ModeSlipstream, CMPs: 2, ARSync: ARSync(-2)}, ErrUnknownARSync},
 		{"adaptive outside slipstream", Options{Mode: ModeDouble, CMPs: 2, AdaptiveARSync: true}, ErrSlipstreamOnly},
-		{"negative store buffer", Options{Mode: ModeSingle, CMPs: 2, StoreBuffer: -1}, ErrStoreBuffer},
-		{"negative sync occupancy", Options{Mode: ModeSingle, CMPs: 2, SyncOcc: -1}, ErrSyncOcc},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -107,7 +104,7 @@ func TestValidateRejectsOutOfRangeValues(t *testing.T) {
 		// Each failure must stay distinguishable: it matches exactly one
 		// of the typed option errors.
 		matches := 0
-		for _, sentinel := range []error{ErrUnknownMode, ErrUnknownARSync, ErrCMPCount, ErrSelfInvalidateNeedsTL, ErrSlipstreamOnly, ErrStoreBuffer, ErrSyncOcc} {
+		for _, sentinel := range []error{ErrUnknownMode, ErrUnknownARSync, ErrCMPCount, ErrSelfInvalidateNeedsTL, ErrSlipstreamOnly} {
 			if errors.Is(err, sentinel) {
 				matches++
 			}

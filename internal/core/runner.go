@@ -18,6 +18,23 @@ import (
 // reported statistics.
 const SimVersion = "2"
 
+// Model constants, the same for every run. Changing forkPenalty, syncOcc
+// or skewQuantum moves simulated results and needs a SimVersion bump.
+const (
+	// maxCycles aborts a run that exceeds this simulated time, a guard
+	// against a model deadlock that keeps the event queue busy.
+	maxCycles int64 = 50e9
+	// forkPenalty is the cycle cost of reforking a deviated A-stream.
+	forkPenalty int64 = 10000
+	// syncOcc is the directory-controller occupancy charged per
+	// synchronization message (barrier arrivals and releases, lock
+	// traffic).
+	syncOcc int64 = 10
+	// skewQuantum is the default of Options.skew: how far a task's local
+	// clock may run ahead of the global clock on private work.
+	skewQuantum int64 = 200
+)
+
 // Runner owns one simulated run of a kernel under a mode.
 type Runner struct {
 	opts   Options
@@ -103,7 +120,7 @@ func Run(opts Options, k Kernel) (*Result, error) {
 	if !drained {
 		r.abort()
 		return nil, fmt.Errorf("core: %s/%s on %d CMPs exceeded %d cycles",
-			k.Name(), opts.Mode, opts.CMPs, opts.MaxCycles)
+			k.Name(), opts.Mode, opts.CMPs, maxCycles)
 	}
 	if blocked := eng.Blocked(); len(blocked) > 0 {
 		names := make([]string, len(blocked))
@@ -162,7 +179,7 @@ func (r *Runner) simulate() (drained bool, err error) {
 	}()
 	r.kernel.Setup(r.prog)
 	r.spawnTasks()
-	return r.eng.RunUntil(r.opts.MaxCycles), nil
+	return r.eng.RunUntil(maxCycles), nil
 }
 
 // abort ends a failed run without leaking its processes. It detaches the
@@ -252,7 +269,6 @@ func (r *Runner) spawnTask(id int, cpu *memsys.CPU, role memsys.Role, p *pair) *
 	c.proc = r.eng.Go(name, func(proc *sim.Proc) {
 		c.proc = proc
 		r.kernel.Task(c)
-		c.drainStores()
 		c.flush()
 		c.done = r.eng.Now()
 		c.finished = true
@@ -282,7 +298,7 @@ func (r *Runner) spawnA(p *pair, cpu *memsys.CPU, refork bool, ffTarget int) *Ct
 	c.proc = r.eng.Go(fmt.Sprintf("task%d(A)", p.id), func(proc *sim.Proc) {
 		c.proc = proc
 		if refork {
-			proc.Delay(r.opts.ForkPenalty)
+			proc.Delay(forkPenalty)
 		}
 		r.kernel.Task(c)
 		c.finished = true

@@ -13,7 +13,7 @@ func TestSkewQuantumPreservesNumerics(t *testing.T) {
 		for _, mode := range []Mode{ModeSingle, ModeDouble, ModeSlipstream} {
 			k := &stencilKernel{n: 1024, iters: 4}
 			res, err := Run(Options{
-				Mode: mode, CMPs: 4, ARSync: OneTokenLocal, SkewQuantum: q,
+				Mode: mode, CMPs: 4, ARSync: OneTokenLocal, skew: q,
 			}, k)
 			if err != nil {
 				t.Fatalf("q=%d %v: %v", q, mode, err)
@@ -31,7 +31,7 @@ func TestSkewQuantumTimingStability(t *testing.T) {
 	cycles := map[int64]int64{}
 	for _, q := range []int64{1, 200, 5000} {
 		k := &gatherKernel{n: 2048, iters: 3}
-		res, err := Run(Options{Mode: ModeSingle, CMPs: 4, SkewQuantum: q}, k)
+		res, err := Run(Options{Mode: ModeSingle, CMPs: 4, skew: q}, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,26 +43,13 @@ func (s *Session) Table2() error {
 		"WATER-SP": "512 molecules", "SOR": "1024x1024", "LU": "512x512",
 		"CG": "1400", "MG": "32x32x32", "SP": "16x16x16",
 	}
-	ours := map[kernels.Size]map[string]string{
-		kernels.Tiny: {
-			"FFT": "256 complex", "OCEAN": "34x34", "WATER-NS": "16 molecules",
-			"WATER-SP": "27 molecules", "SOR": "34x34", "LU": "48x48",
-			"CG": "96", "MG": "8x8x8", "SP": "8x8x8",
-		},
-		kernels.Small: {
-			"FFT": "1K complex", "OCEAN": "66x66", "WATER-NS": "32 molecules",
-			"WATER-SP": "64 molecules", "SOR": "130x130", "LU": "96x96",
-			"CG": "256", "MG": "16x16x16", "SP": "12x12x12",
-		},
-		kernels.Paper: {
-			"FFT": "4K complex", "OCEAN": "130x130", "WATER-NS": "64 molecules",
-			"WATER-SP": "125 molecules", "SOR": "258x258", "LU": "144x144",
-			"CG": "420", "MG": "32x32x32", "SP": "16x16x16",
-		},
-	}
 	t := &table{header: []string{"application", "paper size", "this preset"}}
 	for _, name := range kernels.Names() {
-		t.add(name, paper[name], ours[s.cfg.Size][name])
+		ours, err := kernels.SizeLabel(name, s.cfg.Size)
+		if err != nil {
+			return err
+		}
+		t.add(name, paper[name], ours)
 	}
 	t.render(s.cfg.Out)
 	return nil

@@ -171,3 +171,31 @@ func TestExtAdaptiveData(t *testing.T) {
 		}
 	}
 }
+
+// TestTable2PaperSizes pins the paper-size rows of Table 2 to the sizes
+// the kernels run at that preset. Table 2 simulates nothing.
+func TestTable2PaperSizes(t *testing.T) {
+	var sb strings.Builder
+	if err := NewSession(Config{Size: kernels.Paper, Out: &sb}).Table2(); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		rows[strings.Join(strings.Fields(line), " ")] = true
+	}
+	for _, want := range []string{
+		"FFT 64K complex 4K complex",
+		"OCEAN 258x258 258x258",
+		"WATER-NS 512 molecules 128 molecules",
+		"WATER-SP 512 molecules 216 molecules",
+		"SOR 1024x1024 258x258",
+		"LU 512x512 256x256",
+		"CG 1400 700",
+		"MG 32x32x32 32x32x32",
+		"SP 16x16x16 24x24x24",
+	} {
+		if !rows[want] {
+			t.Errorf("Table 2 has no row %q:\n%s", want, sb.String())
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
+	"slipstream/internal/memsys"
 	"slipstream/internal/runcache"
 )
 
@@ -85,5 +86,29 @@ func TestPlanLeavesSessionUntouched(t *testing.T) {
 	}
 	if n := len(s.observedSpecs()); n != 0 {
 		t.Errorf("planning registered observers for %d runs", n)
+	}
+}
+
+// TestPlannedSpecsValidate checks that every run a figure or study asks
+// for, at each size preset and at the default machine sizes, passes the
+// admission check a daemon applies to wire specs. That includes the
+// machines the sensitivity and banking studies build.
+func TestPlannedSpecsValidate(t *testing.T) {
+	for _, size := range []kernels.Size{kernels.Tiny, kernels.Small, kernels.Paper} {
+		s := NewSession(Config{Size: size})
+		studyMachines := 0
+		for _, f := range Figures() {
+			for _, sp := range s.plan(f.Render) {
+				if err := sp.Validate(); err != nil {
+					t.Errorf("%s at %v: %v: %v", f.Tag, size, sp, err)
+				}
+				if n := sp.Normalize(); n.Machine != memsys.DefaultParams(n.CMPs) {
+					studyMachines++
+				}
+			}
+		}
+		if studyMachines == 0 {
+			t.Errorf("no planned spec at %v overrides the machine", size)
+		}
 	}
 }

@@ -21,7 +21,7 @@ const (
 
 // Config sizes the kernel.
 type Config struct {
-	N      int // matrix dimension (paper: 1400; harness default 420)
+	N      int // matrix dimension (paper: 1400)
 	PerRow int // approximate off-diagonal nonzeros per row
 	Iters  int // CG iterations
 }

@@ -21,7 +21,7 @@ const (
 
 // Config sizes the kernel.
 type Config struct {
-	LogN int // log2 of the transform size (paper: 16, i.e. 64K; default 12)
+	LogN int // log2 of the transform size (paper: 16, i.e. 64K)
 }
 
 // Kernel is the FFT benchmark.

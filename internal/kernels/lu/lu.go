@@ -19,7 +19,7 @@ const (
 
 // Config sizes the kernel.
 type Config struct {
-	N int // matrix dimension (paper: 512; harness default 128)
+	N int // matrix dimension (paper: 512)
 	B int // block size (default 16)
 }
 

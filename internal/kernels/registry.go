@@ -114,48 +114,111 @@ func New(name string, size Size) (core.Kernel, error) {
 // non-empty Params; passing parameters to a fixed kernel is an error, so
 // a spec cannot carry dead knobs that would still fork its cache key.
 func NewParams(name string, size Size, p Params) (core.Kernel, error) {
+	k, _, err := build(name, size, p)
+	return k, err
+}
+
+// SizeLabel describes the data size the named benchmark runs at a
+// preset, in Table 2's terms ("4K complex", "258x258", "128 molecules").
+// It reads the preset numbers NewParams builds with, so the two cannot
+// disagree.
+func SizeLabel(name string, size Size) (string, error) {
+	_, d, err := build(name, size, "")
+	if err != nil {
+		return "", err
+	}
+	return d.String(), nil
+}
+
+// build is NewParams that also returns the data size of the kernel it
+// builds. Each preset's numbers live here and nowhere else.
+func build(name string, size Size, p Params) (core.Kernel, dataSize, error) {
 	upper := strings.ToUpper(name)
 	if p != "" && upper != "SYNTH" {
-		return nil, fmt.Errorf("kernels: %s takes no parameters (got %q); only SYNTH is parameterized", upper, string(p))
+		return nil, dataSize{}, fmt.Errorf("kernels: %s takes no parameters (got %q); only SYNTH is parameterized", upper, string(p))
 	}
 	switch upper {
 	case "FFT":
-		return fft.New(fft.Config{LogN: pick(size, 8, 10, 12)}), nil
+		logN := pick(size, 8, 10, 12)
+		return fft.New(fft.Config{LogN: logN}), count(1<<logN, "complex"), nil
 	case "OCEAN":
-		return ocean.New(ocean.Config{N: pick(size, 34, 66, 258), Steps: pick(size, 2, 3, 4)}), nil
+		n := pick(size, 34, 66, 258)
+		return ocean.New(ocean.Config{N: n, Steps: pick(size, 2, 3, 4)}), square(n), nil
 	case "WATER-NS":
-		return waterns.New(waterns.Config{N: pick(size, 16, 32, 128), Steps: pick(size, 2, 2, 3)}), nil
+		n := pick(size, 16, 32, 128)
+		return waterns.New(waterns.Config{N: n, Steps: pick(size, 2, 2, 3)}), count(n, "molecules"), nil
 	case "WATER-SP":
-		return watersp.New(watersp.Config{N: pick(size, 27, 64, 216), Cells: pick(size, 3, 4, 4), Steps: pick(size, 2, 3, 4)}), nil
+		n := pick(size, 27, 64, 216)
+		return watersp.New(watersp.Config{N: n, Cells: pick(size, 3, 4, 4), Steps: pick(size, 2, 3, 4)}), count(n, "molecules"), nil
 	case "SOR":
-		return sor.New(sor.Config{N: pick(size, 34, 130, 258), Iters: pick(size, 2, 3, 4)}), nil
+		n := pick(size, 34, 130, 258)
+		return sor.New(sor.Config{N: n, Iters: pick(size, 2, 3, 4)}), square(n), nil
 	case "LU":
-		return lu.New(lu.Config{N: pick(size, 48, 96, 256), B: 16}), nil
+		n := pick(size, 48, 96, 256)
+		return lu.New(lu.Config{N: n, B: 16}), square(n), nil
 	case "CG":
-		return cg.New(cg.Config{N: pick(size, 96, 256, 700), PerRow: pick(size, 8, 8, 12), Iters: pick(size, 3, 5, 10)}), nil
+		n := pick(size, 96, 256, 700)
+		return cg.New(cg.Config{N: n, PerRow: pick(size, 8, 8, 12), Iters: pick(size, 3, 5, 10)}), count(n, ""), nil
 	case "MG":
-		return mg.New(mg.Config{N: pick(size, 8, 16, 32), Cycles: pick(size, 1, 2, 2)}), nil
+		n := pick(size, 8, 16, 32)
+		return mg.New(mg.Config{N: n, Cycles: pick(size, 1, 2, 2)}), cube(n), nil
 	case "SP":
-		return sp.New(sp.Config{N: pick(size, 8, 12, 24), Iters: pick(size, 2, 3, 4)}), nil
+		n := pick(size, 8, 12, 24)
+		return sp.New(sp.Config{N: n, Iters: pick(size, 2, 3, 4)}), cube(n), nil
 	case "BITONIC":
-		return bitonic.New(bitonic.Config{LogN: pick(size, 8, 10, 12)}), nil
+		logN := pick(size, 8, 10, 12)
+		return bitonic.New(bitonic.Config{LogN: logN}), count(1<<logN, "keys"), nil
 	case "FWT":
-		return fwt.New(fwt.Config{LogN: pick(size, 8, 11, 13)}), nil
+		logN := pick(size, 8, 11, 13)
+		return fwt.New(fwt.Config{LogN: logN}), count(1<<logN, "points"), nil
 	case "MAXPOOL":
-		return maxpool.New(maxpool.Config{H: pick(size, 40, 96, 224), W: pick(size, 40, 96, 224)}), nil
+		n := pick(size, 40, 96, 224)
+		return maxpool.New(maxpool.Config{H: n, W: n}), square(n), nil
 	case "SYNTH":
 		m, err := p.Map()
 		if err != nil {
-			return nil, err
+			return nil, dataSize{}, err
 		}
 		cfg := synth.Defaults(pick(size, 256, 2048, 8192), pick(size, 128, 512, 2048))
 		if err := cfg.Apply(m); err != nil {
-			return nil, err
+			return nil, dataSize{}, err
 		}
-		return synth.New(cfg)
+		k, err := synth.New(cfg)
+		if err != nil {
+			return nil, dataSize{}, err
+		}
+		return k, count(cfg.WS, "words"), nil
 	}
-	return nil, fmt.Errorf("kernels: unknown benchmark %q (want one of %s)",
+	return nil, dataSize{}, fmt.Errorf("kernels: unknown benchmark %q (want one of %s)",
 		name, strings.Join(AllNames(), ", "))
+}
+
+// dataSize is a preset's data size: n units, or a grid n wide in dims
+// dimensions. build returns it unformatted, so that NewParams, which
+// admission calls on every spec, formats no label.
+type dataSize struct {
+	n, dims int
+	unit    string
+}
+
+func count(n int, unit string) dataSize { return dataSize{n: n, unit: unit} }
+func square(n int) dataSize             { return dataSize{n: n, dims: 2} }
+func cube(n int) dataSize               { return dataSize{n: n, dims: 3} }
+
+// String renders the size as Table 2 prints it: "4K complex", "700",
+// "258x258", "32x32x32".
+func (d dataSize) String() string {
+	switch {
+	case d.dims == 2:
+		return fmt.Sprintf("%dx%d", d.n, d.n)
+	case d.dims == 3:
+		return fmt.Sprintf("%dx%dx%d", d.n, d.n, d.n)
+	case d.unit == "":
+		return fmt.Sprint(d.n)
+	case d.n >= 1024 && d.n%1024 == 0:
+		return fmt.Sprintf("%dK %s", d.n/1024, d.unit)
+	}
+	return fmt.Sprintf("%d %s", d.n, d.unit)
 }
 
 // SplitSpec splits the CLI workload syntax "NAME" or "NAME:k=v,k=v" into

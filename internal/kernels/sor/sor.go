@@ -30,8 +30,8 @@ type Kernel struct {
 	grid [2]core.F64
 }
 
-// New returns a SOR kernel. The paper runs 1024x1024; the default harness
-// scale is 258x258.
+// New returns a SOR kernel. The paper runs 1024x1024; the size presets
+// in the kernels registry run smaller grids.
 func New(cfg Config) *Kernel {
 	if cfg.N < 4 {
 		cfg.N = 4

@@ -29,7 +29,7 @@ const (
 
 // Config sizes the kernel.
 type Config struct {
-	N     int // grid dimension (paper: 16^3; default 16)
+	N     int // grid dimension (paper: 16^3)
 	Iters int // ADI iterations
 }
 

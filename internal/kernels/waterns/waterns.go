@@ -22,7 +22,7 @@ const (
 
 // Config sizes the kernel.
 type Config struct {
-	N     int // molecules (paper: 512; harness default 64)
+	N     int // molecules (paper: 512)
 	Steps int // time steps
 }
 

@@ -21,7 +21,7 @@ const (
 
 // Config sizes the kernel.
 type Config struct {
-	N     int // molecules (paper: 512; harness default 125)
+	N     int // molecules (paper: 512)
 	Cells int // cells per dimension (default 4)
 	Steps int // time steps
 }

@@ -298,6 +298,18 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.MemTime = -1 },
 		func(p *Params) { p.NIPortOcc = -1 },
 		func(p *Params) { p.InvalOcc = -1 },
+		// Upper bounds: a spec over one would allocate without limit or
+		// overflow simulated time.
+		func(p *Params) { p.LineSize = 8192 },
+		func(p *Params) { p.L1Size = 1<<30 + 1<<20 },
+		func(p *Params) { p.L2Size = 1<<30 + 1<<20 },
+		func(p *Params) { p.L2Size = 1 << 30 },        // 4 nodes: 2^26 frames
+		func(p *Params) { p.L1Assoc = 1 << 58 },       // overflows L1Assoc*LineSize
+		func(p *Params) { p.L2Assoc = 1<<62 + 1<<60 }, // ditto
+		func(p *Params) { p.SIRate = 1<<32 + 1 },
+		func(p *Params) { p.L2Occ = 1<<32 + 1 },
+		func(p *Params) { p.NetTime = 1 << 62 },
+		func(p *Params) { p.MemTime = 1<<32 + 1 },
 	}
 	for i, mutate := range cases {
 		p := DefaultParams(4)
@@ -316,5 +328,17 @@ func TestParamsValidate(t *testing.T) {
 	p.NetTime, p.MemTime, p.NIPortOcc, p.InvalOcc = 0, 0, 0, 0
 	if err := p.Validate(); err != nil {
 		t.Errorf("zero latencies rejected: %v", err)
+	}
+	// Each bound is inclusive.
+	p = DefaultParams(64)
+	p.LineSize, p.L1Size, p.L2Size = 4096, 1<<30, 1<<30
+	p.NetTime, p.SIRate = 1<<32, 1<<32
+	p.Nodes = 4 // 4 * 3 * 2^30 / 2^12 = 3 * 2^20 frames
+	if err := p.Validate(); err != nil {
+		t.Errorf("machine at the bounds rejected: %v", err)
+	}
+	p.Nodes = 64
+	if err := p.Validate(); err == nil {
+		t.Error("64 nodes of 1 GiB caches validated")
 	}
 }

@@ -65,21 +65,45 @@ func DefaultParams(n int) Params {
 	}
 }
 
+// Upper bounds on a machine. A spec arrives over the wire, so Validate
+// keeps what one run allocates and the times it adds up bounded.
+const (
+	maxLineSize  = 4096    // bytes
+	maxCacheSize = 1 << 30 // bytes, each of L1Size and L2Size
+	// maxFrames bounds the cache frames of the whole machine, two L1s and
+	// one L2 per node: 128 MiB of 32-byte frames. Table 1 at 64 nodes
+	// has 1,114,112.
+	maxFrames = 1 << 22
+	// maxLatency bounds each latency, occupancy and SIRate in cycles, so
+	// that no sum of them along a transaction overflows int64.
+	maxLatency = 1 << 32
+)
+
 // Validate reports configuration errors.
 func (p Params) Validate() error {
 	switch {
 	case p.Nodes < 1 || p.Nodes > 64:
 		return fmt.Errorf("memsys: Nodes = %d, want 1..64", p.Nodes)
-	case p.LineSize < WordSize || p.LineSize&(p.LineSize-1) != 0:
-		return fmt.Errorf("memsys: LineSize = %d, want power of two >= %d", p.LineSize, WordSize)
-	case p.L1Size < p.LineSize*p.L1Assoc || p.L1Assoc < 1:
+	case p.LineSize < WordSize || p.LineSize > maxLineSize || p.LineSize&(p.LineSize-1) != 0:
+		return fmt.Errorf("memsys: LineSize = %d, want power of two in %d..%d", p.LineSize, WordSize, maxLineSize)
+	case p.L1Size > maxCacheSize:
+		return fmt.Errorf("memsys: L1Size = %d, want <= %d", p.L1Size, maxCacheSize)
+	case p.L2Size > maxCacheSize:
+		return fmt.Errorf("memsys: L2Size = %d, want <= %d", p.L2Size, maxCacheSize)
+	// Dividing, not multiplying, so that a huge associativity cannot
+	// overflow past the check.
+	case p.L1Assoc < 1 || p.L1Size/p.LineSize < p.L1Assoc:
 		return fmt.Errorf("memsys: bad L1 geometry (%d bytes, %d-way)", p.L1Size, p.L1Assoc)
-	case p.L2Size < p.LineSize*p.L2Assoc || p.L2Assoc < 1:
+	case p.L2Assoc < 1 || p.L2Size/p.LineSize < p.L2Assoc:
 		return fmt.Errorf("memsys: bad L2 geometry (%d bytes, %d-way)", p.L2Size, p.L2Assoc)
-	case p.SIRate < 1:
-		return fmt.Errorf("memsys: SIRate = %d, want >= 1", p.SIRate)
+	case p.SIRate < 1 || p.SIRate > maxLatency:
+		return fmt.Errorf("memsys: SIRate = %d, want 1..%d", p.SIRate, maxLatency)
 	case p.DCBanks < 1 || p.DCBanks > 16:
 		return fmt.Errorf("memsys: DCBanks = %d, want 1..16", p.DCBanks)
+	}
+	if frames := p.Nodes * (2*p.L1Size + p.L2Size) / p.LineSize; frames > maxFrames {
+		return fmt.Errorf("memsys: %d nodes of %d-byte L1s and %d-byte L2s hold %d cache frames, want <= %d",
+			p.Nodes, p.L1Size, p.L2Size, frames, maxFrames)
 	}
 	// A negative latency or occupancy would schedule an event in the past.
 	for _, f := range []struct {
@@ -92,8 +116,8 @@ func (p Params) Validate() error {
 		{"NILocalDCTime", p.NILocalDCTime}, {"NetTime", p.NetTime},
 		{"MemTime", p.MemTime}, {"NIPortOcc", p.NIPortOcc}, {"InvalOcc", p.InvalOcc},
 	} {
-		if f.v < 0 {
-			return fmt.Errorf("memsys: %s = %d, want >= 0", f.name, f.v)
+		if f.v < 0 || f.v > maxLatency {
+			return fmt.Errorf("memsys: %s = %d, want 0..%d", f.name, f.v, maxLatency)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -68,6 +69,62 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	err := RunSpec{Kernel: "SOR", Mode: core.ModeSingle, CMPs: 2, ForwardQueue: true}.Validate()
 	if !errors.Is(err, core.ErrSlipstreamOnly) {
 		t.Errorf("ForwardQueue under single mode: err = %v, want ErrSlipstreamOnly", err)
+	}
+}
+
+// TestValidateBoundsMachine checks that admission refuses a machine whose
+// caches or times have no sane bound: at the wire, Validate is all that
+// stands between a spec and NewCache's allocation.
+func TestValidateBoundsMachine(t *testing.T) {
+	for _, cmps := range []int{1, 64} {
+		sp := sorSpec(cmps)
+		sp.Machine = memsys.DefaultParams(cmps)
+		if err := sp.Validate(); err != nil {
+			t.Errorf("default machine at %d nodes: %v", cmps, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		cmps   int
+		mutate func(*memsys.Params)
+	}{
+		{"L2Size 1<<40", 64, func(p *memsys.Params) { p.L2Size = 1 << 40 }},
+		{"L1Size 1<<36", 2, func(p *memsys.Params) { p.L1Size = 1 << 36 }},
+		{"LineSize 1<<30", 2, func(p *memsys.Params) {
+			// Caches with room for one set of such lines.
+			p.LineSize, p.L1Size, p.L2Size = 1<<30, 1<<31, 1<<32
+		}},
+		{"NetTime 1<<62", 2, func(p *memsys.Params) { p.NetTime = 1 << 62 }},
+	} {
+		sp := sorSpec(tc.cmps)
+		sp.Machine = memsys.DefaultParams(tc.cmps)
+		tc.mutate(&sp.Machine)
+		if err := sp.Validate(); err == nil {
+			t.Errorf("%s on %d nodes validated", tc.name, tc.cmps)
+		}
+	}
+}
+
+// TestOptionsAreSpecFields checks that every exported core.Options field
+// is either a RunSpec field of the same name and type, or one of the two
+// that never move a result (Observers and Audit). So a result is a
+// function of its spec: no run option can vary outside the spec, and so
+// outside its cache key.
+func TestOptionsAreSpecFields(t *testing.T) {
+	observeOnly := map[string]bool{"Observers": true, "Audit": true}
+	spec := reflect.TypeOf(RunSpec{})
+	opts := reflect.TypeOf(core.Options{})
+	for i := 0; i < opts.NumField(); i++ {
+		f := opts.Field(i)
+		if !f.IsExported() || observeOnly[f.Name] {
+			continue
+		}
+		sf, ok := spec.FieldByName(f.Name)
+		if !ok {
+			t.Errorf("core.Options.%s has no RunSpec field", f.Name)
+		} else if sf.Type != f.Type {
+			t.Errorf("core.Options.%s is %v, RunSpec.%s is %v", f.Name, f.Type, sf.Name, sf.Type)
+		}
 	}
 }
 

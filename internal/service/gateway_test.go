@@ -317,7 +317,8 @@ func awaitCounter(t *testing.T, s *service.Server, name string, want int64) {
 
 // TestGatewayRejectsBadBatchWhole pins gateway admission: a batch with
 // one invalid spec is refused up front with 400 and never reaches any
-// replica. A replica that ran the negative-latency machine would panic.
+// replica. A replica that ran the negative-latency machine would panic,
+// and one that built the 1 TiB L2 would run out of memory.
 func TestGatewayRejectsBadBatchWhole(t *testing.T) {
 	cl := newCluster(t, 2, func(int) service.Config { return service.Config{Workers: 1} })
 	siWithoutTL := specTL(2)
@@ -326,8 +327,11 @@ func TestGatewayRejectsBadBatchWhole(t *testing.T) {
 	pastNet := specTL(2)
 	pastNet.Machine = memsys.DefaultParams(2)
 	pastNet.Machine.NetTime = -500
+	hugeL2 := specTL(2)
+	hugeL2.Machine = memsys.DefaultParams(2)
+	hugeL2.Machine.L2Size = 1 << 40
 
-	for _, bad := range []runspec.RunSpec{siWithoutTL, pastNet} {
+	for _, bad := range []runspec.RunSpec{siWithoutTL, pastNet, hugeL2} {
 		_, _, err := cl.client().RunBatch(context.Background(), []runspec.RunSpec{specTL(1), bad})
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {

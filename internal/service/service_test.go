@@ -197,7 +197,8 @@ func TestAdmissionBackpressure(t *testing.T) {
 // TestValidationRejectsBeforeAdmission pins that a bad spec is refused
 // with its validation error text and occupies no queue slot. A machine
 // with a negative latency would schedule events in the past and panic
-// the daemon if it were admitted.
+// the daemon if it were admitted, and one with a 1 TiB L2 would exhaust
+// its memory.
 func TestValidationRejectsBeforeAdmission(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer func() {
@@ -212,12 +213,16 @@ func TestValidationRejectsBeforeAdmission(t *testing.T) {
 	pastNet := tinySpec(2)
 	pastNet.Machine = memsys.DefaultParams(2)
 	pastNet.Machine.NetTime = -500
+	hugeL2 := tinySpec(2)
+	hugeL2.Machine = memsys.DefaultParams(2)
+	hugeL2.Machine.L2Size = 1 << 40 // 2^34 frames per node
 	for _, tc := range []struct {
 		bad  runspec.RunSpec
 		want string
 	}{
 		{siWithoutTL, core.ErrSelfInvalidateNeedsTL.Error()},
 		{pastNet, "NetTime = -500"},
+		{hugeL2, "L2Size = 1099511627776"},
 	} {
 		resp := postRun(t, ts.URL, api.RunRequest{Specs: []runspec.RunSpec{tinySpec(1), tc.bad}})
 		var er api.ErrorResponse

@@ -133,10 +133,6 @@ var (
 	// AdaptiveARSync, TransparentLoads, SelfInvalidate, ForwardQueue) set
 	// under another execution mode.
 	ErrSlipstreamOnly = core.ErrSlipstreamOnly
-	// ErrStoreBuffer reports a negative StoreBuffer depth.
-	ErrStoreBuffer = core.ErrStoreBuffer
-	// ErrSyncOcc reports a negative SyncOcc.
-	ErrSyncOcc = core.ErrSyncOcc
 )
 
 // Benchmark size presets.
