@@ -148,8 +148,10 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		// whose sweep walks every cache.
 		bus.Emit(&ev)
 	}
-	// Nothing reads a cache from here on: hand the frames to the next run.
+	// Nothing reads a cache or schedules an event from here on: hand the
+	// frames and the drained event queue to the next run.
 	sys.Release()
+	eng.Release()
 	if aud != nil {
 		if vs := aud.Violations(); len(vs) > 0 {
 			return nil, &AuditError{Violations: vs, Dropped: aud.Dropped()}
@@ -186,7 +188,8 @@ func (r *Runner) simulate() (drained bool, err error) {
 // bus and the engine monitor, so neither the caller's observers nor the
 // auditor see anything after the failure, kills every unfinished process,
 // and runs the engine until each has unwound and its coroutine ended.
-// Then nothing can touch a cache, and the memory system is released.
+// Then nothing can touch a cache or schedule an event, and the memory
+// system and the drained engine are released.
 func (r *Runner) abort() {
 	r.bus = nil
 	r.sys.Bus = nil
@@ -202,6 +205,7 @@ func (r *Runner) abort() {
 	// were killed at their refork and unwind the same way.
 	r.eng.Run()
 	r.sys.Release()
+	r.eng.Release()
 }
 
 // emitTaskStart announces a task incarnation on the bus (chrome lanes and

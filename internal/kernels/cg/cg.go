@@ -35,6 +35,13 @@ type Kernel struct {
 	colidx core.I64
 	vals   core.F64
 
+	// mat is the matrix Setup built and copied in, kept for Verify's
+	// replay so a run builds it once.
+	mat struct {
+		rowptr, colidx []int64
+		vals           []float64
+	}
+
 	x, r, pv, q core.F64
 	partial     core.F64 // padded per-task partial sums
 	rhoHist     core.F64 // rho after each iteration (task 0 writes)
@@ -99,6 +106,7 @@ func buildMatrix(cfg Config) (rowptr []int64, colidx []int64, vals []float64) {
 func (k *Kernel) Setup(p *core.Program) {
 	n := k.cfg.N
 	rowptr, colidx, vals := buildMatrix(k.cfg)
+	k.mat.rowptr, k.mat.colidx, k.mat.vals = rowptr, colidx, vals
 	k.nnz = len(vals)
 	k.rowptr = p.AllocI64(n + 1)
 	k.colidx = p.AllocI64(len(colidx))
@@ -204,11 +212,12 @@ func (k *Kernel) Task(c *core.Ctx) {
 }
 
 // Verify replays CG with identical arithmetic (including the partial-sum
-// order of the simulated reduction) and compares exactly.
+// order of the simulated reduction) on the matrix Setup built, and
+// compares exactly.
 func (k *Kernel) Verify(p *core.Program) error {
 	n := k.cfg.N
 	nt := p.NumTasks()
-	rowptr, colidx, vals := buildMatrix(k.cfg)
+	rowptr, colidx, vals := k.mat.rowptr, k.mat.colidx, k.mat.vals
 
 	x := make([]float64, n)
 	r := make([]float64, n)

@@ -89,6 +89,8 @@ func (k *Kernel) Task(c *core.Ctx) {
 	me := c.ID()
 	lo, hi := kutil.Block(n, me, nt)
 	const dt = 0.002
+	//simlint:ignore hotpathalloc per-task functional-emulation setup, amortized over the task's simulated execution
+	local := make([]float64, 3*n)
 	for step := 0; step < k.cfg.Steps; step++ {
 		// Predict positions for owned molecules.
 		for i := lo; i < hi; i++ {
@@ -103,8 +105,7 @@ func (k *Kernel) Task(c *core.Ctx) {
 		// per-molecule locks — the migratory lock-guarded sharing that
 		// characterizes Water-NS.
 		localPot := 0.0
-		//simlint:ignore hotpathalloc per-task functional-emulation setup, amortized over the task's simulated execution
-		local := make([]float64, 3*n)
+		clear(local)
 		for i := lo; i < hi; i++ {
 			xi := k.pos.Load(c, 3*i)
 			yi := k.pos.Load(c, 3*i+1)

@@ -616,13 +616,7 @@ func (s *System) sendSIHint(home, owner *Node, line Addr) {
 	if home == owner {
 		delay = s.P.BusTime
 	}
-	//simlint:ignore hotpathalloc one scheduled hint event per SI hint; event scheduling is the miss path
-	s.Eng.After(delay, func() {
-		l := owner.L2.Lookup(line)
-		if l != nil && l.State == Exclusive {
-			s.markSI(owner, l)
-		}
-	})
+	s.scheduleSI(s.Eng.Now()+delay, owner, line, true)
 }
 
 // ProcessSI is called by the runtime when a node's R-stream reaches a
@@ -637,13 +631,55 @@ func (s *System) ProcessSI(node *Node, now int64) {
 		}
 		at := now + s.P.SIRate*i
 		i++
-		addr := addr
-		//simlint:ignore hotpathalloc one scheduled event per self-invalidation; event scheduling is the miss path
-		s.Eng.At(at, func() { s.selfInvalidate(node, addr) })
+		s.scheduleSI(at, node, addr, false)
 	}
 	// The events above hold their own copies of the addresses, so the
 	// list's backing array is free for markSI to refill.
 	node.siList = node.siList[:0]
+}
+
+// siAction is one scheduled SI action: a hint's delivery to the line's
+// exclusive owner (sendSIHint) or a self-invalidation (ProcessSI). The
+// records come from a per-system pool, and each is scheduled through its
+// fire method value, bound once when the record is made, so an SI action
+// allocates nothing once the pool holds as many records as the run ever
+// has pending at once.
+type siAction struct {
+	s    *System
+	node *Node // the owner a hint goes to, or the self-invalidating node
+	line Addr
+	hint bool
+	fire func() // the bound run method
+	next *siAction
+}
+
+// scheduleSI schedules an SI action at time at, on a record taken from
+// the pool or made.
+func (s *System) scheduleSI(at int64, node *Node, line Addr, hint bool) {
+	e := s.siFree
+	if e == nil {
+		//simlint:ignore hotpathalloc the pool grows only to the most SI actions the run has pending at once
+		e = &siAction{s: s}
+		e.fire = e.run
+	} else {
+		s.siFree = e.next
+	}
+	e.node, e.line, e.hint = node, line, hint
+	s.Eng.At(at, e.fire)
+}
+
+// run performs the scheduled action, after putting the record back in the
+// pool.
+func (e *siAction) run() {
+	s, node, line, hint := e.s, e.node, e.line, e.hint
+	e.node, e.next, s.siFree = nil, s.siFree, e
+	if !hint {
+		s.selfInvalidate(node, line)
+		return
+	}
+	if l := node.L2.Lookup(line); l != nil && l.State == Exclusive {
+		s.markSI(node, l)
+	}
 }
 
 // selfInvalidate performs one deferred self-invalidation action: lines

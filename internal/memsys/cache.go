@@ -3,6 +3,8 @@ package memsys
 import (
 	"math/bits"
 	"sync"
+
+	"slipstream/internal/freelist"
 )
 
 // LineState is the coherence state of a cached line. The model merges the
@@ -129,7 +131,7 @@ type Cache struct {
 	// frames is the storage lines is drawn from (lines == *frames), and
 	// free the list release returns it to, with marked and recs.
 	frames *[]Line
-	free   *freeList[storage]
+	free   *freelist.List[storage]
 }
 
 // storage is what a cache takes from and releases to a free list: its
@@ -154,19 +156,19 @@ type geometry struct{ sets, assoc int }
 // (L1 and L2), so the map stays tiny.
 var frameLists struct {
 	sync.Mutex
-	m map[geometry]*freeList[storage]
+	m map[geometry]*freelist.List[storage]
 }
 
 // frameList returns the list of storage released by caches of geometry g.
-func frameList(g geometry) *freeList[storage] {
+func frameList(g geometry) *freelist.List[storage] {
 	frameLists.Lock()
 	defer frameLists.Unlock()
 	l := frameLists.m[g]
 	if l == nil {
 		if frameLists.m == nil {
-			frameLists.m = make(map[geometry]*freeList[storage])
+			frameLists.m = make(map[geometry]*freelist.List[storage])
 		}
-		l = &freeList[storage]{}
+		l = &freelist.List[storage]{}
 		frameLists.m[g] = l
 	}
 	return l
@@ -189,7 +191,7 @@ func NewCache(size, assoc, lineSize int) *Cache {
 		setMask:   nsets - 1,
 		modulo:    nsets&(nsets-1) != 0,
 	}
-	if st, ok := c.free.get(); ok {
+	if st, ok := c.free.Get(); ok {
 		c.frames, c.lines, c.marked, c.recs = st.frames, *st.frames, st.marked, st.recs
 		c.Reset()
 	} else {
@@ -207,7 +209,7 @@ func (c *Cache) release() {
 	if c.frames == nil {
 		return
 	}
-	c.free.put(storage{c.frames, c.marked, c.recs})
+	c.free.Put(storage{c.frames, c.marked, c.recs})
 	c.frames, c.lines, c.marked, c.recs = nil, nil, nil, nil
 }
 

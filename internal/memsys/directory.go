@@ -1,6 +1,10 @@
 package memsys
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"slipstream/internal/freelist"
+)
 
 // DirState is the coherence state of a line at its home directory.
 type DirState uint8
@@ -81,7 +85,7 @@ type dirPage [1 << dirPageShift]DirEntry
 
 // dirPages holds the pages of released directories for the next system
 // (see System.Release).
-var dirPages freeList[*dirPage]
+var dirPages freelist.List[*dirPage]
 
 // Directory holds the home-node directory entries for the lines homed at
 // one node. Entries are created on demand in the Idle state. They live in
@@ -126,7 +130,7 @@ func (d *Directory) addPage(p int) {
 		//simlint:ignore hotpathalloc the page table grows to the simulated footprint once per run
 		d.pages = append(d.pages, make([]*dirPage, p+1-len(d.pages))...)
 	}
-	pg, ok := dirPages.get()
+	pg, ok := dirPages.Get()
 	if ok {
 		clear(pg[:])
 	} else {
@@ -170,7 +174,7 @@ func (d *Directory) ForEach(fn func(Addr, *DirEntry)) {
 func (d *Directory) release() {
 	for _, pg := range d.pages {
 		if pg != nil {
-			dirPages.put(pg)
+			dirPages.Put(pg)
 		}
 	}
 	d.pages = nil

@@ -14,7 +14,7 @@ func TakeReleased() (items, markedSets int, err error) {
 	defer frameLists.Unlock()
 	for g, l := range frameLists.m {
 		for {
-			st, ok := l.get()
+			st, ok := l.Get()
 			if !ok {
 				break
 			}

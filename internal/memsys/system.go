@@ -102,6 +102,10 @@ type System struct {
 	evAccess obs.Event
 	evLine   obs.Event
 
+	// siFree chains the SI action records no scheduled event holds
+	// (scheduleSI).
+	siFree *siAction
+
 	MS   stats.MemStats
 	Req  stats.ReqBreakdown
 	TL   stats.TLStats

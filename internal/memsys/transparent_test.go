@@ -334,3 +334,54 @@ func TestProcessSIReusesList(t *testing.T) {
 		t.Fatal("hints marked after ProcessSI went to a new backing array")
 	}
 }
+
+// TestSIPoolReusesRecords drives rounds of hints and self-invalidations
+// through one system: in each round a transparent load of each of
+// nLines exclusive lines sends the owner a hint, and the owner's
+// ProcessSI writes each line back. The pool never holds more records than
+// were pending at once, and once the run is warm a round allocates
+// nothing.
+func TestSIPoolReusesRecords(t *testing.T) {
+	s, eng := newSys(t, 2)
+	owner, reader := s.Nodes[0], s.Nodes[1].CPUs[1]
+	const nLines = 6
+	rounds := 0
+	round := func() {
+		rounds++
+		now := eng.Now()
+		for i := 0; i < nLines; i++ {
+			a := Addr(i * s.P.LineSize)
+			now = write(s, owner.CPUs[0], a, now)
+			now = tread(s, reader, a, now)
+		}
+		eng.Run()
+		s.ProcessSI(owner, eng.Now())
+		eng.Run()
+	}
+	pooled := func() int {
+		n := 0
+		for e := s.siFree; e != nil; e = e.next {
+			n++
+		}
+		return n
+	}
+	round()
+	if got := pooled(); got != nLines {
+		t.Fatalf("pool holds %d records after a round of %d pending hints, want %d", got, nLines, nLines)
+	}
+	// Further rounds also warm the calendar queue's buckets, which the
+	// advancing clock reaches one by one.
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a round on a warm pool allocated %v times, want 0", allocs)
+	}
+	if got := pooled(); got != nLines {
+		t.Errorf("pool holds %d records after %d rounds, want %d", got, rounds, nLines)
+	}
+	if want := int64(rounds * nLines); s.SIst.HintsSent != want || s.SIst.WrittenBack != want {
+		t.Errorf("after %d rounds: %d hints sent, %d lines written back; want %d of each",
+			rounds, s.SIst.HintsSent, s.SIst.WrittenBack, want)
+	}
+}

@@ -33,6 +33,7 @@ func All() []Benchmark {
 		{Name: "memsys/l1/read-hit", Fn: benchL1ReadHit},
 		{Name: "memsys/l2/read-hit", Fn: benchL2ReadHit},
 		{Name: "memsys/dir/write-pingpong", Fn: benchDirWritePingPong},
+		{Name: "memsys/mem/load", Fn: benchMemLoad},
 		{Name: "memsys/system/setup", Fn: benchSystemSetup},
 		{Name: "obs/emit-access", Fn: benchObsEmitAccess},
 		{Name: "wire/result/decode", Fn: benchWireDecode},
@@ -232,15 +233,39 @@ func benchDirWritePingPong(b *testing.B) {
 	sinkTime += now
 }
 
+// memLoadWords is the image memsys/mem/load reads: 64Ki words, 512 KiB in
+// 128 pages, about the mean image of the eight paper-size kernels (4.4 MB
+// together).
+const memLoadWords = 1 << 16
+
+// benchMemLoad measures a functional word read through Mem, which every
+// simulated load makes beside its timed access: a walk over a multi-page
+// image, so each read pays the page-table step.
+func benchMemLoad(b *testing.B) {
+	b.ReportAllocs()
+	m := memsys.NewMem(64)
+	base := m.Alloc(memLoadWords)
+	for i := 0; i < memLoadWords; i++ {
+		m.StoreI(base+memsys.Addr(i*memsys.WordSize), int64(i))
+	}
+	b.ResetTimer()
+	var n int64
+	for i := 0; i < b.N; i++ {
+		n += m.LoadI(base + memsys.Addr((i&(memLoadWords-1))*memsys.WordSize))
+	}
+	sinkTime += n
+}
+
 // setupSystem builds a Table 1 machine of 8 CMPs, creates a few directory
 // entries at every home, fills the same lines through Victim into every
 // L1 and L2, finalizes the machine as a classifying (slipstream) run, and
-// releases it, as core.Run does around every run. The fills mark one set
+// releases it and its engine, as core.Run does around every run. The fills mark one set
 // per line in every cache, so NewSystem's Reset and Finalize's walk have
 // sets to clear and to visit, as after a small run.
 func setupSystem() {
 	p := memsys.DefaultParams(8)
-	s, err := memsys.NewSystem(sim.NewEngine(), p)
+	eng := sim.NewEngine()
+	s, err := memsys.NewSystem(eng, p)
 	if err != nil {
 		panic(err)
 	}
@@ -257,6 +282,7 @@ func setupSystem() {
 	}
 	s.Finalize()
 	s.Release()
+	eng.Release()
 }
 
 // fillLine installs line in c as a shared copy, as a fill does.
@@ -269,10 +295,10 @@ func fillLine(c *memsys.Cache, line memsys.Addr) {
 // benchSystemSetup measures what a run spends on its memory system outside
 // simulation: building every node's L1s, L2, and directory, which resets
 // the sets the previous op filled, the end-of-run Finalize, which walks
-// the filled L2 sets, and the Release that hands the cache frames and
-// directory pages to the next run. With the free lists warm, an op
-// allocates the node structures but no cache frames or directory pages
-// (asserted by TestSystemSetupReusesFrames).
+// the filled L2 sets, and the Releases that hand the cache frames,
+// directory pages and event queue to the next run. With the free lists
+// warm, an op allocates the node structures but no cache frames,
+// directory pages or event queue (asserted by TestSystemSetupReusesFrames).
 func benchSystemSetup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

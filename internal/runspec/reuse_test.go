@@ -33,11 +33,15 @@ func goldenHash(kernel string) (string, error) {
 }
 
 // TestGoldenResultsUnderFrameReuse checks that runs reusing each other's
-// cache frames cannot move a result. Every run releases its frames for
-// the next, so the golden specs run in sorted order, then in reverse,
-// then from 4 goroutines at once, each starting at a different kernel;
-// every hash must equal goldenKernelResults. TestGoldenResults ranges over
-// a map, so its reuse order varies; this order is fixed.
+// cache frames, directory pages and calendar queues cannot move a result.
+// Every run releases its frames, pages and event queue for the next, and
+// the golden specs run TL+SI, so every run's SI actions come from its
+// pool's records again and again. The specs run in sorted order, then in
+// reverse, then from 4 goroutines at once, each starting at a different
+// kernel, so later runs take queues and storage that other kernels'
+// runs, or runs on other goroutines, handed on; every hash must equal
+// goldenKernelResults. TestGoldenResults ranges over a map, so its reuse
+// order varies; this order is fixed.
 func TestGoldenResultsUnderFrameReuse(t *testing.T) {
 	names := make([]string, 0, len(goldenKernelResults))
 	for name := range goldenKernelResults {

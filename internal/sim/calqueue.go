@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"slipstream/internal/freelist"
+)
 
 // calQueue is a calendar queue (Brown 1988): pending events hash by time
 // into a ring of "day" buckets of power-of-two width, and dequeueing walks
@@ -11,10 +15,19 @@ import "math/bits"
 // steady state: bucket slices keep their capacity when they drain, so a
 // long simulation recycles the same backing arrays for every event.
 //
+// A queue also outlives its engine: Engine.Release resets it and hands it,
+// with its bucket array and the capacity of every bucket, to the next
+// engine, so a run reaches that steady state without allocating it again.
+//
 // Determinism: the queue is a pure function of its push/pop sequence (the
 // resize rule, width estimate, and cursor motion depend only on queue
-// content), and pop order is byte-identical to the reference binary heap —
-// pinned by the differential tests in calqueue_test.go.
+// content, and a reused queue restarts where a new one starts), and pop
+// order is byte-identical to the reference binary heap — pinned by the
+// differential tests in calqueue_test.go.
+//
+// The ring is buckets[:mask+1]; the buckets past it, up to the array's
+// capacity, are empty and keep the capacity they had when a resize shrank
+// the ring, so a later resize or run that grows it again reuses them.
 type calQueue struct {
 	buckets []calBucket
 	mask    int     // len(buckets) - 1; len is a power of two
@@ -39,20 +52,64 @@ const (
 	calMaxShift   = 20 // day width cap: 1M cycles
 )
 
+// queues holds the calendar queues of released engines (Engine.Release),
+// reset, for newCalQueue to hand out again.
+var queues freelist.List[*calQueue]
+
+// newCalQueue returns an empty queue: a released one when one is free,
+// else a new one.
 func newCalQueue() *calQueue {
-	q := &calQueue{shift: calInitShift}
+	if q, ok := queues.Get(); ok {
+		return q
+	}
+	q := &calQueue{}
+	q.reset()
+	return q
+}
+
+// reset empties the queue and puts it in the state a new queue starts in:
+// calMinBuckets buckets, calInitShift and the cursor at time 0. Pending
+// events are dropped. The bucket array and every bucket keep their
+// capacity.
+func (q *calQueue) reset() {
+	for i := range q.buckets {
+		q.buckets[i].empty()
+	}
+	q.size = 0
+	q.shift = calInitShift
 	q.setBuckets(calMinBuckets)
 	q.setCursor(0)
-	return q
+}
+
+// release resets the queue and hands it to the next newCalQueue. The
+// caller must not use it again.
+func (q *calQueue) release() {
+	q.reset()
+	queues.Put(q)
+}
+
+// empty drops the bucket's events, and their fn references, keeping its
+// capacity.
+func (b *calBucket) empty() {
+	clear(b.evs)
+	b.evs, b.head = b.evs[:0], 0
 }
 
 func (q *calQueue) len() int { return q.size }
 
 func (q *calQueue) width() int64 { return 1 << q.shift }
 
+// setBuckets makes the ring n buckets long. The caller has emptied every
+// bucket of the old ring, so the new one starts empty.
 func (q *calQueue) setBuckets(n int) {
-	//simlint:ignore hotpathalloc bucket-array sizing is amortized doubling; the steady-state hold is pinned zero-alloc dynamically
-	q.buckets = make([]calBucket, n)
+	if n <= cap(q.buckets) {
+		q.buckets = q.buckets[:n]
+	} else {
+		//simlint:ignore hotpathalloc the array grows once per new ring length, and queues pass from run to run
+		grown := make([]calBucket, n)
+		copy(grown, q.buckets[:cap(q.buckets)]) // empty, with their capacity
+		q.buckets = grown
+	}
 	q.mask = n - 1
 }
 
@@ -193,6 +250,7 @@ func (q *calQueue) resize(n int) {
 			}
 			first = false
 		}
+		b.empty()
 	}
 	if len(q.scratch) > 0 {
 		gap := (maxAt - minAt) / int64(len(q.scratch))

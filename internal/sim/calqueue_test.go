@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -13,37 +14,66 @@ import (
 // pops one from both queues.
 func drainEqual(t *testing.T, name string, script func(push func(at int64), pop func())) {
 	t.Helper()
-	cal := newCalQueue()
-	ref := &heapQueue{}
-	var seq uint64
-	popped := 0
-	push := func(at int64) {
-		seq++
-		cal.push(event{at: at, seq: seq})
-		ref.push(event{at: at, seq: seq})
+	p := newQueuePair()
+	script(p.push, p.pop)
+	if err := p.drain(); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	pop := func() {
-		ce, cok := cal.pop()
-		he, hok := ref.pop()
-		if cok != hok {
-			t.Fatalf("%s: pop %d: calendar ok=%t heap ok=%t", name, popped, cok, hok)
-		}
-		if ce.at != he.at || ce.seq != he.seq {
-			t.Fatalf("%s: pop %d: calendar (at=%d seq=%d) != heap (at=%d seq=%d)",
-				name, popped, ce.at, ce.seq, he.at, he.seq)
-		}
-		popped++
+}
+
+// queuePair drives a calendar queue and the reference heap with one
+// schedule and keeps the first point where they disagree.
+type queuePair struct {
+	cal    *calQueue
+	ref    *heapQueue
+	seq    uint64
+	popped int
+	err    error
+}
+
+func newQueuePair() *queuePair { return &queuePair{cal: newCalQueue(), ref: &heapQueue{}} }
+
+func (p *queuePair) push(at int64) {
+	p.seq++
+	p.cal.push(event{at: at, seq: p.seq})
+	p.ref.push(event{at: at, seq: p.seq})
+}
+
+func (p *queuePair) pop() {
+	ce, cok := p.cal.pop()
+	he, hok := p.ref.pop()
+	switch {
+	case p.err != nil:
+	case cok != hok:
+		p.err = fmt.Errorf("pop %d: calendar ok=%t heap ok=%t", p.popped, cok, hok)
+	case ce.at != he.at || ce.seq != he.seq:
+		p.err = fmt.Errorf("pop %d: calendar (at=%d seq=%d) != heap (at=%d seq=%d)",
+			p.popped, ce.at, ce.seq, he.at, he.seq)
 	}
-	script(push, pop)
-	if cal.len() != ref.len() {
-		t.Fatalf("%s: len: calendar %d != heap %d", name, cal.len(), ref.len())
+	p.popped++
+}
+
+// drain pops both queues empty and returns the first disagreement.
+func (p *queuePair) drain() error {
+	if p.err == nil && p.cal.len() != p.ref.len() {
+		p.err = fmt.Errorf("len: calendar %d != heap %d", p.cal.len(), p.ref.len())
 	}
-	for ref.len() > 0 {
-		pop()
+	for p.ref.len() > 0 && p.err == nil {
+		p.pop()
 	}
-	if _, ok := cal.pop(); ok {
-		t.Fatalf("%s: calendar not empty after heap drained", name)
+	if _, ok := p.cal.pop(); ok && p.err == nil {
+		p.err = fmt.Errorf("calendar not empty after heap drained")
 	}
+	return p.err
+}
+
+// handOn drains both queues, hands the calendar queue on as
+// Engine.Release does and takes the next from newCalQueue, as the next
+// engine would.
+func (p *queuePair) handOn() {
+	p.drain()
+	p.cal.release()
+	p.cal = newCalQueue()
 }
 
 // TestCalendarMatchesHeapRandom is the differential property test: seeded
@@ -107,26 +137,54 @@ func randomSchedule(rng *rand.Rand, push func(int64), pop func()) {
 // TestCalendarRotationResizeFuzz.
 func FuzzCalendarQueue(f *testing.F) {
 	for seed := int64(0); seed < 20; seed++ {
-		f.Add(recordSchedule(randomSchedule, rand.New(rand.NewSource(seed))))
+		f.Add(recordSchedule(randomSchedule, rand.New(rand.NewSource(seed)), 1))
 	}
 	for seed := int64(0); seed < 30; seed++ {
-		f.Add(recordSchedule(rotationSchedule, rand.New(rand.NewSource(seed^0x5eed))))
+		f.Add(recordSchedule(rotationSchedule, rand.New(rand.NewSource(seed^0x5eed)), 1))
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		drainEqual(t, "fuzz", func(push func(int64), pop func()) {
-			replaySchedule(script, push, pop)
+			replaySchedule(script, push, pop, nil)
 		})
 	})
 }
 
-// recordSchedule encodes the pushes and pops schedule makes as a
-// FuzzCalendarQueue script.
-func recordSchedule(schedule func(*rand.Rand, func(int64), func()), rng *rand.Rand) []byte {
+// FuzzCalendarQueueHandOn is FuzzCalendarQueue across engines: a script
+// may also drain both queues, hand the calendar queue on and take the next
+// one (queuePair.handOn), so later schedules run on the bucket array and
+// capacity that earlier ones left. Its uvarints are 0 to pop, 1 to hand
+// on, and v > 1 to push at the previous push's time plus the
+// zigzag-decoded v-2; that time restarts at 0 after a hand-on, as a new
+// engine's clock does. The seeds join three schedules of the other
+// target's kinds with hand-ons.
+func FuzzCalendarQueueHandOn(f *testing.F) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := recordSchedule(rotationSchedule, rng, 2)
+		script = append(script, 1)
+		script = append(script, recordSchedule(randomSchedule, rng, 2)...)
+		script = append(script, 1)
+		script = append(script, recordSchedule(rotationSchedule, rng, 2)...)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		p := newQueuePair()
+		replaySchedule(script, p.push, p.pop, p.handOn)
+		if err := p.drain(); err != nil {
+			t.Fatalf("after %d pops: %v", p.popped, err)
+		}
+	})
+}
+
+// recordSchedule encodes the pushes and pops schedule makes as a script
+// whose first ops uvarints are operations (0 pops), as replaySchedule
+// reads it.
+func recordSchedule(schedule func(*rand.Rand, func(int64), func()), rng *rand.Rand, ops uint64) []byte {
 	var script []byte
 	prev := int64(0)
 	push := func(at int64) {
 		d := at - prev
-		script = binary.AppendUvarint(script, uint64(d<<1^d>>63)+1)
+		script = binary.AppendUvarint(script, uint64(d<<1^d>>63)+ops)
 		prev = at
 	}
 	pop := func() { script = append(script, 0) }
@@ -134,9 +192,15 @@ func recordSchedule(schedule func(*rand.Rand, func(int64), func()), rng *rand.Ra
 	return script
 }
 
-// replaySchedule decodes a FuzzCalendarQueue script into pushes and pops.
-func replaySchedule(script []byte, push func(int64), pop func()) {
+// replaySchedule decodes a script into pushes, pops and, when handOn is
+// not nil, hand-ons: FuzzCalendarQueue's format when handOn is nil, and
+// FuzzCalendarQueueHandOn's otherwise.
+func replaySchedule(script []byte, push func(int64), pop func(), handOn func()) {
 	const horizon = 1 << 32
+	ops := uint64(1)
+	if handOn != nil {
+		ops = 2
+	}
 	prev := int64(0)
 	for len(script) > 0 {
 		v, n := binary.Uvarint(script)
@@ -144,11 +208,16 @@ func replaySchedule(script []byte, push func(int64), pop func()) {
 			return
 		}
 		script = script[n:]
-		if v == 0 {
+		switch {
+		case v == 0:
 			pop()
 			continue
+		case v < ops:
+			handOn()
+			prev = 0
+			continue
 		}
-		d := int64((v-1)>>1) ^ -int64((v-1)&1)
+		d := int64((v-ops)>>1) ^ -int64((v-ops)&1)
 		if d < -prev || d > horizon-prev {
 			continue
 		}
@@ -258,6 +327,121 @@ func TestEngineQueueKindsIdentical(t *testing.T) {
 	for i := range cal {
 		if cal[i] != heap[i] {
 			t.Fatalf("traces diverge at %d: calendar %q, heap %q", i, cal[i], heap[i])
+		}
+	}
+}
+
+// TestHandedOnQueueStartsNew grows a queue to hundreds of buckets, leaves
+// events pending and resets it, as Engine.Release does: the queue must be
+// in a new queue's state, hold no event or fn reference in any bucket of
+// its array, and keep the array it grew, so the next run reuses its
+// capacity. It must then pop in the heap's order again.
+func TestHandedOnQueueStartsNew(t *testing.T) {
+	q := &calQueue{}
+	q.reset()
+	fn := func() {}
+	for i := 0; i < 1000; i++ {
+		q.push(event{at: int64(i * 37 % 5000), seq: uint64(i + 1), fn: fn})
+	}
+	for i := 0; i < 300; i++ {
+		q.pop()
+	}
+	grown := len(q.buckets)
+	q.reset()
+
+	fresh := &calQueue{}
+	fresh.reset()
+	if q.len() != 0 || len(q.buckets) != calMinBuckets || q.mask != fresh.mask ||
+		q.shift != fresh.shift || q.cur != fresh.cur || q.top != fresh.top {
+		t.Fatalf("reset queue: len %d, %d buckets, mask %d, shift %d, cur %d, top %d; a new one: 0, %d, %d, %d, %d, %d",
+			q.len(), len(q.buckets), q.mask, q.shift, q.cur, q.top,
+			len(fresh.buckets), fresh.mask, fresh.shift, fresh.cur, fresh.top)
+	}
+	if grown <= calMinBuckets || cap(q.buckets) < grown {
+		t.Fatalf("reset kept a %d-bucket array of a %d-bucket ring", cap(q.buckets), grown)
+	}
+	all := q.buckets[:cap(q.buckets)]
+	for i := range all {
+		b := &all[i]
+		if len(b.evs) != 0 || b.head != 0 {
+			t.Fatalf("bucket %d holds %d events from head %d", i, len(b.evs), b.head)
+		}
+		for _, ev := range b.evs[:cap(b.evs)] {
+			if ev.fn != nil {
+				t.Fatalf("bucket %d keeps an fn reference", i)
+			}
+		}
+	}
+
+	p := &queuePair{cal: q, ref: &heapQueue{}}
+	randomSchedule(rand.New(rand.NewSource(7)), p.push, p.pop)
+	if err := p.drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineReleaseHandsQueueOn checks that Release hands the engine's
+// queue to the next NewEngine and leaves the engine dead: scheduling on
+// it panics, and a second Release lists nothing twice.
+func TestEngineReleaseHandsQueueOn(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 100; i++ {
+		e.At(int64(i), func() {})
+	}
+	e.Run()
+	q := e.events.(*calQueue)
+	e.Release()
+	e.Release()
+	if !panics(func() { e.At(e.Now(), func() {}) }) {
+		t.Error("At on a released engine did not panic")
+	}
+	next := NewEngine()
+	if next.events != eventQueue(q) {
+		t.Fatal("NewEngine did not take the released engine's queue")
+	}
+	if again := NewEngine(); again.events == eventQueue(q) {
+		t.Fatal("a queue released once went to two engines")
+	}
+	next.Release()
+}
+
+func panics(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestHandedOnQueuesMatchHeapConcurrently hands queues on between four
+// goroutines at once, as concurrent runs do through Engine.Release and
+// NewEngine: every schedule, on whichever queue it gets, must pop in the
+// heap's order. Run it under the race detector.
+func TestHandedOnQueuesMatchHeapConcurrently(t *testing.T) {
+	const workers, rounds = 4, 12
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds && errs[w] == nil; r++ {
+				rng := rand.New(rand.NewSource(int64(w*rounds + r)))
+				p := newQueuePair()
+				schedule := randomSchedule
+				if r%2 == 1 {
+					schedule = rotationSchedule
+				}
+				schedule(rng, p.push, p.pop)
+				if err := p.drain(); err != nil {
+					errs[w] = fmt.Errorf("round %d: %v", r, err)
+				}
+				p.cal.release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", w, err)
 		}
 	}
 }

@@ -51,8 +51,23 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling through
-// a calendar queue.
+// a calendar queue: one a released engine handed on, when one is free.
 func NewEngine() *Engine { return newEngine(newCalQueue()) }
+
+// Release hands the engine's calendar queue, with its bucket array, to the
+// next NewEngine, and leaves the engine dead: it has no queue, so a later
+// At, Step or Run panics instead of touching a queue another engine now
+// owns. Pending events are dropped, so call it once nothing will run on
+// the engine again; core.Run does, after a run and after an aborted one.
+// The queue is reset when it is handed on, so it behaves as a new one.
+// Releasing twice is a no-op.
+func (e *Engine) Release() {
+	q, ok := e.events.(*calQueue)
+	e.events, e.procs = nil, nil
+	if ok {
+		q.release()
+	}
+}
 
 // newEngine returns an engine scheduling through q. Tests pass the heap
 // oracle here to check the calendar queue's order at engine level.
