@@ -352,3 +352,44 @@ func TestOnceForwardsValuesToAStream(t *testing.T) {
 		t.Errorf("Once executed %d times, want 4", k.calls)
 	}
 }
+
+// hitAllocKernel is a one-task kernel whose task loads one word: once,
+// which brings its line into the L1, then repeatedly, each load a private
+// L1 hit, measuring what the hits allocate.
+type hitAllocKernel struct {
+	a      F64
+	allocs float64
+}
+
+func (k *hitAllocKernel) Name() string          { return "hit-allocs" }
+func (k *hitAllocKernel) Setup(p *Program)      { k.a = p.AllocF64(1) }
+func (k *hitAllocKernel) Verify(*Program) error { return nil }
+func (k *hitAllocKernel) Task(c *Ctx) {
+	load := func() { k.a.Load(c, 0) }
+	// The first load misses; the rest run the skew-quantum yield a few
+	// times before the measurement starts.
+	for i := 0; i < 1000; i++ {
+		load()
+	}
+	k.allocs = testing.AllocsPerRun(1000, load)
+}
+
+// TestUnobservedL1HitAllocatesNothing pins an unobserved private L1 hit,
+// as Ctx.LoadF issues it, at zero allocations: with no bus attached,
+// Ctx.access resolves the hit itself and builds no memsys.Req.
+func TestUnobservedL1HitAllocatesNothing(t *testing.T) {
+	if auditForced {
+		t.Skip("SLIPSIM_AUDIT=1 observes every run")
+	}
+	k := &hitAllocKernel{}
+	res, err := Run(Options{Mode: ModeSingle, CMPs: 1}, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem.L1Misses != 1 || res.Mem.L1Hits < 2000 {
+		t.Fatalf("%d L1 misses and %d hits, want 1 miss and the rest hits", res.Mem.L1Misses, res.Mem.L1Hits)
+	}
+	if k.allocs != 0 {
+		t.Errorf("an unobserved L1 read hit allocates %.2f times, want 0", k.allocs)
+	}
+}

@@ -114,14 +114,46 @@ func (c *Ctx) Compute(cycles int64) {
 }
 
 // access runs one shared-memory access through the memory system, charging
-// busy and stall time. A predicted private hit advances the local clock
-// only. Any other access blocks: it is issued by miss, as an engine event
-// once the global clock reaches the local clock, and the task resumes when
-// it completes.
+// busy and stall time. A private hit advances the local clock only. Any
+// other access blocks: it is issued by miss, as an engine event once the
+// global clock reaches the local clock, and the task resumes when it
+// completes.
+//
+// Unobserved, access looks its L1 frame up itself and asks memsys's hit
+// rules (Line.PrivateHit), so a hit builds no Req: System.HitL1 does it.
+// Observed, access builds the full Req, asks System.IsL1Hit and runs a
+// predicted hit through System.Access, so observers and the auditor see
+// it as any access.
+//
+//simlint:hotpath task access path: every timed load and store of every simulated task lands here, and an unobserved private hit completes here
 func (c *Ctx) access(kind memsys.AccessKind, addr memsys.Addr) {
 	sys := c.run.sys
 	c.bump()
-	req := memsys.Req{
+	if sys.Bus == nil {
+		if l1 := c.cpu.L1.Lookup(addr.Line(sys.P.LineSize)); l1.PrivateHit(kind, c.role, c.csDepth > 0) {
+			c.vnow = sys.HitL1(c.cpu, l1, c.vnow)
+			c.hit()
+			return
+		}
+	} else if req := c.req(kind, addr); sys.IsL1Hit(req) {
+		c.vnow = sys.Access(req, c.vnow)
+		c.hit()
+		return
+	}
+	c.missReq = c.req(kind, addr)
+	c.proc.WaitThen(c.vnow, c.missFn)
+}
+
+// hit charges a private hit that access has performed, and yields if the
+// local clock has run too far ahead.
+func (c *Ctx) hit() {
+	c.bd.Busy += c.run.sys.P.L1Hit
+	c.maybeYield()
+}
+
+// req builds the memory-system request for an access by this task.
+func (c *Ctx) req(kind memsys.AccessKind, addr memsys.Addr) memsys.Req {
+	r := memsys.Req{
 		CPU:     c.cpu,
 		Kind:    kind,
 		Addr:    addr,
@@ -134,17 +166,10 @@ func (c *Ctx) access(kind memsys.AccessKind, addr memsys.Addr) {
 		// Transparent loads when ahead of the R-stream or in a (skipped)
 		// critical section (Section 4.1).
 		if c.session > c.pr.r.session || c.csDepth > 0 {
-			req.Transparent = true
+			r.Transparent = true
 		}
 	}
-	if done, ok := sys.AccessL1(req, c.vnow); ok {
-		c.vnow = done
-		c.bd.Busy += sys.P.L1Hit
-		c.maybeYield()
-		return
-	}
-	c.missReq = req
-	c.proc.WaitThen(c.vnow, c.missFn)
+	return r
 }
 
 // miss performs the blocking access left in c.missReq at the current

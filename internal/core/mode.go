@@ -34,6 +34,20 @@ const (
 	ModeSlipstream
 )
 
+// Tasks returns the number of logical tasks a run in mode m on cmps CMPs
+// partitions its work into: one in sequential mode, two per CMP in double
+// mode, and one per CMP otherwise (the A- and R-stream of a slipstream
+// pair share their task's id).
+func (m Mode) Tasks(cmps int) int {
+	switch m {
+	case ModeSequential:
+		return 1
+	case ModeDouble:
+		return 2 * cmps
+	}
+	return cmps
+}
+
 func (m Mode) String() string {
 	switch m {
 	case ModeSequential:

@@ -92,13 +92,7 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		eng.SetMonitor(&obs.ClockMonitor{Bus: bus})
 	}
 
-	numTasks := opts.CMPs
-	switch opts.Mode {
-	case ModeSequential:
-		numTasks = 1
-	case ModeDouble:
-		numTasks = 2 * opts.CMPs
-	}
+	numTasks := opts.Mode.Tasks(opts.CMPs)
 
 	r := &Runner{
 		opts:   opts,

@@ -67,39 +67,84 @@ func New(cfg Config) *Kernel {
 func (k *Kernel) Name() string { return "CG" }
 
 // buildMatrix generates the deterministic sparse symmetric matrix as
-// (rowptr, colidx, vals) CSR slices.
+// (rowptr, colidx, vals) CSR slices. Each row holds its diagonal, and
+// PerRow/2 random draws per row each set an off-diagonal pair A[i][j] =
+// A[j][i]; where two draws set the same entry, the later one wins.
+//
+// The draws are replayed twice: once to count each row's writes, which
+// sizes the slices, and once to place the writes, row by row in draw
+// order. Sorting each row stably by column then leaves each column's
+// writes in draw order, and the last of them is the one kept.
 func buildMatrix(cfg Config) (rowptr []int64, colidx []int64, vals []float64) {
 	n := cfg.N
-	rnd := kutil.NewRand(99)
-	entries := make([]map[int]float64, n)
-	for i := range entries {
-		entries[i] = map[int]float64{i: float64(cfg.PerRow) + 4}
+	draw := func(write func(i, j int, v float64)) {
+		rnd := kutil.NewRand(99)
+		for i := 0; i < n; i++ {
+			write(i, i, float64(cfg.PerRow)+4)
+		}
+		for i := 0; i < n; i++ {
+			for e := 0; e < cfg.PerRow/2; e++ {
+				j := rnd.Intn(n)
+				if j == i {
+					continue
+				}
+				v := rnd.Float64() - 0.5
+				write(i, j, v)
+				write(j, i, v)
+			}
+		}
 	}
+
+	// Count row i's writes in rowptr[i+1] and sum the counts, so rowptr[i]
+	// is row i's first slot. Placing a write advances rowptr[i], to row
+	// i+1's first slot once the row is placed; shifting rowptr up by one
+	// then restores the row starts.
+	rowptr = make([]int64, n+1)
+	draw(func(i, _ int, _ float64) { rowptr[i+1]++ })
+	for i := 1; i <= n; i++ {
+		rowptr[i] += rowptr[i-1]
+	}
+	colidx = make([]int64, rowptr[n])
+	vals = make([]float64, rowptr[n])
+	draw(func(i, j int, v float64) {
+		colidx[rowptr[i]], vals[rowptr[i]] = int64(j), v
+		rowptr[i]++
+	})
+	copy(rowptr[1:], rowptr[:n])
+	rowptr[0] = 0
+
+	// Keep the last write of each column and close the gaps the others
+	// leave: a row never moves past its own start.
+	row := &csrRow{}
+	nnz := int64(0)
 	for i := 0; i < n; i++ {
-		for e := 0; e < cfg.PerRow/2; e++ {
-			j := rnd.Intn(n)
-			if j == i {
+		lo, hi := rowptr[i], rowptr[i+1]
+		row.cols, row.vals = colidx[lo:hi], vals[lo:hi]
+		sort.Stable(row)
+		rowptr[i] = nnz
+		for e := lo; e < hi; e++ {
+			if e+1 < hi && colidx[e+1] == colidx[e] {
 				continue
 			}
-			v := rnd.Float64() - 0.5
-			entries[i][j] = v
-			entries[j][i] = v
+			colidx[nnz], vals[nnz] = colidx[e], vals[e]
+			nnz++
 		}
 	}
-	rowptr = make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		cols := make([]int, 0, len(entries[i]))
-		for j := range entries[i] {
-			cols = append(cols, j)
-		}
-		sort.Ints(cols)
-		for _, j := range cols {
-			colidx = append(colidx, int64(j))
-			vals = append(vals, entries[i][j])
-		}
-		rowptr[i+1] = int64(len(colidx))
-	}
-	return rowptr, colidx, vals
+	rowptr[n] = nnz
+	return rowptr, colidx[:nnz], vals[:nnz]
+}
+
+// csrRow sorts one CSR row's columns, and its values with them, by column.
+type csrRow struct {
+	cols []int64
+	vals []float64
+}
+
+func (r *csrRow) Len() int           { return len(r.cols) }
+func (r *csrRow) Less(a, b int) bool { return r.cols[a] < r.cols[b] }
+func (r *csrRow) Swap(a, b int) {
+	r.cols[a], r.cols[b] = r.cols[b], r.cols[a]
+	r.vals[a], r.vals[b] = r.vals[b], r.vals[a]
 }
 
 // Setup allocates the matrix and vectors.

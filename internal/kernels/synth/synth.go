@@ -244,6 +244,9 @@ func New(cfg Config) (*Kernel, error) {
 // Name implements core.Kernel.
 func (k *Kernel) Name() string { return "SYNTH" }
 
+// Config returns the kernel's configuration.
+func (k *Kernel) Config() Config { return k.cfg }
+
 // barriers returns the number of barrier-separated phases: the barrier
 // share of the sync-event budget, at least one so the double buffer
 // exercises at least one hand-off.

@@ -60,45 +60,37 @@ type Req struct {
 // guarding this contract: prediction true implies Access charges exactly
 // Params.L1Hit cycles and leaves directory, L2, and all non-L1Hits
 // counters unchanged.
-func (s *System) IsL1Hit(r Req) bool { return s.privateHit(r) != nil }
-
-// privateHit is the hit predicate behind IsL1Hit and AccessL1: it returns
-// the L1 line that satisfies a predicted private hit, or nil.
-func (s *System) privateHit(r Req) *Line {
-	if r.Kind != Read && r.InCS {
-		return nil // the hit path would mutate L2 (WrittenInCS)
-	}
-	l1 := r.CPU.L1.Lookup(r.Addr.Line(s.P.LineSize))
-	if l1 == nil || (l1.Transparent && r.Role != RoleA) {
-		return nil
-	}
-	if r.Kind != Read && l1.State != Exclusive {
-		return nil
-	}
-	return l1
+func (s *System) IsL1Hit(r Req) bool {
+	return r.CPU.L1.Lookup(r.Addr.Line(s.P.LineSize)).PrivateHit(r.Kind, r.Role, r.InCS)
 }
 
-// AccessL1 performs the access beginning at time now if IsL1Hit predicts
-// a private hit, and reports whether it did; done is then its completion
-// time, exactly as Access would return it. Otherwise it changes nothing.
-// Unobserved, the hit costs one L1 lookup. With a bus attached the hit
-// runs through Access, so observers see the same events either way.
+// PrivateHit reports whether l, the frame an L1's Lookup returned for an
+// access (nil when the line is not there), satisfies the access as a
+// private hit: the access is of the given kind, issued by role, inside a
+// critical section if inCS. These are the only hit rules: IsL1Hit and the
+// runtime's unobserved hits both apply them.
 //
-//simlint:hotpath private-hit path: every predicted L1 hit of every simulated task lands here
-func (s *System) AccessL1(r Req, now int64) (done int64, ok bool) {
-	if s.Bus != nil {
-		if !s.IsL1Hit(r) {
-			return 0, false
-		}
-		return s.observedAccess(r, now), true
+//   - No valid frame is a miss.
+//   - A transparent copy serves only the A-stream.
+//   - A store needs the line Exclusive, and must come from outside a
+//     critical section: an in-CS store marks the node's L2 line
+//     WrittenInCS, which is not private state.
+func (l *Line) PrivateHit(kind AccessKind, role Role, inCS bool) bool {
+	if l == nil || (l.Transparent && role != RoleA) {
+		return false
 	}
-	l1 := s.privateHit(r)
-	if l1 == nil {
-		return 0, false
-	}
-	r.CPU.L1.Touch(l1)
+	return kind == Read || (l.State == Exclusive && !inCS)
+}
+
+// HitL1 performs a private hit at time now on the frame l of cpu's L1,
+// one PrivateHit accepted, and returns its completion time: it refreshes
+// l's LRU position and counts the hit, exactly as Access would, but emits
+// nothing. So only an unobserved run calls it; an observed run sends a
+// predicted hit through Access, and observers see it as any access.
+func (s *System) HitL1(cpu *CPU, l *Line, now int64) int64 {
+	cpu.L1.Touch(l)
 	s.MS.L1Hits++
-	return now + s.P.L1Hit, true
+	return now + s.P.L1Hit
 }
 
 // Access simulates one data access beginning at time now and returns its

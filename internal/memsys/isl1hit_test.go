@@ -106,27 +106,38 @@ func installL1HitState(sys *System, state string) {
 }
 
 // l1hitSys returns a two-node machine holding the named residency
-// situation, with a recording bus attached when observed is set.
-func l1hitSys(t *testing.T, state string, observed bool) (*System, *busRecorder) {
+// situation, with a bus attached when observed is set.
+func l1hitSys(t *testing.T, state string, observed bool) *System {
 	sys, _ := newSys(t, 2)
 	installL1HitState(sys, state)
-	rec := &busRecorder{}
 	if observed {
-		sys.Bus = obs.NewBus(rec)
+		sys.Bus = obs.NewBus(&busRecorder{})
 	}
-	return sys, rec
+	return sys
 }
 
-// TestIsL1HitDifferential pits IsL1Hit against Access, and AccessL1
-// against both, across every combination of access kind, stream role,
-// line state, critical-section flag, and transparent-request flag, with
-// and without a bus. Whenever IsL1Hit predicts a private hit, Access must
-// charge exactly L1Hit cycles and leave every piece of globally visible
-// state (directory, all L2 copies, all counters except L1Hits) untouched.
-// This is the contract that lets the runtime simulate predicted hits at a
-// skewed local clock. AccessL1 must do exactly what IsL1Hit followed, on a
-// predicted hit, by Access does: the same completion time, MemStats, L1
-// frames and LRU order, and emitted events.
+// unobservedHit is the runtime's unobserved hit path (core's Ctx.access
+// without a bus): look the L1 frame up, ask PrivateHit, and on a hit let
+// HitL1 perform it.
+func unobservedHit(s *System, r Req, now int64) (done int64, ok bool) {
+	l1 := r.CPU.L1.Lookup(r.Addr.Line(s.P.LineSize))
+	if !l1.PrivateHit(r.Kind, r.Role, r.InCS) {
+		return 0, false
+	}
+	return s.HitL1(r.CPU, l1, now), true
+}
+
+// TestIsL1HitDifferential pits IsL1Hit against Access, and the unobserved
+// hit path against both, across every combination of access kind, stream
+// role, line state, critical-section flag, and transparent-request flag,
+// with and without a bus. Whenever IsL1Hit predicts a private hit, Access
+// must charge exactly L1Hit cycles and leave every piece of globally
+// visible state (directory, all L2 copies, all counters except L1Hits)
+// untouched. This is the contract that lets the runtime simulate
+// predicted hits at a skewed local clock. The unobserved path must do
+// exactly what IsL1Hit followed, on a predicted hit, by Access does:
+// report a miss exactly where IsL1Hit is false, and leave the same
+// completion time, MemStats, and L1 frames and LRU order.
 func TestIsL1HitDifferential(t *testing.T) {
 	const issueAt = 1000
 	predicted := 0
@@ -137,8 +148,7 @@ func TestIsL1HitDifferential(t *testing.T) {
 					for _, reqTL := range []bool{false, true} {
 						for _, observed := range []bool{false, true} {
 							name := fmt.Sprintf("%s/%v/%v/incs=%v/tl=%v/bus=%v", state, kind, role, inCS, reqTL, observed)
-							sys, rec := l1hitSys(t, state, observed)
-							ref, refRec := l1hitSys(t, state, observed)
+							sys := l1hitSys(t, state, observed)
 							req := func(s *System) Req {
 								return Req{
 									CPU: s.Nodes[0].CPUs[0], Kind: kind, Addr: 8,
@@ -147,27 +157,27 @@ func TestIsL1HitDifferential(t *testing.T) {
 								}
 							}
 
-							pred := ref.IsL1Hit(req(ref))
-							var want int64
-							if pred {
-								want = ref.Access(req(ref), issueAt)
-							}
 							pre := snapshotLine(sys, 0)
 							preMS := sys.MS
 							preTL, preSI, preReq := sys.TL, sys.SIst, sys.Req
-							done, ok := sys.AccessL1(req(sys), issueAt)
-							if ok != pred || done != want {
-								t.Errorf("%s: AccessL1 = %d, %v; IsL1Hit then Access = %d, %v", name, done, ok, want, pred)
+							pred := sys.IsL1Hit(req(sys))
+							var done int64
+							if pred {
+								done = sys.Access(req(sys), issueAt)
 							}
-							if sys.MS != ref.MS {
-								t.Errorf("%s: AccessL1 MemStats %+v, IsL1Hit then Access %+v", name, sys.MS, ref.MS)
-							}
-							l1, refL1 := sys.Nodes[0].CPUs[0].L1, ref.Nodes[0].CPUs[0].L1
-							if !reflect.DeepEqual(l1.lines, refL1.lines) || l1.clock != refL1.clock {
-								t.Errorf("%s: AccessL1 left different L1 frames or LRU order", name)
-							}
-							if !reflect.DeepEqual(rec.events, refRec.events) {
-								t.Errorf("%s: AccessL1 emitted %+v, IsL1Hit then Access %+v", name, rec.events, refRec.events)
+							if !observed {
+								un := l1hitSys(t, state, false)
+								got, ok := unobservedHit(un, req(un), issueAt)
+								if ok != pred || got != done {
+									t.Errorf("%s: unobserved hit path = %d, %v; IsL1Hit then Access = %d, %v", name, got, ok, done, pred)
+								}
+								if un.MS != sys.MS {
+									t.Errorf("%s: unobserved hit path MemStats %+v, IsL1Hit then Access %+v", name, un.MS, sys.MS)
+								}
+								l1, refL1 := un.Nodes[0].CPUs[0].L1, sys.Nodes[0].CPUs[0].L1
+								if !reflect.DeepEqual(l1.lines, refL1.lines) || l1.clock != refL1.clock {
+									t.Errorf("%s: unobserved hit path left different L1 frames or LRU order", name)
+								}
 							}
 							if !pred {
 								continue

@@ -35,6 +35,7 @@ func All() []Benchmark {
 		{Name: "memsys/dir/write-pingpong", Fn: benchDirWritePingPong},
 		{Name: "memsys/mem/load", Fn: benchMemLoad},
 		{Name: "memsys/system/setup", Fn: benchSystemSetup},
+		{Name: "core/ctx/l1-read-hit", Fn: benchCtxL1ReadHit},
 		{Name: "obs/emit-access", Fn: benchObsEmitAccess},
 		{Name: "wire/result/decode", Fn: benchWireDecode},
 		{Name: "wire/result/encode", Fn: benchWireEncode},
@@ -303,6 +304,43 @@ func benchSystemSetup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		setupSystem()
+	}
+}
+
+// hitKernel is a one-task kernel for core/ctx/l1-read-hit: its task loads
+// one word through Ctx.LoadF once, which brings the word's line into its
+// L1, and then b.N times with the benchmark timer running, so every timed
+// load is a private L1 hit.
+type hitKernel struct {
+	b *testing.B
+	a core.F64
+}
+
+func (k *hitKernel) Name() string               { return "l1-read-hit" }
+func (k *hitKernel) Setup(p *core.Program)      { k.a = p.AllocF64(1) }
+func (k *hitKernel) Verify(*core.Program) error { return nil }
+
+func (k *hitKernel) Task(c *core.Ctx) {
+	sum := k.a.Load(c, 0)
+	k.b.StartTimer()
+	for i := 0; i < k.b.N; i++ {
+		sum += k.a.Load(c, 0)
+	}
+	k.b.StopTimer()
+	sinkTime += int64(sum)
+}
+
+// benchCtxL1ReadHit measures a private L1 read hit as a task issues it:
+// one Ctx.LoadF in an unobserved single-mode run on one CMP, so beside the
+// hit an op pays the functional load and a share of the yield the skew
+// quantum forces every 200 hits. The run's set-up, its first load and its
+// end are outside the timer; steady state must be zero-alloc (asserted by
+// core's TestUnobservedL1HitAllocatesNothing).
+func benchCtxL1ReadHit(b *testing.B) {
+	b.ReportAllocs()
+	b.StopTimer()
+	if _, err := core.Run(core.Options{Mode: core.ModeSingle, CMPs: 1}, &hitKernel{b: b}); err != nil {
+		b.Fatal(err)
 	}
 }
 

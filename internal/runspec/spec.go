@@ -16,6 +16,7 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
+	"slipstream/internal/kernels/synth"
 	"slipstream/internal/memsys"
 	"slipstream/internal/obs"
 )
@@ -90,14 +91,34 @@ func (sp RunSpec) Options() core.Options {
 	}
 }
 
+// MaxSynthWords bounds a SYNTH spec's working set, its task count times
+// its ws words per task, as memsys.Params.Validate bounds the machine.
+// SYNTH double-buffers the working set and its Verify replays both
+// buffers, so a spec at the bound sets up 64 MiB of simulated memory and
+// verifies with 64 MiB more. The largest preset spec, 128 tasks × 2048
+// words, needs 2^18.
+const MaxSynthWords = 1 << 22
+
 // Validate reports whether the spec names a known benchmark, carries
-// well-formed parameters that benchmark accepts, and resolves to valid
-// run options.
+// well-formed parameters that benchmark accepts, resolves to valid run
+// options, and, for SYNTH, stays within MaxSynthWords.
 func (sp RunSpec) Validate() error {
-	if _, err := kernels.NewParams(sp.Kernel, sp.Size, sp.Params); err != nil {
+	k, err := kernels.NewParams(sp.Kernel, sp.Size, sp.Params)
+	if err != nil {
 		return err
 	}
-	return sp.Normalize().Options().Validate()
+	sp = sp.Normalize()
+	if err := sp.Options().Validate(); err != nil {
+		return err
+	}
+	if s, ok := k.(*synth.Kernel); ok {
+		tasks, ws := sp.Mode.Tasks(sp.CMPs), s.Config().WS
+		if tasks*ws > MaxSynthWords {
+			return fmt.Errorf("runspec: SYNTH working set of %d tasks × ws %d = %d words exceeds %d",
+				tasks, ws, tasks*ws, MaxSynthWords)
+		}
+	}
+	return nil
 }
 
 // Run executes the spec's simulation and returns its result. Unlike

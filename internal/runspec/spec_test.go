@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -101,6 +102,42 @@ func TestValidateBoundsMachine(t *testing.T) {
 		tc.mutate(&sp.Machine)
 		if err := sp.Validate(); err == nil {
 			t.Errorf("%s on %d nodes validated", tc.name, tc.cmps)
+		}
+	}
+}
+
+// synthSpec returns a tiny SYNTH spec of the given mode and CMP count
+// whose tasks own ws words each.
+func synthSpec(mode core.Mode, cmps, ws int) RunSpec {
+	return RunSpec{Kernel: "SYNTH", Size: kernels.Tiny, Mode: mode, CMPs: cmps,
+		Params: kernels.Params(fmt.Sprintf("ws=%d", ws))}
+}
+
+// TestValidateBoundsSynthImage checks that admission refuses a SYNTH spec
+// whose tasks × ws exceeds MaxSynthWords, counting tasks by mode, and
+// accepts one at the bound.
+func TestValidateBoundsSynthImage(t *testing.T) {
+	for _, tc := range []struct {
+		mode    core.Mode
+		cmps    int
+		ws      int
+		refused bool
+	}{
+		{core.ModeSequential, 64, 1 << 20, false}, // one task
+		{core.ModeSingle, 4, 1 << 20, false},      // at the bound
+		{core.ModeSingle, 5, 838861, true},        // 5 × 838861 = 2^22 + 1
+		{core.ModeSlipstream, 64, 1 << 16, false}, // a pair's streams share their task
+		{core.ModeSlipstream, 64, 1<<16 + 1, true},
+		{core.ModeDouble, 64, 1 << 15, false}, // 128 tasks
+		{core.ModeDouble, 64, 1<<15 + 1, true},
+	} {
+		sp := synthSpec(tc.mode, tc.cmps, tc.ws)
+		err := sp.Validate()
+		if tc.refused && (err == nil || !strings.Contains(err.Error(), "exceeds 4194304")) {
+			t.Errorf("%v: err = %v, want the working-set bound", sp, err)
+		}
+		if !tc.refused && err != nil {
+			t.Errorf("%v: %v", sp, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -349,6 +350,45 @@ func TestPriorityFieldRejected(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest || er.Code != api.CodeBadRequest {
 				t.Errorf("%s with %s: HTTP %d code %q, want 400 %q", base, field, resp.StatusCode, er.Code, api.CodeBadRequest)
 			}
+		}
+	}
+	if n := cl.servers[0].CounterValue("service.submissions"); n != 0 {
+		t.Errorf("service.submissions = %d, want 0", n)
+	}
+}
+
+// TestSynthImageBoundRejected pins the SYNTH working-set bound at the
+// daemon and at the gateway: a batch of a spec at runspec.MaxSynthWords
+// and one a word over it gets 400 bad_request with the bound as reason,
+// naming spec 1, so the spec at the bound passed validation. Nothing is
+// admitted.
+func TestSynthImageBoundRejected(t *testing.T) {
+	cl := newCluster(t, 1, func(int) service.Config { return service.Config{Workers: 1} })
+	synth := func(cmps, ws int) runspec.RunSpec {
+		return runspec.RunSpec{Kernel: "SYNTH", Size: kernels.Tiny, Mode: core.ModeSingle, CMPs: cmps,
+			Params: kernels.Params(fmt.Sprintf("ws=%d", ws))}
+	}
+	atBound, over := synth(4, 1<<20), synth(5, 838861) // 2^22 and 2^22 + 1 words
+	body, err := json.Marshal(api.RunRequest{Specs: []runspec.RunSpec{atBound, over}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []string{cl.backends[0].URL, cl.front.URL} {
+		resp, err := http.Post(base+api.PathRun, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Code != api.CodeBadRequest {
+			t.Errorf("%s: HTTP %d code %q (%s), want 400 %q", base, resp.StatusCode, er.Code, er.Error, api.CodeBadRequest)
+		}
+		if !strings.Contains(er.Error, "spec 1") || !strings.Contains(er.Error, "exceeds 4194304") {
+			t.Errorf("%s: error %q does not name spec 1 and the working-set bound", base, er.Error)
 		}
 	}
 	if n := cl.servers[0].CounterValue("service.submissions"); n != 0 {
